@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,22 +34,6 @@ from .witness import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of the flags shared by every subcommand."""
-
-    family: str | None
-    mode: str
-    slack: float
-    cap: int
-    output: str
-    oracle: bool
-
-
-def _fmt(x) -> str:
-    return _value_to_string(x)
-
-
 def _resolve_cap(args) -> int:
     if args.cap is not None:
         cap = args.cap
@@ -67,24 +50,10 @@ def _resolve_cap(args) -> int:
     return cap
 
 
-def _config_from_args(args) -> RunConfig:
-    slack = getattr(args, "slack", DEFAULT_SLACK)
-    if not (0.0 <= slack <= 0.1):
-        raise InputError(f"slack must lie in [0, 0.1], got {slack}")
-    return RunConfig(
-        family=getattr(args, "family", None),
-        mode=getattr(args, "mode", "float"),
-        slack=slack,
-        cap=_resolve_cap(args),
-        output=getattr(args, "output", "json"),
-        oracle=getattr(args, "oracle", False),
-    )
-
-
-def _family(config: RunConfig) -> WeightFamily:
-    if not config.family:
+def _family(args) -> WeightFamily:
+    if not args.family:
         raise InputError("a weight family is required (-w)")
-    return parse_weight_spec(config.family, index_cap=config.cap)
+    return parse_weight_spec(args.family, index_cap=_resolve_cap(args))
 
 
 def _emit_json(data: dict) -> None:
@@ -92,16 +61,15 @@ def _emit_json(data: dict) -> None:
 
 
 def cmd_classify(args) -> int:
-    config = _config_from_args(args)
-    fam = _family(config)
+    fam = _family(args)
     c = fam.classify()
     report = {
         "family": fam.spec,
         "branch": c.branch.value,
-        "constant": None if c.constant is None else _fmt(c.constant),
+        "constant": None if c.constant is None else _value_to_string(c.constant),
         "evidence": c.evidence,
     }
-    if config.output == "csv":
+    if args.output == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["family", "branch", "constant", "evidence"])
         writer.writerow(
@@ -113,21 +81,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    config = _config_from_args(args)
-    if config.output != "json":
-        raise InputError("witness certificates are JSON only")
     if args.verify_only:
         data = load_certificate_json(args.verify_only)
-        cert = reverify_certificate_dict(data, cap=config.cap)
+        cert = reverify_certificate_dict(data, cap=_resolve_cap(args))
         _emit_json(cert.to_json_dict())
         return 0
     if args.r is None:
         raise InputError("witness requires -r (blocks to build) or --verify-only")
-    fam = _family(config)
-    d = find_block_lengths(
-        fam, args.r, slack=config.slack, cap=config.cap, mode=config.mode
-    )
-    cert = verify_certificate(fam, d, mode=config.mode)
+    fam = _family(args)
+    d = find_block_lengths(fam, args.r, slack=args.slack, mode=args.mode)
+    cert = verify_certificate(fam, d, mode=args.mode)
     _emit_json(cert.to_json_dict())
     return 0
 
@@ -154,36 +117,31 @@ def _load_vector(path: str) -> list[float]:
 
 
 def cmd_norm(args) -> int:
-    config = _config_from_args(args)
-    if config.mode != "float":
-        raise InputError("norms are computed in float mode only")
-    if config.output != "json":
-        raise InputError("norm reports are JSON only")
-    fam = _family(config)
+    fam = _family(args)
     b = _load_vector(args.vector)
     gar = garling_norm(b, fam, args.p)
     lor = lorentz_norm(b, fam, args.p)
     report = {
         "family": fam.spec,
-        "p": _fmt(args.p),
+        "p": _value_to_string(args.p),
         "garling": {
-            "value": _fmt(gar.value),
-            "p": _fmt(gar.p),
+            "value": _value_to_string(gar.value),
+            "p": _value_to_string(gar.p),
             "selector": [int(i) for i in gar.selector],
         },
         "lorentz": {
-            "value": _fmt(lor.value),
-            "p": _fmt(lor.p),
+            "value": _value_to_string(lor.value),
+            "p": _value_to_string(lor.p),
             "selector": [int(i) for i in lor.selector],
         },
     }
-    if config.oracle:
+    if args.oracle:
         if len(b) > SUBSET_LIMIT:
             raise CapExceededError(
                 f"oracle cross-check limited to {SUBSET_LIMIT} entries, got {len(b)}"
             )
         reference = garling_norm_bruteforce(b, fam, args.p)
-        report["oracle"] = {"garling": _fmt(reference)}
+        report["oracle"] = {"garling": _value_to_string(reference)}
         if not math.isclose(reference, gar.value, rel_tol=1e-9, abs_tol=1e-12):
             _emit_json(report)
             raise CertificationError(
@@ -207,52 +165,50 @@ SCAN_COLUMNS = [
 
 
 def cmd_scan(args) -> int:
-    config = _config_from_args(args)
-    if config.output != "csv":
-        raise InputError("scan reports are CSV only")
     if args.rmax < 1:
         raise InputError(f"--rmax must be >= 1, got {args.rmax}")
     if args.rmax > DEFAULT_R_LIMIT:
         raise InputError(
             f"--rmax capped at {DEFAULT_R_LIMIT}; larger sweeps are a library call away"
         )
-    fam = _family(config)
+    fam = _family(args)
     writer = csv.writer(sys.stdout)
     writer.writerow(SCAN_COLUMNS)
     sys.stdout.flush()
     d: list[int] = []
     for r in range(1, args.rmax + 1):
-        d = find_block_lengths(
-            fam, r, slack=config.slack, cap=config.cap, mode=config.mode, initial=d
-        )
-        cert = verify_certificate(fam, d, mode=config.mode)
-        f = build_witness(fam, d, mode=config.mode)
+        d = find_block_lengths(fam, r, slack=args.slack, mode=args.mode, initial=d)
+        cert = verify_certificate(fam, d, mode=args.mode)
+        f = build_witness(fam, d, mode=args.mode)
         defect, _, _ = symmetric_defect(f, fam, args.p, f.support)
         gap = witness_gap(f, fam, args.p)
         writer.writerow(
             [
                 r,
                 d[-1],
-                _fmt(cert.A_value),
-                _fmt(cert.B_value),
-                _fmt(cert.ratio),
-                _fmt(r / 6.0),
-                _fmt(defect),
-                _fmt(gap),
+                _value_to_string(cert.A_value),
+                _value_to_string(cert.B_value),
+                _value_to_string(cert.ratio),
+                _value_to_string(r / 6.0),
+                _value_to_string(defect),
+                _value_to_string(gap),
             ]
         )
         sys.stdout.flush()
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, with_family: bool = True) -> None:
-    if with_family:
-        sub.add_argument(
-            "-w",
-            dest="family",
-            metavar="FAMILY",
-            help="weight family: power:A | harmonic | ctail:C | explicit:FILE.json",
-        )
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "-w",
+        dest="family",
+        metavar="FAMILY",
+        help="weight family: power:A | harmonic | ctail:C | explicit:FILE.json",
+    )
+    sub.add_argument("--cap", type=int, default=None, help="index cap override")
+
+
+def _add_search(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--mode", choices=("float", "rational"), default="float", help="arithmetic mode"
     )
@@ -261,13 +217,6 @@ def _add_common(sub: argparse.ArgumentParser, with_family: bool = True) -> None:
         type=float,
         default=DEFAULT_SLACK,
         help="multiplicative search margin in [0, 0.1]",
-    )
-    sub.add_argument("--cap", type=int, default=None, help="index cap override")
-    sub.add_argument(
-        "--output", choices=("json", "csv"), default=None, help="report format"
-    )
-    sub.add_argument(
-        "--oracle", action="store_true", help="cross-check against brute force"
     )
 
 
@@ -283,12 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="summable / bounded-below / vanishing-non-summable verdict"
     )
     _add_common(p_classify)
-    p_classify.set_defaults(func=cmd_classify, output_default="json")
+    p_classify.add_argument(
+        "--output", choices=("json", "csv"), default="json", help="report format"
+    )
+    p_classify.set_defaults(func=cmd_classify)
 
     p_witness = sub.add_parser(
         "witness", help="build and certify a block witness, or re-check one"
     )
     _add_common(p_witness)
+    _add_search(p_witness)
     p_witness.add_argument("-r", type=int, default=None, help="number of blocks")
     p_witness.add_argument(
         "--verify-only",
@@ -296,21 +249,25 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="re-derive an existing certificate from scratch",
     )
-    p_witness.set_defaults(func=cmd_witness, output_default="json")
+    p_witness.set_defaults(func=cmd_witness)
 
     p_norm = sub.add_parser("norm", help="selection and rearranged norms of a vector")
     _add_common(p_norm)
     p_norm.add_argument("vector", help="JSON array of decimal or 'p/q' strings")
     p_norm.add_argument("-p", type=float, default=1.0, help="norm exponent >= 1")
-    p_norm.set_defaults(func=cmd_norm, output_default="json")
+    p_norm.add_argument(
+        "--oracle", action="store_true", help="cross-check against brute force"
+    )
+    p_norm.set_defaults(func=cmd_norm)
 
     p_scan = sub.add_parser(
         "scan", help="per-r CSV: blocks, bounds, ratio, defect, and gap"
     )
     _add_common(p_scan)
+    _add_search(p_scan)
     p_scan.add_argument("-r", "--rmax", dest="rmax", type=int, default=3)
     p_scan.add_argument("-p", type=float, default=1.0, help="norm exponent >= 1")
-    p_scan.set_defaults(func=cmd_scan, output_default="csv")
+    p_scan.set_defaults(func=cmd_scan)
 
     return parser
 
@@ -321,8 +278,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.output is None:
-        args.output = args.output_default
     try:
         return args.func(args)
     except InputError as exc:

@@ -22,11 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .exceptions import CapExceededError, InputError
-from .weights import EXACT_PREFIX_CAP, PREFIX_ARRAY_CAP, WeightFamily
+from .weights import EXACT_PREFIX_CAP, PREFIX_ARRAY_CAP, WeightFamily, neumaier_add
 
 DENSE_SCAN_CAP = PREFIX_ARRAY_CAP
 SCAN_CAP = 2**28
@@ -43,6 +44,8 @@ def _coerce_value(v) -> Value:
     if isinstance(v, Rational):
         return Fraction(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise InputError(f"run value {v} is not finite")
         return v
     if isinstance(v, int):
         return Fraction(v)
@@ -78,8 +81,8 @@ class StepSequence:
     all-zero sequence is the empty run list; it is a valid StepSequence but
     is rejected by :func:`ratio`, where it would divide by zero.
 
-    Values are floats or Fractions; exact-mode functionals require every
-    value to be a Fraction.
+    Values are finite floats or Fractions; exact-mode functionals require
+    every value to be a Fraction.
     """
 
     runs: tuple[tuple[int, Value], ...]
@@ -188,15 +191,51 @@ class FunctionalReport:
     ratio: Value
 
 
-def _require_exact(f: StepSequence, fam: WeightFamily) -> None:
+@dataclass(frozen=True)
+class Arithmetic:
+    """The number type and weight sums one evaluation runs in.
+
+    Float arithmetic sums weight windows directly with compensation and
+    totals with ``math.fsum``; exact arithmetic takes differences of exact
+    ``Fraction`` prefixes and totals from ``Fraction(0)``.
+    """
+
+    exact: bool
+    num: type
+    prefix: Callable[[int], Value]
+    window: Callable[[int, int], Value]
+    total: Callable[[Iterable[Value]], Value]
+
+
+def arithmetic(
+    mode: str, fam: WeightFamily, f: StepSequence | None = None
+) -> Arithmetic:
+    """Select float or exact arithmetic, checking that fam (and f) admit it.
+
+    ``mode`` is ``"float"`` or ``"rational"``.  Exact arithmetic needs a
+    rational family and, when a sequence is given, rational run values and a
+    support within the exact-prefix cap.
+    """
+    if mode == "float":
+        return Arithmetic(False, float, fam.prefix_sum, fam.window_sum, math.fsum)
+    if mode != "rational":
+        raise InputError(f"mode must be 'float' or 'rational', got {mode!r}")
     if not fam.supports_exact:
         raise InputError(f"family {fam.spec!r} does not support exact evaluation")
-    if not f.all_rational:
+    if f is not None and not f.all_rational:
         raise InputError("exact evaluation needs all run values rational")
-    if f.support > EXACT_PREFIX_CAP:
+    if f is not None and f.support > EXACT_PREFIX_CAP:
         raise CapExceededError(
             f"exact evaluation capped at support {EXACT_PREFIX_CAP}, got {f.support}"
         )
+    prefix = fam.prefix_fraction
+    return Arithmetic(
+        True,
+        Fraction,
+        prefix,
+        lambda lo, hi: prefix(hi) - prefix(lo - 1),
+        lambda parts: sum(parts, Fraction(0)),
+    )
 
 
 def _check_support(f: StepSequence, fam: WeightFamily) -> None:
@@ -214,16 +253,9 @@ def functional_A(f: StepSequence, fam: WeightFamily, mode: str = "float") -> Val
     runs deep in the sequence do not suffer cancellation.
     """
     _check_support(f, fam)
-    if mode == "rational":
-        _require_exact(f, fam)
-        total = Fraction(0)
-        for start, end, value in f.bounds():
-            total += value * (fam.prefix_fraction(end) - fam.prefix_fraction(start - 1))
-        return total
-    if mode != "float":
-        raise InputError(f"mode must be 'float' or 'rational', got {mode!r}")
-    return math.fsum(
-        float(value) * fam.window_sum(start, end) for start, end, value in f.bounds()
+    ar = arithmetic(mode, fam, f)
+    return ar.total(
+        ar.num(value) * ar.window(start, end) for start, end, value in f.bounds()
     )
 
 
@@ -238,30 +270,12 @@ def functional_B_at(
     if n < 1:
         raise InputError(f"window length must be >= 1, got {n}")
     _check_support(f, fam)
-    if mode == "rational":
-        _require_exact(f, fam)
-        if n > EXACT_PREFIX_CAP:
-            raise CapExceededError(
-                f"exact evaluation capped at window {EXACT_PREFIX_CAP}, got {n}"
-            )
-        total = Fraction(0)
-        for start, end, value in f.bounds():
-            if start > n:
-                break
-            lo = 1 + n - min(end, n)
-            hi = 1 + n - start
-            total += value * (fam.prefix_fraction(hi) - fam.prefix_fraction(lo - 1))
-        return total
-    if mode != "float":
-        raise InputError(f"mode must be 'float' or 'rational', got {mode!r}")
-    parts = []
-    for start, end, value in f.bounds():
-        if start > n:
-            break
-        lo = 1 + n - min(end, n)
-        hi = 1 + n - start
-        parts.append(float(value) * fam.window_sum(lo, hi))
-    return math.fsum(parts)
+    ar = arithmetic(mode, fam, f)
+    return ar.total(
+        ar.num(value) * ar.window(1 + n - min(end, n), 1 + n - start)
+        for start, end, value in f.bounds()
+        if start <= n
+    )
 
 
 def _scan_dense(f: StepSequence, fam: WeightFamily) -> tuple[float, int]:
@@ -287,7 +301,8 @@ def _scan_chunked(f: StepSequence, fam: WeightFamily) -> tuple[float, int]:
     Walks n in blocks, advancing each run's contribution by its first
     difference v * (w_{1+n-start} - w_{n-end}); block deltas are accumulated
     into the running base with compensation.  Accuracy is slightly below the
-    dense path (documented; the dense path covers every certified scale).
+    dense path.  Certified witnesses do reach this path: the harmonic r = 5
+    witness has support 72,174,691, past the dense cap of 2**26.
     """
     m = f.support
     bounds = f.bounds()
@@ -327,13 +342,7 @@ def _scan_chunked(f: StepSequence, fam: WeightFamily) -> tuple[float, int]:
         if values[k] > best:
             best = float(values[k])
             best_n = block_lo + k
-        x = float(deltas[-1])
-        t = base + x
-        if abs(base) >= abs(x):
-            comp += (base - t) + x
-        else:
-            comp += (x - t) + base
-        base = t
+        base, comp = neumaier_add(base, comp, float(deltas[-1]))
         block_lo = block_hi + 1
     return best, best_n
 
@@ -347,20 +356,18 @@ def functional_B(
     onto smaller weights, so they never exceed the value at n = support.
     """
     _check_support(f, fam)
+    ar = arithmetic(mode, fam, f)
     m = f.support
     if m == 0:
-        return (Fraction(0) if mode == "rational" else 0.0, 1)
-    if mode == "rational":
-        _require_exact(f, fam)
+        return ar.num(0), 1
+    if ar.exact:
         best = Fraction(-1)
         best_n = 0
         for n in range(1, m + 1):
-            value = functional_B_at(f, fam, n, mode="rational")
+            value = functional_B_at(f, fam, n, mode=mode)
             if value > best:
                 best, best_n = value, n
         return best, best_n
-    if mode != "float":
-        raise InputError(f"mode must be 'float' or 'rational', got {mode!r}")
     if m <= DENSE_SCAN_CAP:
         return _scan_dense(f, fam)
     if m <= SCAN_CAP:

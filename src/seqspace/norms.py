@@ -50,6 +50,13 @@ class NormResult:
     p: float
     selector: np.ndarray
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise InputError(
+                f"norm is not finite ({self.value}): the entries' p-th powers "
+                "overflow double precision"
+            )
+
     def to_json_dict(self) -> dict:
         return {
             "value": self.value,

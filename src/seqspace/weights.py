@@ -59,10 +59,17 @@ class Classification:
     evidence: str
 
 
-def _neumaier_sum(values: np.ndarray) -> float:
-    # Single pairwise pass; numpy's pairwise np.sum keeps the relative error
-    # of a positive block near machine epsilon.
-    return float(np.sum(values))
+def neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
+    """Add x to total; comp carries the rounding error (Neumaier's step).
+
+    The compensated sum is ``total + comp`` once every term has been added.
+    """
+    t = total + x
+    if abs(total) >= abs(x):
+        comp += (total - t) + x
+    else:
+        comp += (x - t) + total
+    return t, comp
 
 
 class WeightFamily:
@@ -143,19 +150,17 @@ class WeightFamily:
     # -- compensated prefix sums -----------------------------------------
 
     def _block_sum(self, lo: int, hi: int) -> float:
-        """Compensated sum of w_lo..w_hi over fixed blocks anchored at lo."""
+        """Compensated sum of w_lo..w_hi over fixed blocks anchored at lo.
+
+        numpy's pairwise ``np.sum`` keeps each positive block's relative
+        error near machine epsilon; the blocks are combined with compensation.
+        """
         total = 0.0
         comp = 0.0
         start = lo
         while start <= hi:
             end = min(start + _CHUNK - 1, hi)
-            x = _neumaier_sum(self._terms(start, end))
-            t = total + x
-            if abs(total) >= abs(x):
-                comp += (total - t) + x
-            else:
-                comp += (x - t) + total
-            total = t
+            total, comp = neumaier_add(total, comp, float(np.sum(self._terms(start, end))))
             start = end + 1
         return total + comp
 
@@ -226,13 +231,7 @@ class WeightFamily:
             terms = self._terms(start, end)
             np.cumsum(terms, out=out[start : end + 1])
             out[start : end + 1] += base + comp
-            x = _neumaier_sum(terms)
-            t = base + x
-            if abs(base) >= abs(x):
-                comp += (base - t) + x
-            else:
-                comp += (x - t) + base
-            base = t
+            base, comp = neumaier_add(base, comp, float(np.sum(terms)))
             start = end + 1
         return out
 

@@ -25,7 +25,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +33,13 @@ from .exceptions import CapExceededError, CertificationError, InputError
 from .functionals import (
     StepSequence,
     Value,
+    arithmetic,
     functional_A,
     functional_B,
     _value_from_string,
     _value_to_string,
 )
-from .weights import Branch, WeightFamily, parse_weight_spec
+from .weights import DEFAULT_INDEX_CAP, Branch, WeightFamily, parse_weight_spec
 
 DEFAULT_SLACK = 1e-9
 DEFAULT_TOLERANCE = 1e-9
@@ -53,7 +53,8 @@ class WitnessCertificate:
     ``cond_i_margins[k-1]`` is W(d_k)/2 - W(n_{k-1}) and
     ``cond_ii_margins[k-1]`` is 2**(1-k) * W(d_{k-1}) - (W(d_{k-1}+d_k) - W(d_k));
     both lists must be non-negative (up to the stated tolerance) for the
-    certificate to be valid.  ``slack`` records the verification tolerance.
+    certificate to be valid.  ``tolerance`` records the relative verification
+    tolerance, 0 in rational mode, where every check is exact.
     """
 
     family: str
@@ -65,7 +66,7 @@ class WitnessCertificate:
     B_value: Value
     ratio: Value
     argmax_n: int
-    slack: float
+    tolerance: float
     cond_i_margins: tuple[Value, ...]
     cond_ii_margins: tuple[Value, ...]
     mode: str
@@ -129,13 +130,13 @@ def find_block_lengths(
     """Componentwise-minimal block lengths satisfying conditions (i) and (ii).
 
     ``initial`` may carry the result of a previous, smaller-r search for the
-    same family and slack; the search then only extends it.
+    same family and slack; the search then only extends it.  Rational mode
+    decides each condition exactly, so it ignores the slack.
     """
     _check_preconditions(fam, r, slack)
-    if mode not in ("float", "rational"):
-        raise InputError(f"mode must be 'float' or 'rational', got {mode!r}")
-    if mode == "rational" and not fam.supports_exact:
-        raise InputError(f"family {fam.spec!r} does not support exact evaluation")
+    ar = arithmetic(mode, fam)
+    if ar.exact:
+        slack = 0
     if cap is None:
         cap = fam.index_cap
     if cap < 1:
@@ -145,34 +146,18 @@ def find_block_lengths(
     if len(d) > r:
         raise InputError("initial block prefix longer than requested r")
     n_prev = sum(d)
-
-    if mode == "rational":
-        prefix = fam.prefix_fraction
-
-        def window(lo: int, hi: int) -> Fraction:
-            return prefix(hi) - prefix(lo - 1)
-
-        half, two = Fraction(1, 2), Fraction(2)
-    else:
-        prefix = fam.prefix_sum
-        window = fam.window_sum
-        half, two = 0.5, 2.0
+    half, two = ar.num(1) / 2, ar.num(2)
+    tighten = 1 - slack
 
     for k in range(len(d) + 1, r + 1):
         d_prev = d[-1] if d else 0
-        lhs_i = prefix(n_prev)
-        rhs_ii = two ** (1 - k) * prefix(d_prev) if d_prev else None
-        tighten = 1 - slack if mode == "float" else 1
+        lhs_i = ar.prefix(n_prev)
+        rhs_ii = two ** (1 - k) * ar.prefix(d_prev) if d_prev else None
 
         def feasible(cand: int) -> bool:
-            if lhs_i > half * prefix(cand) * tighten:
+            if lhs_i > half * ar.prefix(cand) * tighten:
                 return False
-            if rhs_ii is not None:
-                if window(cand + 1, cand + d_prev) > rhs_ii * tighten:
-                    return False
-            elif d_prev:  # pragma: no cover - d_prev=0 handled above
-                return False
-            return True
+            return rhs_ii is None or ar.window(cand + 1, cand + d_prev) <= rhs_ii * tighten
 
         hi = 1
         while not feasible(hi):
@@ -211,12 +196,8 @@ def build_witness(fam: WeightFamily, d: list[int], mode: str = "float") -> StepS
         raise InputError("block lengths must be integers") from exc
     if any(x < 1 for x in d):
         raise InputError("block lengths must be positive integers")
-    if mode == "rational":
-        values: list[Value] = [Fraction(1) / fam.prefix_fraction(dk) for dk in d]
-    elif mode == "float":
-        values = [1.0 / fam.prefix_sum(dk) for dk in d]
-    else:
-        raise InputError(f"mode must be 'float' or 'rational', got {mode!r}")
+    ar = arithmetic(mode, fam)
+    values = [ar.num(1) / ar.prefix(dk) for dk in d]
     for a, b in zip(values, values[1:]):
         if b >= a:
             raise InputError(
@@ -243,18 +224,11 @@ def verify_certificate(
     if tolerance < 0:
         raise InputError("tolerance must be non-negative")
     r = len(d)
-    exact = mode == "rational"
-    if mode not in ("float", "rational"):
-        raise InputError(f"mode must be 'float' or 'rational', got {mode!r}")
-
-    if exact:
-        prefix = fam.prefix_fraction
-        half = Fraction(1, 2)
-        two = Fraction(2)
-    else:
-        prefix = fam.prefix_sum
-        half = 0.5
-        two = 2.0
+    ar = arithmetic(mode, fam)
+    if ar.exact:
+        tolerance = 0
+    prefix = ar.prefix
+    half, two = ar.num(1) / 2, ar.num(2)
 
     n_parts = np.cumsum([0] + list(d))
     cond_i: list[Value] = []
@@ -264,8 +238,7 @@ def verify_certificate(
         d_km1 = d[k - 2] if k >= 2 else 0
         rhs_i = half * prefix(d_k)
         margin_i = rhs_i - prefix(int(n_parts[k - 1]))
-        allow = 0 if exact else tolerance * abs(rhs_i)
-        if margin_i < -allow:
+        if margin_i < -tolerance * abs(rhs_i):
             raise CertificationError(
                 f"condition (i) violated at k = {k}: "
                 f"W(n_{k - 1}) exceeds W(d_{k})/2 by {-margin_i}"
@@ -275,8 +248,7 @@ def verify_certificate(
         rhs_ii = two ** (1 - k) * prefix(d_km1)
         lhs_ii = prefix(d_km1 + d_k) - prefix(d_k)
         margin_ii = rhs_ii - lhs_ii
-        allow = 0 if exact else tolerance * max(abs(rhs_ii), abs(lhs_ii))
-        if margin_ii < -allow:
+        if margin_ii < -tolerance * max(abs(rhs_ii), abs(lhs_ii)):
             raise CertificationError(
                 f"condition (ii) violated at k = {k}: window sum exceeds "
                 f"2**(1-{k}) * W(d_{k - 1}) by {-margin_ii}"
@@ -287,16 +259,14 @@ def verify_certificate(
     a_value = functional_A(f, fam, mode=mode)
     b_value, argmax_n = functional_B(f, fam, mode=mode)
 
-    a_bound: Value = Fraction(r, 2) if exact else r / 2
-    allow = 0 if exact else tolerance * float(a_bound)
-    if a_value < a_bound - allow:
+    a_bound = ar.num(r) / 2
+    if a_value < a_bound - tolerance * a_bound:
         raise CertificationError(
             f"aligned bound violated: A = {a_value} < r/2 = {a_bound} "
             f"(residual {a_bound - a_value})"
         )
-    b_bound: Value = Fraction(3) if exact else 3.0
-    allow = 0 if exact else tolerance * 3.0
-    if b_value > b_bound + allow:
+    b_bound = ar.num(3)
+    if b_value > b_bound + tolerance * b_bound:
         raise CertificationError(
             f"reversed bound violated: B = {b_value} > 3 (residual {b_value - b_bound})"
         )
@@ -311,7 +281,7 @@ def verify_certificate(
         B_value=b_value,
         ratio=a_value / b_value,
         argmax_n=argmax_n,
-        slack=float(tolerance),
+        tolerance=float(tolerance),
         cond_i_margins=tuple(cond_i),
         cond_ii_margins=tuple(cond_ii),
         mode=mode,
@@ -326,11 +296,10 @@ def reverify_certificate_dict(
     The claimed A, B, and ratio must match the recomputation: exactly in
     rational mode, within the tolerance in float mode.
     """
-    fam = parse_weight_spec(data["family"], index_cap=cap) if cap else parse_weight_spec(
-        data["family"]
-    )
+    fam = parse_weight_spec(data["family"], index_cap=cap or DEFAULT_INDEX_CAP)
     mode = data["mode"]
     cert = verify_certificate(fam, data["d"], tolerance=tolerance, mode=mode)
+    exact = arithmetic(mode, fam).exact
     if cert.r != data["r"]:
         raise CertificationError(
             f"certificate r = {data['r']} does not match {cert.r} block lengths"
@@ -341,18 +310,15 @@ def reverify_certificate_dict(
         ("ratio", data["ratio"], cert.ratio),
     ):
         claimed = _value_from_string(str(claimed_s))
-        if mode == "rational":
-            if claimed != actual:
-                raise CertificationError(
-                    f"claimed {name} = {claimed_s} differs from recomputed "
-                    f"{_value_to_string(actual)}"
-                )
+        if exact:
+            agree = claimed == actual
         else:
-            if not math.isclose(float(claimed), float(actual), rel_tol=max(tolerance, 1e-12)):
-                raise CertificationError(
-                    f"claimed {name} = {claimed_s} differs from recomputed "
-                    f"{_value_to_string(actual)}"
-                )
+            agree = math.isclose(float(claimed), float(actual), rel_tol=max(tolerance, 1e-12))
+        if not agree:
+            raise CertificationError(
+                f"claimed {name} = {claimed_s} differs from recomputed "
+                f"{_value_to_string(actual)}"
+            )
     return cert
 
 

@@ -255,3 +255,53 @@ def test_slack_validation(capsys):
     code, _, err = run(capsys, ["witness", "-w", "harmonic", "-r", "1", "--slack", "0.5"])
     assert code == 2
     assert "slack" in err
+
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_norm_rejects_overflowing_vector(tmp_path, capsys):
+    vec = write_vector(tmp_path, [1, 1e308, 1e308])
+    code, out, err = run(capsys, ["norm", "-w", "power:0.5", vec, "-p", "2"])
+    assert code == 2 and out == ""
+    assert "not finite" in err
+
+
+# Each flag below used to be accepted by the subcommand without acting there.
+REMOVED_FLAGS = [
+    ("classify", "--mode float"),
+    ("classify", "--slack 0"),
+    ("classify", "--oracle"),
+    ("witness", "--output json"),
+    ("witness", "--oracle"),
+    ("norm", "--mode float"),
+    ("norm", "--slack 0"),
+    ("norm", "--output json"),
+    ("scan", "--output csv"),
+    ("scan", "--oracle"),
+]
+BASE_ARGV = {
+    "classify": ["-w", "harmonic"],
+    "witness": ["-w", "harmonic", "-r", "1"],
+    "norm": ["-w", "harmonic", "vec.json"],
+    "scan": ["-w", "harmonic", "-r", "1"],
+}
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_removed_flags_exit_2(command, flag, capsys):
+    code, out, err = run(capsys, [command, *BASE_ARGV[command], *flag.split()])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_each_subcommand_keeps_its_flags(tmp_path, capsys):
+    vec = write_vector(tmp_path, [2.0, 1.0])
+    for argv in (
+        ["classify", "--cap", "100", "--output", "csv"],
+        ["witness", "-r", "2", "--cap", "100", "--mode", "rational", "--slack", "0"],
+        ["norm", vec, "--cap", "100", "-p", "1", "--oracle"],
+        ["scan", "-r", "2", "--cap", "100", "-p", "1", "--mode", "float", "--slack", "0"],
+    ):
+        code, out, err = run(capsys, [argv[0], "-w", "harmonic", *argv[1:]])
+        assert code == 0 and err == "", argv
+        assert out

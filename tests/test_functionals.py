@@ -270,3 +270,20 @@ def test_support_cap_errors():
         functional_A(f, fam)
     with pytest.raises(CapExceededError):
         functional_B(f, fam)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_run_values_rejected(bad):
+    with pytest.raises(InputError, match="not finite"):
+        StepSequence(((2, bad), (1, 0.5)))
+    with pytest.raises(InputError, match="not finite"):
+        StepSequence.from_values([1.0, bad])
+    with pytest.raises(InputError, match="not finite"):
+        StepSequence.from_json_dict({"runs": [[1, repr(bad)]]})
+    with pytest.raises(InputError, match="not finite"):
+        StepSequence(((1, 1.0),)).scaled(bad)
+
+
+def test_scaling_into_overflow_rejected():
+    with pytest.raises(InputError, match="not finite"):
+        StepSequence(((1, 1e308),)).scaled(10.0)

@@ -289,3 +289,13 @@ def test_norm_result_serialization():
     res = garling_norm([2.0, 1.0], H, 1.0)
     data = res.to_json_dict()
     assert data == {"value": 2.5, "p": 1.0, "selector": [1, 2]}
+
+
+def test_overflowing_norms_raise_instead_of_non_finite():
+    # 1e308**2 overflows double precision: garling's DP saw nan, lorentz inf
+    b = [1.0, 1e308, 1e308]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InputError, match="not finite"):
+            garling_norm(b, P12, 2.0)
+        with pytest.raises(InputError, match="not finite"):
+            lorentz_norm(b, P12, 2.0)

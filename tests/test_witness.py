@@ -12,6 +12,7 @@ from seqspace.exceptions import CapExceededError, CertificationError, InputError
 from seqspace.functionals import StepSequence, functional_A, functional_B
 from seqspace.weights import HarmonicWeights, PowerWeights, parse_weight_spec
 from seqspace.witness import (
+    DEFAULT_TOLERANCE,
     build_witness,
     find_block_lengths,
     load_certificate_json,
@@ -232,3 +233,99 @@ def test_lower_bound_growth():
     h_ratios = [lower_bound_S(H, r)[1] for r in range(1, 4)]
     assert all(b >= a for a, b in zip(h_ratios, h_ratios[1:]))
     assert all(v >= r / 6 for r, v in enumerate(h_ratios, start=1))
+
+
+# Full certificates as printed before the float and exact arithmetic were
+# merged into one path; the outputs must not move by a single digit.
+GOLDEN_CERTIFICATES = {
+    ("power:0.5", 5, "float"): {
+        "family": "power:0.5",
+        "r": 5,
+        "d": [1, 4, 31, 630, 42423],
+        "A": "4.2551430946167406",
+        "B": "1.4472135954999579",
+        "ratio": "2.9402315648829629",
+        "margins": {
+            "cond_i": [
+                "0.5",
+                "0.3922285251880866",
+                "1.6506970934148675",
+                "13.756796529947739",
+                "155.06651143074663",
+            ],
+            "cond_ii": [
+                "0",
+                "0.052786404500042128",
+                "0.0047304752534966799",
+                "0.00082554574513693524",
+                "1.695076766994319e-05",
+            ],
+        },
+        "mode": "float",
+    },
+    ("harmonic", 3, "rational"): {
+        "family": "harmonic",
+        "r": 3,
+        "d": [1, 4, 54],
+        "A": "3946448016091471690587932337/1847465790656211350947016375",
+        "B": "6/5",
+        "ratio": "1315482672030490563529310779/738986316262484540378806550",
+        "margins": {
+            "cond_i": ["1/2", "1/24", "479812184179176959849/109499572483358550292800"],
+            "cond_ii": ["0/1", "3/10", "1527403/3394160"],
+        },
+        "mode": "rational",
+    },
+    ("explicit:explicit3.json", 4, "float"): {
+        "family": "explicit:explicit3.json",
+        "r": 4,
+        "d": [1, 3, 26, 1187],
+        "A": "2.7685571897735581",
+        "B": "1.375",
+        "ratio": "2.0134961380171332",
+        "margins": {
+            "cond_i": [
+                "0.5",
+                "0.125",
+                "0.015814787161283927",
+                "0.00013522638782159646",
+            ],
+            "cond_ii": [
+                "0",
+                "0.125",
+                "0.40164887794198112",
+                "0.62771596478240921",
+            ],
+        },
+        "mode": "float",
+    },
+    ("explicit:explicit3.json", 3, "rational"): {
+        "family": "explicit:explicit3.json",
+        "r": 3,
+        "d": [1, 3, 26],
+        "A": "4128050916103/1822427898686",
+        "B": "11/8",
+        "ratio": "16512203664412/10023353442773",
+        "margins": {
+            "cond_i": ["1/2", "1/8", "188168867/11898286400"],
+            "cond_ii": ["0/1", "1/8", "11741/29232"],
+        },
+        "mode": "rational",
+    },
+}
+
+
+@pytest.mark.parametrize("spec, r, mode", sorted(GOLDEN_CERTIFICATES))
+def test_certificate_golden(spec, r, mode, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "explicit3.json").write_text(
+        json.dumps({"weights": ["1", "3/4", "1/2"], "tail": "pattern"})
+    )
+    fam = parse_weight_spec(spec)
+    d = find_block_lengths(fam, r, mode=mode)
+    cert = verify_certificate(fam, d, mode=mode)
+    data = cert.to_json_dict()
+    assert data == GOLDEN_CERTIFICATES[spec, r, mode]
+    # exact checks run with no tolerance at all
+    assert cert.tolerance == (0.0 if mode == "rational" else DEFAULT_TOLERANCE)
+    assert reverify_certificate_dict(data).to_json_dict() == data
