@@ -173,8 +173,6 @@ def cmd_scan(args) -> int:
         )
     fam = _family(args)
     writer = csv.writer(sys.stdout)
-    writer.writerow(SCAN_COLUMNS)
-    sys.stdout.flush()
     d: list[int] = []
     for r in range(1, args.rmax + 1):
         d = find_block_lengths(fam, r, slack=args.slack, mode=args.mode, initial=d)
@@ -182,6 +180,8 @@ def cmd_scan(args) -> int:
         f = build_witness(fam, d, mode=args.mode)
         defect, _, _ = symmetric_defect(f, fam, args.p, f.support)
         gap = witness_gap(f, fam, args.p)
+        if r == 1:  # the header follows the first row's precondition checks
+            writer.writerow(SCAN_COLUMNS)
         writer.writerow(
             [
                 r,

@@ -31,7 +31,7 @@ from .weights import EXACT_PREFIX_CAP, PREFIX_ARRAY_CAP, WeightFamily, neumaier_
 
 DENSE_SCAN_CAP = PREFIX_ARRAY_CAP
 SCAN_CAP = 2**28
-EXPAND_CAP = 2**26
+EXPAND_CAP = 2**24
 _SCAN_BLOCK = 2**22
 
 Value = float | Fraction
@@ -114,15 +114,13 @@ class StepSequence:
 
     @classmethod
     def from_values(cls, values) -> "StepSequence":
-        """Encode a dense value list."""
-        runs: list[tuple[int, Value]] = []
-        for v in values:
-            v = _coerce_value(v)
-            if runs and runs[-1][1] == v:
-                runs[-1] = (runs[-1][0] + 1, v)
-            else:
-                runs.append((1, v))
-        return cls(tuple(runs))
+        """Encode a dense value list or array; run values keep their Python types."""
+        x = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+        if x.ndim != 1:
+            raise InputError("dense values must form a one-dimensional sequence")
+        ends = np.r_[np.flatnonzero(x[1:] != x[:-1]), x.size - 1][: x.size]
+        lengths = np.diff(np.r_[-1, ends])
+        return cls(tuple(zip(lengths.tolist(), x[ends].tolist())))
 
     @property
     def support(self) -> int:

@@ -29,11 +29,10 @@ import numpy as np
 
 from .exceptions import CapExceededError, InputError
 from .functionals import StepSequence, functional_B
-from .weights import Branch, WeightFamily
+from .weights import WeightFamily
 from .witness import DEFAULT_SLACK, build_witness, find_block_lengths
 
 GARLING_DP_CAP = 4096
-PREFIX_EXPANSION_CAP = 2**24
 _SELECTOR_TOL = 1e-12
 
 
@@ -83,21 +82,32 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _powers(c: np.ndarray, p: float) -> np.ndarray:
+    """Entrywise c**p, rejecting powers that overflow double precision."""
+    with np.errstate(over="ignore"):
+        cp = c**p
+    if not np.all(np.isfinite(cp)):
+        raise InputError(
+            f"the entries' p-th powers (p = {p}) are not finite: they overflow double precision"
+        )
+    return cp
+
+
+def _aligned(cp: np.ndarray, t: int, fam: WeightFamily, p: float, selector) -> NormResult:
+    """Norm of the first t p-th powers paired with the top t weights."""
+    total = float(np.sum(cp[:t] * fam.weights_head(t)))
+    return NormResult(total ** (1.0 / p), p, selector)
+
+
 def lorentz_norm(b, fam: WeightFamily, p: float) -> NormResult:
     """(sum of (sorted |b|)^p against the weights)^(1/p)."""
     p = _check_p(p)
     c = np.abs(_as_vector(b))
     order = np.argsort(-c, kind="stable")
-    sorted_c = c[order]
-    t = int(np.count_nonzero(sorted_c))
-    if t == 0:
-        return NormResult(0.0, p, order + 1)
-    powered = sorted_c[:t] if p == 1.0 else sorted_c[:t] ** p
-    total = float(np.sum(powered * fam.weights_head(t)))
-    return NormResult(total ** (1.0 / p), p, order + 1)
+    return _aligned(_powers(c, p)[order], int(np.count_nonzero(c)), fam, p, order + 1)
 
 
-def _garling_monotone_up(c: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
+def _garling_monotone_up(cp: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
     """Non-decreasing |b|: best selection is a suffix.
 
     Suffix of length t scores sum_j c_{m-t+j}^p w_j, which is the reversed
@@ -105,19 +115,15 @@ def _garling_monotone_up(c: np.ndarray, fam: WeightFamily, p: float) -> NormResu
     run-length scan maximizes it over t.  The canonical selector then picks,
     for each rank, the earliest index holding the required value.
     """
-    m = c.size
-    cp = c if p == 1.0 else c**p
-    first_pos = int(np.argmax(cp > 0))
-    rev = cp[::-1][: m - first_pos]
-    value_p, t = functional_B(StepSequence.from_values(rev), fam)
-    needed = cp[m - t :]
+    value_p, t = functional_B(StepSequence.from_values(cp[::-1]), fam)
+    needed = cp[-t:]
     firsts = np.searchsorted(cp, needed, side="left") + 1
     ranks = np.arange(t, dtype=np.int64)
     selector = np.maximum.accumulate(firsts - ranks) + ranks
     return NormResult(float(value_p) ** (1.0 / p), p, selector)
 
 
-def _garling_dp(c: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
+def _garling_dp(cp: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
     """General dynamic program over (position, selected-count).
 
     Forward pass: M[j] = best score selecting exactly j entries, updated as
@@ -126,13 +132,12 @@ def _garling_dp(c: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
     walk emits the lexicographically smallest selector among those with the
     fewest indices.
     """
-    m = c.size
+    m = cp.size
     if m > GARLING_DP_CAP:
         raise CapExceededError(
             f"selection-norm DP capped at {GARLING_DP_CAP} entries, got {m}; "
             "monotone inputs of any size use the direct rules"
         )
-    cp = c if p == 1.0 else c**p
     w = fam.weights_head(m)
 
     M = np.full(m + 1, -np.inf)
@@ -186,19 +191,16 @@ def garling_norm(b, fam: WeightFamily, p: float, method: str = "auto") -> NormRe
     m_pos = int(np.count_nonzero(c))
     if m_pos == 0:
         return NormResult(0.0, p, np.empty(0, dtype=np.int64))
+    cp = _powers(c, p)
     if method == "auto":
         diffs = np.diff(c)
         if np.all(diffs <= 0):
             # Non-increasing: the full nonzero prefix aligned with the top
             # weights is optimal and is the unique fewest-index optimum.
-            head = c[:m_pos] if p == 1.0 else c[:m_pos] ** p
-            total = float(np.sum(head * fam.weights_head(m_pos)))
-            return NormResult(
-                total ** (1.0 / p), p, np.arange(1, m_pos + 1, dtype=np.int64)
-            )
+            return _aligned(cp, m_pos, fam, p, np.arange(1, m_pos + 1, dtype=np.int64))
         if np.all(diffs >= 0):
-            return _garling_monotone_up(c, fam, p)
-    return _garling_dp(c, fam, p)
+            return _garling_monotone_up(cp, fam, p)
+    return _garling_dp(cp, fam, p)
 
 
 def symmetric_defect(
@@ -218,19 +220,7 @@ def symmetric_defect(
         raise InputError(f"prefix length must be >= 1, got {r}")
     if r > a.support:
         raise InputError(f"prefix length {r} exceeds the support {a.support}")
-    if r > PREFIX_EXPANSION_CAP:
-        raise CapExceededError(
-            f"prefix expansion capped at {PREFIX_EXPANSION_CAP}, got {r}"
-        )
-    prefix = np.empty(r)
-    pos = 0
-    for length, value in a.runs:
-        if pos >= r:
-            break
-        take = min(length, r - pos)
-        prefix[pos : pos + take] = float(value)
-        pos += take
-    vals = prefix if p == 1.0 else prefix ** (1.0 / p)
+    vals = a.expand()[:r] ** (1.0 / p)
     forward = garling_norm(vals, fam, p)
     backward = garling_norm(vals[::-1], fam, p)
     defect = (forward.value / backward.value) ** p
@@ -242,15 +232,7 @@ def witness_gap(f: StepSequence, fam: WeightFamily, p: float) -> float:
     p = _check_p(p)
     if f.is_zero:
         raise InputError("gap undefined for the zero sequence")
-    m = f.support
-    if m > PREFIX_EXPANSION_CAP:
-        raise CapExceededError(
-            f"support {m} exceeds the expansion cap {PREFIX_EXPANSION_CAP}"
-        )
-    vals = f.expand()
-    if p != 1.0:
-        vals = vals ** (1.0 / p)
-    reversed_vals = vals[::-1]
+    reversed_vals = (f.expand() ** (1.0 / p))[::-1]
     lor = lorentz_norm(reversed_vals, fam, p)
     gar = garling_norm(reversed_vals, fam, p)
     return (lor.value / gar.value) ** p
@@ -272,10 +254,6 @@ def inclusion_gap(
     inside the selection-norm space, with no equivalent norm between them.
     """
     p = _check_p(p)
-    if fam.classify().branch is not Branch.C0_NOT_L1:
-        raise InputError(
-            f"inclusion gap needs a vanishing non-summable family, got {fam.spec}"
-        )
     d = find_block_lengths(fam, r, slack=slack, cap=cap)
     f = build_witness(fam, d)
     return witness_gap(f, fam, p)

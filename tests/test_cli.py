@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -305,3 +306,75 @@ def test_each_subcommand_keeps_its_flags(tmp_path, capsys):
         code, out, err = run(capsys, [argv[0], "-w", "harmonic", *argv[1:]])
         assert code == 0 and err == "", argv
         assert out
+
+
+# Full stdout of these scans, pinned before the norm layer worked on runs.
+SCAN_GOLDEN = {
+    ("power:0.5", "1", "5"): (
+        "r,d_r,A,B,ratio,certified,symmetric_defect,inclusion_gap\r\n"
+        "1,1,1,1,1,0.16666666666666666,1,1\r\n"
+        "2,4,1.8014742570996516,1.4472135954999579,1.2447880967268761,"
+        "0.33333333333333331,1.2447880967268761,1.2447880967268761\r\n"
+        "3,31,2.5583934079486199,1.4472135954999579,1.7678063665956587,"
+        "0.5,1.7678063665956587,1.7678063665956587\r\n"
+        "4,630,3.3695267282964889,1.4472135954999579,2.3282857062522577,"
+        "0.66666666666666663,2.3282857062522582,2.3282857062522582\r\n"
+        "5,42423,4.2551430946167406,1.4472135954999579,2.9402315648829629,"
+        "0.83333333333333337,2.9402315648829638,2.9402315648829638\r\n"
+    ),
+    ("harmonic", "2.5", "4"): (
+        "r,d_r,A,B,ratio,certified,symmetric_defect,inclusion_gap\r\n"
+        "1,1,1,1,1,0.16666666666666666,1,1\r\n"
+        "2,4,1.6160000000000001,1.2000000000000002,1.3466666666666665,"
+        "0.33333333333333331,1.3466666666666658,1.3466666666666658\r\n"
+        "3,54,2.1361413218318441,1.2000000000000002,1.7801177681932032,"
+        "0.5,1.7801177681932023,1.7801177681932023\r\n"
+        "4,6306,2.637147490683641,1.2000000000000002,2.1976229089030337,"
+        "0.66666666666666663,2.1976229089030337,2.1976229089030337\r\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("family, p, r", sorted(SCAN_GOLDEN))
+def test_scan_full_output_golden(capsys, family, p, r):
+    code, out, err = run(capsys, ["scan", "-w", family, "-p", p, "-r", r])
+    assert code == 0 and err == ""
+    assert out == SCAN_GOLDEN[family, p, r]
+
+
+def test_norm_non_decreasing_golden(tmp_path, capsys):
+    vec = write_vector(tmp_path, [0.0, 0.5, 0.9, 0.9, 0.9, 1.0, 1.0, 1.1])
+    code, out, err = run(capsys, ["norm", "-w", "harmonic", vec, "-p", "1.5"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["garling"] == {
+        "value": "1.6954361763555292",
+        "p": "1.5",
+        "selector": [3, 4, 5, 6, 7, 8],
+    }
+    assert report["lorentz"] == {
+        "value": "1.873344507348232",
+        "p": "1.5",
+        "selector": [8, 6, 7, 3, 4, 5, 2, 1],
+    }
+
+
+def test_norm_overflow_is_one_error_line(tmp_path, capsys):
+    vec = write_vector(tmp_path, [1, 1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["norm", "-w", "power:0.5", vec, "-p", "2"])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the entries' p-th powers (p = 2.0) are not finite: "
+        "they overflow double precision\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["-w", "ctail:0.5", "-r", "2"], ["-w", "power:0.5", "--slack", "0.5"]]
+)
+def test_scan_checks_preconditions_before_the_header(capsys, argv):
+    code, out, err = run(capsys, ["scan", *argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

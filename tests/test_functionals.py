@@ -196,6 +196,35 @@ def test_rle_matches_expanded_evaluation(f):
         assert value == pytest.approx(_expanded_B(dense, fam, n), rel=1e-11)
 
 
+@given(
+    xs=st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=40).map(
+        lambda xs: sorted(xs, reverse=True)
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_from_values_merges_runs_and_inverts_expand(xs):
+    f = StepSequence.from_values(xs)
+    assert f == StepSequence(tuple((1, v) for v in xs))  # the constructor's merge
+    assert StepSequence.from_values(f.expand()) == f
+
+
+def test_from_values_keeps_exact_values():
+    f = StepSequence.from_values([3, 3, 1, 0])
+    assert f.runs == ((2, Fraction(3)), (1, Fraction(1)))
+    assert all(type(v) is Fraction for _, v in f.runs)
+    g = StepSequence.from_values([Fraction(1, 3), Fraction(1, 3), Fraction(1, 7)])
+    assert g.runs == ((2, Fraction(1, 3)), (1, Fraction(1, 7)))
+    assert g.all_rational
+
+
+@pytest.mark.parametrize(
+    "bad", [[[1.0, 2.0]], [[1.0, 2.0], [3.0]], np.ones((2, 2)), 5.0, [True, 0.5]]
+)
+def test_from_values_rejects_nested_and_boolean_input(bad):
+    with pytest.raises(InputError):
+        StepSequence.from_values(bad)
+
+
 @given(f=nonincreasing_sequences(max_len=25), n=st.integers(min_value=1, max_value=120))
 @settings(max_examples=80, deadline=None)
 def test_reversed_window_never_beats_aligned(f, n):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqspace import norms
+from seqspace.functionals import EXPAND_CAP
 from seqspace.exceptions import CapExceededError, InputError
 from seqspace.functionals import StepSequence, functional_B
 from seqspace.norms import (
@@ -299,3 +301,23 @@ def test_overflowing_norms_raise_instead_of_non_finite():
             garling_norm(b, P12, 2.0)
         with pytest.raises(InputError, match="not finite"):
             lorentz_norm(b, P12, 2.0)
+
+
+@pytest.mark.parametrize(
+    "b", [[1.0, 1e308, 1e308], [1e308, 1e308, 1.0], [1e308, 1.0, 1e308]]
+)
+def test_overflowing_powers_raise_without_a_runtime_warning(b):
+    # non-decreasing, non-increasing and general shapes: one error, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (garling_norm, lorentz_norm):
+            with pytest.raises(InputError, match="p-th powers .* not finite"):
+                norm(b, P12, 2.0)
+
+
+def test_expansion_cap_applies_to_the_support():
+    long = StepSequence(((EXPAND_CAP + 1, 1.0),))
+    with pytest.raises(CapExceededError, match="expansion capped"):
+        symmetric_defect(long, H, 1.0, 1)
+    with pytest.raises(CapExceededError, match="expansion capped"):
+        witness_gap(long, H, 1.0)
