@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 invalid input, 3 a certificate or cross-check
 failed, 4 a resource cap was exceeded.  Floating-point output is printed
 with 17 significant digits (lossless to re-parse); rationals print as
-"p/q".  The environment variable SEQSPACE_CAP overrides the default index
-cap, and ``--cap`` overrides both.
+"p/q".  For witness, norm and scan, the environment variable SEQSPACE_CAP
+overrides the default index cap, and ``--cap`` overrides both.
 """
 
 from __future__ import annotations
@@ -205,7 +205,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         metavar="FAMILY",
         help="weight family: power:A | harmonic | ctail:C | explicit:FILE.json",
     )
-    sub.add_argument("--cap", type=int, default=None, help="index cap override")
 
 
 def _add_search(sub: argparse.ArgumentParser) -> None:
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument(
         "--output", choices=("json", "csv"), default="json", help="report format"
     )
-    p_classify.set_defaults(func=cmd_classify)
+    p_classify.set_defaults(func=cmd_classify, cap=DEFAULT_INDEX_CAP)  # no cap acts here
 
     p_witness = sub.add_parser(
         "witness", help="build and certify a block witness, or re-check one"
@@ -268,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("-r", "--rmax", dest="rmax", type=int, default=3)
     p_scan.add_argument("-p", type=float, default=1.0, help="norm exponent >= 1")
     p_scan.set_defaults(func=cmd_scan)
+    for p_capped in (p_witness, p_norm, p_scan):
+        p_capped.add_argument("--cap", type=int, default=None, help="index cap override")
 
     return parser
 

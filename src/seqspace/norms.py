@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CapExceededError, InputError
-from .functionals import StepSequence, functional_B
+from .functionals import StepSequence, functional_A, functional_B
 from .weights import WeightFamily
 from .witness import DEFAULT_SLACK, build_witness, find_block_lengths
 
@@ -52,8 +52,8 @@ class NormResult:
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
             raise InputError(
-                f"norm is not finite ({self.value}): the entries' p-th powers "
-                "overflow double precision"
+                f"norm is not finite ({self.value}): a weighted sum of the "
+                "entries' p-th powers overflows double precision"
             )
 
     def to_json_dict(self) -> dict:
@@ -83,9 +83,8 @@ def _check_p(p: float) -> float:
 
 
 def _powers(c: np.ndarray, p: float) -> np.ndarray:
-    """Entrywise c**p, rejecting powers that overflow double precision."""
-    with np.errstate(over="ignore"):
-        cp = c**p
+    """Entrywise c**p, rejecting powers that overflow (callers silence the warning)."""
+    cp = c**p
     if not np.all(np.isfinite(cp)):
         raise InputError(
             f"the entries' p-th powers (p = {p}) are not finite: they overflow double precision"
@@ -99,6 +98,7 @@ def _aligned(cp: np.ndarray, t: int, fam: WeightFamily, p: float, selector) -> N
     return NormResult(total ** (1.0 / p), p, selector)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lorentz_norm(b, fam: WeightFamily, p: float) -> NormResult:
     """(sum of (sorted |b|)^p against the weights)^(1/p)."""
     p = _check_p(p)
@@ -107,19 +107,17 @@ def lorentz_norm(b, fam: WeightFamily, p: float) -> NormResult:
     return _aligned(_powers(c, p)[order], int(np.count_nonzero(c)), fam, p, order + 1)
 
 
-def _garling_monotone_up(cp: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
-    """Non-decreasing |b|: best selection is a suffix.
+def _garling_monotone_up(g: StepSequence, m: int, fam: WeightFamily, p: float) -> NormResult:
+    """Non-decreasing |b| of length m, its p-th powers reversed into runs g.
 
-    Suffix of length t scores sum_j c_{m-t+j}^p w_j, which is the reversed
-    window sum at n = t of the reversed (hence non-increasing) vector; the
-    run-length scan maximizes it over t.  The canonical selector then picks,
-    for each rank, the earliest index holding the required value.
+    The best selection is a suffix: length t scores the reversed window sum
+    of g at n = t, which the run-length scan maximizes.  The canonical
+    selector takes the earliest indices holding the required values: the
+    first entries of the run the cut at t falls in, then every later index.
     """
-    value_p, t = functional_B(StepSequence.from_values(cp[::-1]), fam)
-    needed = cp[-t:]
-    firsts = np.searchsorted(cp, needed, side="left") + 1
-    ranks = np.arange(t, dtype=np.int64)
-    selector = np.maximum.accumulate(firsts - ranks) + ranks
+    value_p, t = functional_B(g, fam)
+    start, end = next((s, e) for s, e, _ in g.bounds() if e >= t)
+    selector = np.r_[m + 1 - end : m + 2 - end + t - start, m + 2 - start : m + 1]
     return NormResult(float(value_p) ** (1.0 / p), p, selector)
 
 
@@ -177,6 +175,7 @@ def _garling_dp(cp: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
     return NormResult(opt ** (1.0 / p), p, selector)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def garling_norm(b, fam: WeightFamily, p: float, method: str = "auto") -> NormResult:
     """Largest weighted p-sum over order-preserving index selections.
 
@@ -188,10 +187,10 @@ def garling_norm(b, fam: WeightFamily, p: float, method: str = "auto") -> NormRe
     if method not in ("auto", "dp"):
         raise InputError(f"method must be 'auto' or 'dp', got {method!r}")
     c = np.abs(_as_vector(b))
-    m_pos = int(np.count_nonzero(c))
+    cp = _powers(c, p)
+    m_pos = int(np.count_nonzero(cp))
     if m_pos == 0:
         return NormResult(0.0, p, np.empty(0, dtype=np.int64))
-    cp = _powers(c, p)
     if method == "auto":
         diffs = np.diff(c)
         if np.all(diffs <= 0):
@@ -199,10 +198,11 @@ def garling_norm(b, fam: WeightFamily, p: float, method: str = "auto") -> NormRe
             # weights is optimal and is the unique fewest-index optimum.
             return _aligned(cp, m_pos, fam, p, np.arange(1, m_pos + 1, dtype=np.int64))
         if np.all(diffs >= 0):
-            return _garling_monotone_up(cp, fam, p)
+            return _garling_monotone_up(StepSequence.from_values(cp[::-1]), c.size, fam, p)
     return _garling_dp(cp, fam, p)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def symmetric_defect(
     a: StepSequence, fam: WeightFamily, p: float, r: int
 ) -> tuple[float, NormResult, NormResult]:
@@ -210,32 +210,30 @@ def symmetric_defect(
 
     Takes the first r entries of a, maps them through x -> x^(1/p), and
     compares the selection norms of the forward (non-increasing) and
-    reversed (non-decreasing) vectors; the defect is forward^p / reversed^p.
+    reversed (non-decreasing) vectors; their p-th powers are the aligned
+    sum A and the window supremum B of the prefix, so the defect is A / B.
     Any uniform bound on this quotient over all vectors would make the
     selection-norm basis symmetric; along the block witnesses it grows
     like r/6, so no bound exists.
     """
     p = _check_p(p)
-    if r < 1:
-        raise InputError(f"prefix length must be >= 1, got {r}")
-    if r > a.support:
-        raise InputError(f"prefix length {r} exceeds the support {a.support}")
-    vals = a.expand()[:r] ** (1.0 / p)
-    forward = garling_norm(vals, fam, p)
-    backward = garling_norm(vals[::-1], fam, p)
+    if not 1 <= r <= a.support:
+        raise InputError(f"prefix length must lie in 1..{a.support} (the support), got {r}")
+    runs = [(min(end, r) - start + 1, float(v)) for start, end, v in a.bounds() if start <= r]
+    cp = _powers(np.array([v for _, v in runs]) ** (1.0 / p), p)
+    g = StepSequence(tuple(zip([n for n, _ in runs], cp.tolist())))
+    forward = NormResult(float(functional_A(g, fam)) ** (1.0 / p), p, np.arange(1, r + 1))
+    backward = _garling_monotone_up(g, r, fam, p)
     defect = (forward.value / backward.value) ** p
     return defect, forward, backward
 
 
 def witness_gap(f: StepSequence, fam: WeightFamily, p: float) -> float:
-    """Rearranged-over-selection norm quotient for one reversed block sequence."""
-    p = _check_p(p)
-    if f.is_zero:
-        raise InputError("gap undefined for the zero sequence")
-    reversed_vals = (f.expand() ** (1.0 / p))[::-1]
-    lor = lorentz_norm(reversed_vals, fam, p)
-    gar = garling_norm(reversed_vals, fam, p)
-    return (lor.value / gar.value) ** p
+    """Rearranged-over-selection norm quotient for one reversed block sequence.
+
+    The rearranged norm ignores the reversal: this is the full-support defect.
+    """
+    return symmetric_defect(f, fam, p, f.support)[0]
 
 
 def inclusion_gap(

@@ -223,12 +223,12 @@ def test_cap_flag_and_env(tmp_path, capsys, monkeypatch):
     assert code == 0
 
     monkeypatch.setenv("SEQSPACE_CAP", "abc")
-    code, _, err = run(capsys, ["classify", "-w", "harmonic"])
+    code, _, err = run(capsys, ["witness", "-w", "harmonic", "-r", "1"])
     assert code == 2
     assert "SEQSPACE_CAP" in err
 
     monkeypatch.setenv("SEQSPACE_CAP", "-3")
-    code, _, err = run(capsys, ["classify", "-w", "harmonic"])
+    code, _, err = run(capsys, ["witness", "-w", "harmonic", "-r", "1"])
     assert code == 2
 
 
@@ -269,6 +269,7 @@ def test_norm_rejects_overflowing_vector(tmp_path, capsys):
 
 # Each flag below used to be accepted by the subcommand without acting there.
 REMOVED_FLAGS = [
+    ("classify", "--cap 100"),
     ("classify", "--mode float"),
     ("classify", "--slack 0"),
     ("classify", "--oracle"),
@@ -298,7 +299,7 @@ def test_removed_flags_exit_2(command, flag, capsys):
 def test_each_subcommand_keeps_its_flags(tmp_path, capsys):
     vec = write_vector(tmp_path, [2.0, 1.0])
     for argv in (
-        ["classify", "--cap", "100", "--output", "csv"],
+        ["classify", "--output", "csv"],
         ["witness", "-r", "2", "--cap", "100", "--mode", "rational", "--slack", "0"],
         ["norm", vec, "--cap", "100", "-p", "1", "--oracle"],
         ["scan", "-r", "2", "--cap", "100", "-p", "1", "--mode", "float", "--slack", "0"],
@@ -308,7 +309,8 @@ def test_each_subcommand_keeps_its_flags(tmp_path, capsys):
         assert out
 
 
-# Full stdout of these scans, pinned before the norm layer worked on runs.
+# Full stdout of these scans.  The defect and gap columns come from the runs
+# of the witness, so at p = 1 they equal the ratio column exactly.
 SCAN_GOLDEN = {
     ("power:0.5", "1", "5"): (
         "r,d_r,A,B,ratio,certified,symmetric_defect,inclusion_gap\r\n"
@@ -318,9 +320,9 @@ SCAN_GOLDEN = {
         "3,31,2.5583934079486199,1.4472135954999579,1.7678063665956587,"
         "0.5,1.7678063665956587,1.7678063665956587\r\n"
         "4,630,3.3695267282964889,1.4472135954999579,2.3282857062522577,"
-        "0.66666666666666663,2.3282857062522582,2.3282857062522582\r\n"
+        "0.66666666666666663,2.3282857062522577,2.3282857062522577\r\n"
         "5,42423,4.2551430946167406,1.4472135954999579,2.9402315648829629,"
-        "0.83333333333333337,2.9402315648829638,2.9402315648829638\r\n"
+        "0.83333333333333337,2.9402315648829629,2.9402315648829629\r\n"
     ),
     ("harmonic", "2.5", "4"): (
         "r,d_r,A,B,ratio,certified,symmetric_defect,inclusion_gap\r\n"
@@ -369,6 +371,19 @@ def test_norm_overflow_is_one_error_line(tmp_path, capsys):
         "error: the entries' p-th powers (p = 2.0) are not finite: "
         "they overflow double precision\n"
     )
+
+
+@pytest.mark.parametrize(
+    "family, vector", [("power:0.5", [1, 1e308, 1e308]), ("harmonic", [1e-300] * 5 + [1e308])]
+)
+def test_norm_weighted_sum_overflow_is_one_error_line(tmp_path, capsys, family, vector):
+    vec = write_vector(tmp_path, vector)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["norm", "-w", family, vec, "-p", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: norm is not finite") and err.count("\n") == 1
+    assert "a weighted sum of the entries' p-th powers overflows double precision" in err
 
 
 @pytest.mark.parametrize(

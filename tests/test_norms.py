@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqspace import norms
+from seqspace import functionals, norms
 from seqspace.functionals import EXPAND_CAP
 from seqspace.exceptions import CapExceededError, InputError
 from seqspace.functionals import StepSequence, functional_B
@@ -22,7 +23,12 @@ from seqspace.norms import (
     witness_gap,
 )
 from seqspace.oracles import garling_norm_bruteforce
-from seqspace.weights import ConstantTailWeights, HarmonicWeights, PowerWeights
+from seqspace.weights import (
+    ConstantTailWeights,
+    ExplicitRationalWeights,
+    HarmonicWeights,
+    PowerWeights,
+)
 from seqspace.witness import build_witness, find_block_lengths
 
 H = HarmonicWeights()
@@ -315,9 +321,79 @@ def test_overflowing_powers_raise_without_a_runtime_warning(b):
                 norm(b, P12, 2.0)
 
 
-def test_expansion_cap_applies_to_the_support():
-    long = StepSequence(((EXPAND_CAP + 1, 1.0),))
+@pytest.mark.parametrize(
+    "fam, b", [(P12, [1.0, 1e308, 1e308]), (H, [1e-300] * 5 + [1e308])]
+)
+def test_overflowing_weighted_sums_raise_without_a_runtime_warning(fam, b):
+    # the p-th powers are finite at p = 1; the window scan's weighted sums are not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="weighted sum of the entries' p-th powers"):
+            garling_norm(b, fam, 1.0)
+        with pytest.raises(InputError, match="weighted sum of the entries' p-th powers"):
+            lorentz_norm([1e308] * 3, fam, 1.0)
+        # the norm itself is finite: the DP forms no overflowing prefix products
+        assert np.isfinite(garling_norm(b, fam, 1.0, method="dp").value)
+
+
+def test_expand_keeps_its_cap():
     with pytest.raises(CapExceededError, match="expansion capped"):
-        symmetric_defect(long, H, 1.0, 1)
+        StepSequence(((EXPAND_CAP + 1, 1.0),)).expand()
+
+
+def test_defect_and_gap_do_not_expand_the_support(monkeypatch):
+    f = StepSequence(((40, 1.0), (30, 0.5)))
+    monkeypatch.setattr(functionals, "EXPAND_CAP", 16)
     with pytest.raises(CapExceededError, match="expansion capped"):
-        witness_gap(long, H, 1.0)
+        f.expand()
+    defect, forward, backward = symmetric_defect(f, H, 1.5, f.support)
+    assert forward.selector.size == f.support
+    assert witness_gap(f, H, 1.5) == defect > 1.0
+
+
+def _suffix_selector(cp: np.ndarray, t: int) -> np.ndarray:
+    """Earliest indices holding the last t values of a non-decreasing cp."""
+    firsts = np.searchsorted(cp, cp[-t:], side="left") + 1
+    ranks = np.arange(t)
+    return np.maximum.accumulate(firsts - ranks) + ranks
+
+
+def test_run_native_defect_and_gap_match_the_dense_route():
+    """symmetric_defect and witness_gap work on runs; the dense route expands
+    the prefix, takes p-th roots and runs it through the vector norms."""
+    rng = np.random.default_rng(404)
+    # log-convex weights put the window supremum at a run end; the flat-then-
+    # dropping explicit weights also put it inside a run
+    flat = ExplicitRationalWeights([1, 1, 1, Fraction(1, 4)], "constant")
+    fams = [H, P12, ConstantTailWeights(0.25), flat]
+    short_prefixes = cuts_inside_a_run = 0
+    for trial in range(400):
+        fam = fams[trial % 4]
+        p = float(rng.choice([1.0, 1.5, 2.5]))
+        lengths = rng.integers(1, 9, size=int(rng.integers(1, 7)))
+        values = np.unique(rng.choice([0.125, 0.3, 0.5, 1.0, 1.7, 3.0], size=lengths.size))
+        f = StepSequence(tuple(zip(lengths.tolist(), values[::-1].tolist())))
+        r = int(rng.integers(1, f.support + 1))
+        short_prefixes += r < f.support
+
+        defect, forward, backward = symmetric_defect(f, fam, p, r)
+        vals = f.expand()[:r] ** (1.0 / p)
+        dense_fwd = garling_norm(vals, fam, p)
+        dense_bwd = garling_norm(vals[::-1], fam, p)
+        assert forward.value == pytest.approx(dense_fwd.value, rel=1e-14)
+        assert backward.value == pytest.approx(dense_bwd.value, rel=1e-14)
+        assert defect == pytest.approx((dense_fwd.value / dense_bwd.value) ** p, rel=1e-14)
+        assert list(forward.selector) == list(dense_fwd.selector) == list(range(1, r + 1))
+        assert list(backward.selector) == list(dense_bwd.selector)
+        # independent references for the reversed selector: the DP, and the
+        # earliest-index rule over the dense p-th powers
+        dp_bwd = garling_norm(vals[::-1], fam, p, method="dp")
+        assert list(backward.selector) == list(dp_bwd.selector)
+        cp = vals[::-1] ** p
+        assert list(backward.selector) == list(_suffix_selector(cp, backward.selector.size))
+        cuts_inside_a_run += backward.selector[0] != r + 1 - backward.selector.size
+
+        rev = (f.expand() ** (1.0 / p))[::-1]
+        gap = (lorentz_norm(rev, fam, p).value / garling_norm(rev, fam, p).value) ** p
+        assert witness_gap(f, fam, p) == pytest.approx(gap, rel=1e-14)
+    assert short_prefixes > 100 and cuts_inside_a_run > 5
