@@ -10,7 +10,8 @@ family w this module computes
   weight classes identified in :mod:`seqspace.weights`.
 
 Sequences are run-length encoded (:class:`StepSequence`), so the functionals
-cost O(runs) point work plus prefix-sum lookups rather than O(support).
+cost O(runs) point work plus prefix-sum lookups rather than O(support);
+one window-scan kernel serves float and exact arithmetic alike.
 For the supremum it suffices to scan window lengths n up to the support
 size m: for n > m every factor w_{1+n-i} on the support has shifted further
 down the non-increasing weight, so B(f, w, n) <= B(f, w, m).
@@ -195,12 +196,14 @@ class Arithmetic:
 
     Float arithmetic sums weight windows directly with compensation and
     totals with ``math.fsum``; exact arithmetic takes differences of exact
-    ``Fraction`` prefixes and totals from ``Fraction(0)``.
+    ``Fraction`` prefixes and totals from ``Fraction(0)``.  ``prefixes(m)`` is
+    the array [W(0), ..., W(m)], of floats or of the cached Fractions.
     """
 
     exact: bool
     num: type
     prefix: Callable[[int], Value]
+    prefixes: Callable[[int], np.ndarray]
     window: Callable[[int, int], Value]
     total: Callable[[Iterable[Value]], Value]
 
@@ -215,7 +218,9 @@ def arithmetic(
     support within the exact-prefix cap.
     """
     if mode == "float":
-        return Arithmetic(False, float, fam.prefix_sum, fam.window_sum, math.fsum)
+        return Arithmetic(
+            False, float, fam.prefix_sum, fam.prefix_array, fam.window_sum, math.fsum
+        )
     if mode != "rational":
         raise InputError(f"mode must be 'float' or 'rational', got {mode!r}")
     if not fam.supports_exact:
@@ -231,6 +236,7 @@ def arithmetic(
         True,
         Fraction,
         prefix,
+        lambda m: np.fromiter(map(prefix, range(m + 1)), dtype=object, count=m + 1),
         lambda lo, hi: prefix(hi) - prefix(lo - 1),
         lambda parts: sum(parts, Fraction(0)),
     )
@@ -276,21 +282,20 @@ def functional_B_at(
     )
 
 
-def _scan_dense(f: StepSequence, fam: WeightFamily) -> tuple[float, int]:
-    """All window sums at once via one prefix array and per-run shifted slices."""
+def _scan_dense(f: StepSequence, ar: Arithmetic) -> tuple[Value, int]:
+    """All window sums at once, in either arithmetic, via one prefix array."""
     m = f.support
-    prefix = fam.prefix_array(m)
-    scan = np.zeros(m + 1)
+    prefix = ar.prefixes(m)
+    scan = np.zeros_like(prefix)
     for start, end, value in f.bounds():
-        v = float(value)
+        v = ar.num(value)
         # Window n >= start sees the run's first min(end, n) - start + 1 terms:
-        # contribution v * (W(1+n-start) - W(n-end)), the subtrahend vanishing
-        # while n < end.
-        scan[start:] += v * prefix[1 : m - start + 2]
-        if end <= m:
-            scan[end:] -= v * prefix[0 : m - end + 1]
+        # v * W(1+n-start) while n < end, then v * (W(1+n-start) - W(n-end)),
+        # the difference taken before scaling so that v * W cannot overflow.
+        scan[start:end] += v * prefix[1 : end - start + 1]
+        scan[end:] += v * (prefix[1 + end - start : m - start + 2] - prefix[: m - end + 1])
     n = int(np.argmax(scan[1:])) + 1
-    return float(scan[n]), n
+    return ar.num(scan[n]), n
 
 
 def _scan_chunked(f: StepSequence, fam: WeightFamily) -> tuple[float, int]:
@@ -358,16 +363,10 @@ def functional_B(
     m = f.support
     if m == 0:
         return ar.num(0), 1
-    if ar.exact:
-        best = Fraction(-1)
-        best_n = 0
-        for n in range(1, m + 1):
-            value = functional_B_at(f, fam, n, mode=mode)
-            if value > best:
-                best, best_n = value, n
-        return best, best_n
+    # arithmetic() caps exact supports at EXACT_PREFIX_CAP, far below
+    # DENSE_SCAN_CAP, so exact scans always take the dense kernel.
     if m <= DENSE_SCAN_CAP:
-        return _scan_dense(f, fam)
+        return _scan_dense(f, ar)
     if m <= SCAN_CAP:
         return _scan_chunked(f, fam)
     raise CapExceededError(f"window scan capped at support {SCAN_CAP}, got {m}")

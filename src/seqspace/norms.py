@@ -241,7 +241,6 @@ def inclusion_gap(
     p: float,
     r: int,
     slack: float = DEFAULT_SLACK,
-    cap: int | None = None,
 ) -> float:
     """Rearranged norm over selection norm on a reversed block witness.
 
@@ -252,6 +251,6 @@ def inclusion_gap(
     inside the selection-norm space, with no equivalent norm between them.
     """
     p = _check_p(p)
-    d = find_block_lengths(fam, r, slack=slack, cap=cap)
+    d = find_block_lengths(fam, r, slack=slack)
     f = build_witness(fam, d)
     return witness_gap(f, fam, p)

@@ -123,7 +123,6 @@ def find_block_lengths(
     fam: WeightFamily,
     r: int,
     slack: float = DEFAULT_SLACK,
-    cap: int | None = None,
     mode: str = "float",
     initial: list[int] | None = None,
 ) -> list[int]:
@@ -131,16 +130,14 @@ def find_block_lengths(
 
     ``initial`` may carry the result of a previous, smaller-r search for the
     same family and slack; the search then only extends it.  Rational mode
-    decides each condition exactly, so it ignores the slack.
+    decides each condition exactly, so it ignores the slack.  No block length
+    or support may pass the family's index cap.
     """
     _check_preconditions(fam, r, slack)
     ar = arithmetic(mode, fam)
     if ar.exact:
         slack = 0
-    if cap is None:
-        cap = fam.index_cap
-    if cap < 1:
-        raise InputError("cap must be positive")
+    cap = fam.index_cap
 
     d = [int(x) for x in (initial or [])]
     if len(d) > r:
@@ -326,7 +323,6 @@ def lower_bound_S(
     fam: WeightFamily,
     r: int,
     slack: float = DEFAULT_SLACK,
-    cap: int | None = None,
     mode: str = "float",
 ) -> tuple[float, float]:
     """Certified lower bound r/6 for the ratio supremum, plus the witness ratio.
@@ -335,6 +331,6 @@ def lower_bound_S(
     the second is the ratio actually attained by the constructed witness,
     always at least the first.
     """
-    d = find_block_lengths(fam, r, slack=slack, cap=cap, mode=mode)
+    d = find_block_lengths(fam, r, slack=slack, mode=mode)
     cert = verify_certificate(fam, d, mode=mode)
     return (r / 6.0, float(cert.ratio))

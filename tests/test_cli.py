@@ -10,6 +10,8 @@ import warnings
 import pytest
 
 from seqspace.cli import main
+from seqspace.norms import garling_norm
+from seqspace.weights import parse_weight_spec
 
 
 def run(capsys, argv):
@@ -350,7 +352,7 @@ def test_norm_non_decreasing_golden(tmp_path, capsys):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["garling"] == {
-        "value": "1.6954361763555292",
+        "value": "1.695436176355529",
         "p": "1.5",
         "selector": [3, 4, 5, 6, 7, 8],
     }
@@ -375,6 +377,27 @@ def test_norm_overflow_is_one_error_line(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "family, vector", [("power:0.5", [1, 1e308, 1e308]), ("harmonic", [1e-300] * 5 + [1e308])]
+)
+def test_norm_finite_weighted_sums_match_the_dp(tmp_path, capsys, family, vector):
+    # the p-th powers and the norm are finite, so no step of the scan may overflow
+    vec = write_vector(tmp_path, vector)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["norm", "-w", family, vec, "-p", "1"])
+        dp = garling_norm(vector, parse_weight_spec(family), 1.0, method="dp")
+    assert code == 0 and err == ""
+    garling = json.loads(out)["garling"]
+    assert float(garling["value"]) == dp.value
+    assert garling["selector"] == dp.selector.tolist()
+
+
+@pytest.mark.parametrize(
+    "family, vector",
+    [
+        ("power:0.5", [1e308, 1e308, 1e308]),
+        ("harmonic", [1e308, 1e308, 1e308]),
+        ("harmonic", [1e307, 1e308, 1e308, 1e308]),
+    ],
 )
 def test_norm_weighted_sum_overflow_is_one_error_line(tmp_path, capsys, family, vector):
     vec = write_vector(tmp_path, vector)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqspace.functionals as fx
@@ -19,7 +19,12 @@ from seqspace.functionals import (
     functional_B_at,
     ratio,
 )
-from seqspace.weights import HarmonicWeights, PowerWeights, parse_weight_spec
+from seqspace.weights import (
+    ExplicitRationalWeights,
+    HarmonicWeights,
+    PowerWeights,
+    parse_weight_spec,
+)
 
 H = HarmonicWeights()
 P12 = PowerWeights(0.5)
@@ -262,6 +267,39 @@ def test_exact_homogeneity(runs, lam):
         functional_B(scaled, H, mode="rational")[0]
         == lam * functional_B(f, H, mode="rational")[0]
     )
+
+
+EXACT_FAMILIES = [
+    H,
+    parse_weight_spec("ctail:0.25"),
+    # flat, then dropping: the supremum can fall strictly inside a run
+    ExplicitRationalWeights([Fraction(1), Fraction(1), Fraction(1, 4)], "pattern"),
+]
+
+
+@given(
+    fam=st.sampled_from(EXACT_FAMILIES),
+    runs=st.lists(
+        st.tuples(
+            st.integers(1, 20),
+            st.fractions(min_value=Fraction(1, 1000), max_value=50, max_denominator=1000),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example(fam=H, runs=[(1, Fraction(1)), (1, Fraction(1, 2))])  # B(1) = B(2) = 1
+@example(fam=EXACT_FAMILIES[2], runs=[(1, Fraction(1)), (3, Fraction(1, 2))])  # at n = 2
+@settings(max_examples=40, deadline=None)
+def test_exact_scan_matches_the_per_window_loop(fam, runs):
+    # the exact scan shares the float kernel; the reference evaluates B(n)
+    # afresh for every n = 1..support and keeps the first strict maximum
+    values = sorted({v for _, v in runs}, reverse=True)
+    f = StepSequence(tuple((length, v) for (length, _), v in zip(runs, values)))
+    best, best_n = functional_B(f, fam, mode="rational")
+    windows = [functional_B_at(f, fam, n, mode="rational") for n in range(1, f.support + 1)]
+    assert type(best) is Fraction and best == max(windows)
+    assert best_n == windows.index(best) + 1
 
 
 def test_scan_argmax_prefers_smallest_window():

@@ -89,7 +89,7 @@ def test_incremental_prefix_reuse():
 
 def test_search_cap_and_slack_validation():
     with pytest.raises(CapExceededError):
-        find_block_lengths(P12, 6, cap=10_000)
+        find_block_lengths(PowerWeights(0.5, index_cap=10_000), 6)
     with pytest.raises(InputError):
         find_block_lengths(P12, 2, slack=0.5)
     with pytest.raises(InputError):
@@ -219,7 +219,7 @@ def test_lower_bound_examples():
     certified, exact = lower_bound_S(P12, 1)
     assert certified == pytest.approx(1 / 6)
     assert exact == pytest.approx(1.0)
-    certified, _ = lower_bound_S(P12, 6, cap=2**26)
+    certified, _ = lower_bound_S(PowerWeights(0.5, index_cap=2**26), 6)
     assert certified == pytest.approx(1.0)
     certified, exact = lower_bound_S(H, 2)
     assert certified == pytest.approx(1 / 3)
