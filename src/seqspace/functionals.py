@@ -9,9 +9,10 @@ family w this module computes
 * ``ratio``: A / B, the quantity whose boundedness over all f separates the
   weight classes identified in :mod:`seqspace.weights`.
 
-Sequences are run-length encoded (:class:`StepSequence`), so the functionals
-cost O(runs) point work plus prefix-sum lookups rather than O(support);
-one window-scan kernel serves float and exact arithmetic alike.
+Sequences are run-length encoded (:class:`StepSequence`), so A and a single
+window sum cost O(runs) weight-window sums rather than O(support).  The
+supremum takes one window-scan kernel, in float and exact arithmetic alike:
+O(runs * support) work against one prefix array.
 For the supremum it suffices to scan window lengths n up to the support
 size m: for n > m every factor w_{1+n-i} on the support has shifted further
 down the non-increasing weight, so B(f, w, n) <= B(f, w, m).
@@ -28,12 +29,12 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .exceptions import CapExceededError, InputError
-from .weights import EXACT_PREFIX_CAP, PREFIX_ARRAY_CAP, WeightFamily, neumaier_add
+from .weights import EXACT_PREFIX_CAP, PREFIX_ARRAY_CAP, WeightFamily
 
-DENSE_SCAN_CAP = PREFIX_ARRAY_CAP
-SCAN_CAP = 2**28
+SCAN_CAP = PREFIX_ARRAY_CAP
+SCAN_WORK_CAP = 2**34
 EXPAND_CAP = 2**24
-_SCAN_BLOCK = 2**22
+_SCAN_BLOCK = 2**16
 
 Value = float | Fraction
 
@@ -283,71 +284,38 @@ def functional_B_at(
 
 
 def _scan_dense(f: StepSequence, ar: Arithmetic) -> tuple[Value, int]:
-    """All window sums at once, in either arithmetic, via one prefix array."""
-    m = f.support
-    prefix = ar.prefixes(m)
-    scan = np.zeros_like(prefix)
-    for start, end, value in f.bounds():
-        v = ar.num(value)
-        # Window n >= start sees the run's first min(end, n) - start + 1 terms:
-        # v * W(1+n-start) while n < end, then v * (W(1+n-start) - W(n-end)),
-        # the difference taken before scaling so that v * W cannot overflow.
-        scan[start:end] += v * prefix[1 : end - start + 1]
-        scan[end:] += v * (prefix[1 + end - start : m - start + 2] - prefix[: m - end + 1])
-    n = int(np.argmax(scan[1:])) + 1
-    return ar.num(scan[n]), n
+    """All window sums, in either arithmetic, from one prefix array.
 
-
-def _scan_chunked(f: StepSequence, fam: WeightFamily) -> tuple[float, int]:
-    """Streaming window-sum scan for supports past the dense-array cap.
-
-    Walks n in blocks, advancing each run's contribution by its first
-    difference v * (w_{1+n-start} - w_{n-end}); block deltas are accumulated
-    into the running base with compensation.  Accuracy is slightly below the
-    dense path.  Certified witnesses do reach this path: the harmonic r = 5
-    witness has support 72,174,691, past the dense cap of 2**26.
+    Window lengths n are taken in blocks of ``_SCAN_BLOCK``, so temporaries
+    stay O(block) beside the O(support) prefix array.  Each n adds the same
+    run terms in the same order whatever the blocking, and the first block
+    maximum wins ties, so the result does not depend on the block size.
     """
     m = f.support
-    bounds = f.bounds()
-    if len(bounds) * m > 2**34:
-        raise CapExceededError("window scan too large: too many runs for this support")
-    best = -math.inf
-    best_n = 0
-    base = 0.0
-    comp = 0.0
-    block_lo = 1
-    while block_lo <= m:
-        block_hi = min(block_lo + _SCAN_BLOCK - 1, m)
-        size = block_hi - block_lo + 1
-        deltas = np.zeros(size)
-        for start, end, value in bounds:
-            if start > block_hi:
+    prefix = ar.prefixes(m)
+    runs = [(start, end, ar.num(value)) for start, end, value in f.bounds()]
+    best, best_n = None, 0
+    for lo in range(1, m + 1, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK - 1, m)
+        scan = np.zeros(hi - lo + 1, dtype=prefix.dtype)
+        for start, end, v in runs:
+            if start > hi:
                 break
-            v = float(value)
-            # gain index 1+n-start for n in block, only once n >= start
-            g_lo = 1 + block_lo - start
-            if g_lo < 1:
-                first = start - block_lo  # offset where n reaches start
-                deltas[first:] += v * fam.weights_slice(1, 1 + block_hi - start)
-            else:
-                deltas += v * fam.weights_slice(g_lo, 1 + block_hi - start)
-            # loss index n-end once n > end
-            l_hi = block_hi - end
-            if l_hi >= 1:
-                l_lo = block_lo - end
-                if l_lo < 1:
-                    deltas[size - l_hi :] -= v * fam.weights_slice(1, l_hi)
-                else:
-                    deltas -= v * fam.weights_slice(l_lo, l_hi)
-        np.cumsum(deltas, out=deltas)
-        values = base + comp + deltas
-        k = int(np.argmax(values))
-        if values[k] > best:
-            best = float(values[k])
-            best_n = block_lo + k
-        base, comp = neumaier_add(base, comp, float(deltas[-1]))
-        block_lo = block_hi + 1
-    return best, best_n
+            # Window n >= start sees the run's first min(end, n) - start + 1 terms:
+            # v * W(1+n-start) while n < end, then v * (W(1+n-start) - W(n-end)),
+            # the difference taken before scaling so that v * W cannot overflow.
+            a, b = max(start, lo), min(end, hi + 1)
+            if a < b:
+                scan[a - lo : b - lo] += v * prefix[1 + a - start : 1 + b - start]
+            if end <= hi:
+                a = max(end, lo)
+                scan[a - lo :] += v * (
+                    prefix[1 + a - start : 2 + hi - start] - prefix[a - end : 1 + hi - end]
+                )
+        k = int(np.argmax(scan))
+        if best is None or scan[k] > best:
+            best, best_n = scan[k], lo + k
+    return ar.num(best), best_n
 
 
 def functional_B(
@@ -357,19 +325,22 @@ def functional_B(
 
     Scans n = 1..support; windows beyond the support only shift the support
     onto smaller weights, so they never exceed the value at n = support.
+    The scan holds one prefix array of support + 1 entries and does
+    O(runs * support) work; both are capped before anything is allocated.
     """
     _check_support(f, fam)
     ar = arithmetic(mode, fam, f)
     m = f.support
     if m == 0:
         return ar.num(0), 1
-    # arithmetic() caps exact supports at EXACT_PREFIX_CAP, far below
-    # DENSE_SCAN_CAP, so exact scans always take the dense kernel.
-    if m <= DENSE_SCAN_CAP:
-        return _scan_dense(f, ar)
-    if m <= SCAN_CAP:
-        return _scan_chunked(f, fam)
-    raise CapExceededError(f"window scan capped at support {SCAN_CAP}, got {m}")
+    if m > SCAN_CAP:
+        raise CapExceededError(f"window scan capped at support {SCAN_CAP}, got {m}")
+    if len(f.runs) * m > SCAN_WORK_CAP:
+        raise CapExceededError(
+            f"window scan capped at {SCAN_WORK_CAP} run-window terms, "
+            f"got {len(f.runs)} runs over support {m}"
+        )
+    return _scan_dense(f, ar)
 
 
 def ratio(f: StepSequence, fam: WeightFamily, mode: str = "float") -> FunctionalReport:

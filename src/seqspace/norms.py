@@ -50,11 +50,7 @@ class NormResult:
     selector: np.ndarray
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise InputError(
-                f"norm is not finite ({self.value}): a weighted sum of the "
-                "entries' p-th powers overflows double precision"
-            )
+        _finite_norm(self.value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -62,6 +58,15 @@ class NormResult:
             "p": self.p,
             "selector": [int(i) for i in self.selector],
         }
+
+
+def _finite_norm(value: float) -> float:
+    if not math.isfinite(value):
+        raise InputError(
+            f"norm is not finite ({value}): a weighted sum of the "
+            "entries' p-th powers overflows double precision"
+        )
+    return value
 
 
 def _as_vector(b) -> np.ndarray:
@@ -107,18 +112,15 @@ def lorentz_norm(b, fam: WeightFamily, p: float) -> NormResult:
     return _aligned(_powers(c, p)[order], int(np.count_nonzero(c)), fam, p, order + 1)
 
 
-def _garling_monotone_up(g: StepSequence, m: int, fam: WeightFamily, p: float) -> NormResult:
-    """Non-decreasing |b| of length m, its p-th powers reversed into runs g.
+def _suffix_selector(g: StepSequence, m: int, t: int) -> np.ndarray:
+    """Canonical best suffix of length t of a non-decreasing vector of length m.
 
-    The best selection is a suffix: length t scores the reversed window sum
-    of g at n = t, which the run-length scan maximizes.  The canonical
-    selector takes the earliest indices holding the required values: the
-    first entries of the run the cut at t falls in, then every later index.
+    g holds the runs of the vector's p-th powers, reversed.  The selector
+    takes the earliest indices holding the required values: the first
+    entries of the run the cut at t falls in, then every later index.
     """
-    value_p, t = functional_B(g, fam)
     start, end = next((s, e) for s, e, _ in g.bounds() if e >= t)
-    selector = np.r_[m + 1 - end : m + 2 - end + t - start, m + 2 - start : m + 1]
-    return NormResult(float(value_p) ** (1.0 / p), p, selector)
+    return np.r_[m + 1 - end : m + 2 - end + t - start, m + 2 - start : m + 1]
 
 
 def _garling_dp(cp: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
@@ -198,8 +200,27 @@ def garling_norm(b, fam: WeightFamily, p: float, method: str = "auto") -> NormRe
             # weights is optimal and is the unique fewest-index optimum.
             return _aligned(cp, m_pos, fam, p, np.arange(1, m_pos + 1, dtype=np.int64))
         if np.all(diffs >= 0):
-            return _garling_monotone_up(StepSequence.from_values(cp[::-1]), c.size, fam, p)
+            # The best selection is a suffix: length t scores the reversed
+            # window sum of the reversed p-th powers at n = t.
+            g = StepSequence.from_values(cp[::-1])
+            value_p, t = functional_B(g, fam)
+            return NormResult(float(value_p) ** (1.0 / p), p, _suffix_selector(g, c.size, t))
     return _garling_dp(cp, fam, p)
+
+
+def _prefix_defect(
+    a: StepSequence, fam: WeightFamily, p: float, r: int
+) -> tuple[float, float, float, StepSequence, int]:
+    """Defect, forward and reversed norms, p-th-power runs g and best suffix length."""
+    if not 1 <= r <= a.support:
+        raise InputError(f"prefix length must lie in 1..{a.support} (the support), got {r}")
+    runs = [(min(end, r) - start + 1, float(v)) for start, end, v in a.bounds() if start <= r]
+    cp = _powers(np.array([v for _, v in runs]) ** (1.0 / p), p)
+    g = StepSequence(tuple(zip([n for n, _ in runs], cp.tolist())))
+    value_p, t = functional_B(g, fam)
+    forward = _finite_norm(float(functional_A(g, fam)) ** (1.0 / p))
+    backward = _finite_norm(float(value_p) ** (1.0 / p))
+    return (forward / backward) ** p, forward, backward, g, t
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -217,23 +238,22 @@ def symmetric_defect(
     like r/6, so no bound exists.
     """
     p = _check_p(p)
-    if not 1 <= r <= a.support:
-        raise InputError(f"prefix length must lie in 1..{a.support} (the support), got {r}")
-    runs = [(min(end, r) - start + 1, float(v)) for start, end, v in a.bounds() if start <= r]
-    cp = _powers(np.array([v for _, v in runs]) ** (1.0 / p), p)
-    g = StepSequence(tuple(zip([n for n, _ in runs], cp.tolist())))
-    forward = NormResult(float(functional_A(g, fam)) ** (1.0 / p), p, np.arange(1, r + 1))
-    backward = _garling_monotone_up(g, r, fam, p)
-    defect = (forward.value / backward.value) ** p
-    return defect, forward, backward
+    defect, forward, backward, g, t = _prefix_defect(a, fam, p, r)
+    return (
+        defect,
+        NormResult(forward, p, np.arange(1, r + 1)),
+        NormResult(backward, p, _suffix_selector(g, r, t)),
+    )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def witness_gap(f: StepSequence, fam: WeightFamily, p: float) -> float:
     """Rearranged-over-selection norm quotient for one reversed block sequence.
 
-    The rearranged norm ignores the reversal: this is the full-support defect.
+    The rearranged norm ignores the reversal: this is the full-support defect,
+    computed from the runs without building either selector.
     """
-    return symmetric_defect(f, fam, p, f.support)[0]
+    return _prefix_defect(f, fam, _check_p(p), f.support)[0]
 
 
 def inclusion_gap(

@@ -31,7 +31,7 @@ from .exceptions import CapExceededError, InputError
 
 DEFAULT_INDEX_CAP = 2**40
 EXACT_PREFIX_CAP = 100_000
-PREFIX_ARRAY_CAP = 2**26
+PREFIX_ARRAY_CAP = 2**28
 
 _CHUNK = 2**22
 _ARRAY_BLOCK = 2**16

@@ -339,6 +339,25 @@ SCAN_GOLDEN = {
 }
 
 
+def test_witness_harmonic_r5_golden(capsys):
+    # support 72,174,691: the only tier-1 check of a scan past 2**26 entries
+    code, out, err = run(capsys, ["witness", "-w", "harmonic", "-r", "5"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["d"] == [1, 4, 54, 6306, 72168326]
+    assert out == (
+        '{\n  "family": "harmonic",\n  "r": 5,\n'
+        '  "d": [\n    1,\n    4,\n    54,\n    6306,\n    72168326\n  ],\n'
+        '  "A": "3.1371522146682391",\n  "B": "1.2000000000000002",\n'
+        '  "ratio": "2.614293512223532",\n  "margins": {\n    "cond_i": [\n'
+        '      "0.5",\n      "0.041666666666666519",\n'
+        '      "0.0043818635388008786",\n      "7.2149953139089007e-05",\n'
+        '      "1.2256334613880426e-08"\n    ],\n    "cond_ii": [\n'
+        '      "0",\n      "0.29999999999999982",\n      "0.45000913333490389",\n'
+        '      "0.5634026561667278",\n      "0.58282211179446608"\n    ]\n  },\n'
+        '  "mode": "float"\n}\n'
+    )
+
+
 @pytest.mark.parametrize("family, p, r", sorted(SCAN_GOLDEN))
 def test_scan_full_output_golden(capsys, family, p, r):
     code, out, err = run(capsys, ["scan", "-w", family, "-p", p, "-r", r])

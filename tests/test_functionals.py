@@ -314,20 +314,43 @@ def test_scan_argmax_prefers_smallest_window():
     assert functional_B(flat, ct) == (pytest.approx(5.0), 5)
 
 
-def test_chunked_scan_agrees_with_dense(monkeypatch):
+@pytest.mark.parametrize("block", [1, 2, 13])
+def test_scan_does_not_depend_on_its_block_size(monkeypatch, block):
+    # every window adds the same run terms in the same order whatever the
+    # blocking, and the first block maximum wins ties across blocks
+    cases = [
+        # B(1) = B(2) = 1 exactly; block size 1 puts them in different blocks
+        (StepSequence(((1, 1.0), (1, 0.5))), H, "float"),
+        (StepSequence(((1, Fraction(1)), (1, Fraction(1, 2)))), H, "rational"),
+    ]
     rng = np.random.default_rng(3)
-    for _ in range(60):
-        k = rng.integers(1, 5)
-        lengths = [int(x) for x in rng.integers(1, 60, size=k)]
-        values = sorted((float(v) for v in rng.uniform(0.1, 4.0, size=k)), reverse=True)
-        f = StepSequence(tuple(zip(lengths, values)))
-        dense = functional_B(f, P12)
-        monkeypatch.setattr(fx, "DENSE_SCAN_CAP", 0)
-        monkeypatch.setattr(fx, "_SCAN_BLOCK", 13)
-        chunked = functional_B(f, P12)
-        monkeypatch.undo()
-        assert chunked[1] == dense[1]
-        assert chunked[0] == pytest.approx(dense[0], rel=1e-11)
+    for _ in range(30):
+        k = int(rng.integers(1, 6))
+        lengths = [int(x) for x in rng.integers(1, 40, size=k)]
+        values = sorted({int(x) for x in rng.integers(1, 1000, size=k)}, reverse=True)
+        runs = list(zip(lengths, values))
+        cases.append((StepSequence(tuple((n, v / 7.0) for n, v in runs)), P12, "float"))
+        for fam in EXACT_FAMILIES:
+            cases.append((StepSequence(tuple((n, Fraction(v, 7)) for n, v in runs)), fam, "rational"))
+    expected = [functional_B(f, fam, mode=mode) for f, fam, mode in cases]
+    monkeypatch.setattr(fx, "_SCAN_BLOCK", block)
+    for (f, fam, mode), want in zip(cases, expected):
+        got = functional_B(f, fam, mode=mode)
+        assert got == want and type(got[0]) is type(want[0]), (f, fam, mode)
+    assert expected[0][1] == expected[1][1] == 1
+
+
+def test_scan_caps_trip_before_allocating(monkeypatch):
+    fam = PowerWeights(0.5)
+    monkeypatch.setattr(fam, "prefix_array", lambda m: pytest.fail("prefix array built"))
+    with pytest.raises(CapExceededError, match="window scan capped at support"):
+        functional_B(StepSequence(((fx.SCAN_CAP + 1, 1.0),)), fam)
+    # 65 runs over a support of 2**28: 65 * 2**28 run-window terms > 2**34
+    lengths = [2**22] * 63 + [2**22 - 1, 1]
+    f = StepSequence(tuple((n, 1.0 / (i + 1)) for i, n in enumerate(lengths)))
+    assert len(f.runs) == 65 and f.support == fx.SCAN_CAP
+    with pytest.raises(CapExceededError, match="65 runs over support 268435456"):
+        functional_B(f, fam)
 
 
 def test_support_cap_errors():
