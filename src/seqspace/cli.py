@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .exceptions import CapExceededError, CertificationError, InputError
-from .functionals import _value_to_string
+from .functionals import _digit_limit, _value_to_string
 from .norms import garling_norm, lorentz_norm, witness_gap
 from .oracles import SUBSET_LIMIT, garling_norm_bruteforce
 from .weights import DEFAULT_INDEX_CAP, WeightFamily, parse_weight_spec
@@ -279,6 +279,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # exact certificates carry integers of any length: lift the interpreter's
+    # integer/string digit limit (Python >= 3.10.7) for this call only
+    limit = _digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except InputError as exc:
@@ -290,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

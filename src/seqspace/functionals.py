@@ -11,8 +11,10 @@ family w this module computes
 
 Sequences are run-length encoded (:class:`StepSequence`), so A and a single
 window sum cost O(runs) weight-window sums rather than O(support).  The
-supremum takes one window-scan kernel, in float and exact arithmetic alike:
-O(runs * support) work against one prefix array.
+supremum takes one float window-scan kernel: O(runs * support) work
+against one prefix array.  Exact arithmetic runs the same float scan with
+a proven error band and re-evaluates exactly only the windows inside the
+band, so its O(support) work stays in floats.
 For the supremum it suffices to scan window lengths n up to the support
 size m: for n > m every factor w_{1+n-i} on the support has shifted further
 down the non-increasing weight, so B(f, w, n) <= B(f, w, m).
@@ -21,10 +23,12 @@ down the non-increasing weight, so B(f, w, n) <= B(f, w, m).
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -35,6 +39,8 @@ SCAN_CAP = PREFIX_ARRAY_CAP
 SCAN_WORK_CAP = 2**34
 EXPAND_CAP = 2**24
 _SCAN_BLOCK = 2**16
+_UNIT = 2.0**-53  # unit roundoff of float64
+_ETA = 2.0**-1073  # rounding error bound of a result below the normal range
 
 Value = float | Fraction
 
@@ -54,9 +60,24 @@ def _coerce_value(v) -> Value:
     raise InputError(f"run value {v!r} is not a real number")
 
 
+def _digit_limit() -> int:
+    """The interpreter's integer/string conversion digit limit, 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _digit_limit_error() -> InputError:
+    return InputError(
+        f"exact value exceeds the interpreter's {_digit_limit()}-digit limit for "
+        "integer/string conversion; sys.set_int_max_str_digits(0) lifts it"
+    )
+
+
 def _value_to_string(v: Value) -> str:
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        try:
+            return f"{v.numerator}/{v.denominator}"
+        except ValueError as exc:  # only the digit limit can refuse an int
+            raise _digit_limit_error() from exc
     return format(float(v), ".17g")
 
 
@@ -69,6 +90,9 @@ def _value_from_string(s: str) -> Value:
             return Fraction(int(s))
         return float(s)
     except (ValueError, ZeroDivisionError) as exc:
+        parts = re.fullmatch(r"[+-]?(\d+)(?:/(\d+))?", s)
+        if parts and max(len(part or "") for part in parts.groups()) > _digit_limit() > 0:
+            raise _digit_limit_error() from exc
         raise InputError(f"bad run value {s!r}") from exc
 
 
@@ -197,14 +221,12 @@ class Arithmetic:
 
     Float arithmetic sums weight windows directly with compensation and
     totals with ``math.fsum``; exact arithmetic takes differences of exact
-    ``Fraction`` prefixes and totals from ``Fraction(0)``.  ``prefixes(m)`` is
-    the array [W(0), ..., W(m)], of floats or of the cached Fractions.
+    ``Fraction`` prefixes and totals from ``Fraction(0)``.
     """
 
     exact: bool
     num: type
     prefix: Callable[[int], Value]
-    prefixes: Callable[[int], np.ndarray]
     window: Callable[[int, int], Value]
     total: Callable[[Iterable[Value]], Value]
 
@@ -219,9 +241,7 @@ def arithmetic(
     support within the exact-prefix cap.
     """
     if mode == "float":
-        return Arithmetic(
-            False, float, fam.prefix_sum, fam.prefix_array, fam.window_sum, math.fsum
-        )
+        return Arithmetic(False, float, fam.prefix_sum, fam.window_sum, math.fsum)
     if mode != "rational":
         raise InputError(f"mode must be 'float' or 'rational', got {mode!r}")
     if not fam.supports_exact:
@@ -237,7 +257,6 @@ def arithmetic(
         True,
         Fraction,
         prefix,
-        lambda m: np.fromiter(map(prefix, range(m + 1)), dtype=object, count=m + 1),
         lambda lo, hi: prefix(hi) - prefix(lo - 1),
         lambda parts: sum(parts, Fraction(0)),
     )
@@ -283,21 +302,21 @@ def functional_B_at(
     )
 
 
-def _scan_dense(f: StepSequence, ar: Arithmetic) -> tuple[Value, int]:
-    """All window sums, in either arithmetic, from one prefix array.
+def _scan_dense(
+    runs: list[tuple[int, int, float]], prefix: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """All float window sums against one prefix array [W(0), ..., W(m)].
 
-    Window lengths n are taken in blocks of ``_SCAN_BLOCK``, so temporaries
-    stay O(block) beside the O(support) prefix array.  Each n adds the same
-    run terms in the same order whatever the blocking, and the first block
-    maximum wins ties, so the result does not depend on the block size.
+    ``runs`` holds (start, end, value) per run.  Yields (lo, scan), where
+    scan[i] is the sum for window length lo + i; window lengths 1..m come in
+    blocks of ``_SCAN_BLOCK``, so temporaries stay O(block) beside the
+    O(support) prefix array.  Each n adds the same run terms in the same
+    order whatever the blocking, so no sum depends on the block size.
     """
-    m = f.support
-    prefix = ar.prefixes(m)
-    runs = [(start, end, ar.num(value)) for start, end, value in f.bounds()]
-    best, best_n = None, 0
+    m = prefix.size - 1
     for lo in range(1, m + 1, _SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK - 1, m)
-        scan = np.zeros(hi - lo + 1, dtype=prefix.dtype)
+        scan = np.zeros(hi - lo + 1)
         for start, end, v in runs:
             if start > hi:
                 break
@@ -312,10 +331,93 @@ def _scan_dense(f: StepSequence, ar: Arithmetic) -> tuple[Value, int]:
                 scan[a - lo :] += v * (
                     prefix[1 + a - start : 2 + hi - start] - prefix[a - end : 1 + hi - end]
                 )
-        k = int(np.argmax(scan))
-        if best is None or scan[k] > best:
-            best, best_n = scan[k], lo + k
-    return ar.num(best), best_n
+        yield lo, scan
+
+
+def _gamma(k: int) -> float:
+    return k * _UNIT / (1 - k * _UNIT)
+
+
+def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
+    """E with |scan(n) - B(n) / a_1| <= E for every window n = 1..m.
+
+    ``scan`` is :func:`_scan_dense` run on the values u_j = a_j / a_1, each
+    in (0, 1] and rounded once to the float in ``values``, against the
+    float prefix array P of ``WeightFamily.prefix_array(m)``; ``top_prefix``
+    is P(m).  Write u = 2**-53, gamma(k) = k u / (1 - k u), eta = 2**-1073
+    for a result that lands below the normal range, R runs, U = sum_j u_j,
+    and V >= W(m) >= w_1 = 1.  The error enters in five steps:
+
+    1. Term rounding.  The rational families form each float weight with at
+       most three roundings (1/i; max(c, 1/i); a listed p/q; w_L * L / i),
+       so |t_i - w_i| <= tau w_i + eta with tau = gamma(3).
+    2. Prefix array.  Within a block P is a sequential ``cumsum`` (gamma(m));
+       the block base is a Neumaier sum of pairwise block sums (gamma(m)
+       for the block sums, u for the compensated sum and u m gamma(m) <=
+       gamma(m) for its compensation term); one add joins the two (u).  So
+       |P(k) - W(k)| <= rho W(k) + 2 k eta, rho = tau + (3 gamma(m) + 4u)(1 + tau).
+    3. Per-run prefix difference P(a) - P(b), a, b <= m (b = 0 while the
+       window ends inside the run, where P(0) = 0 exactly): the two prefix
+       errors and one rounding give eps_D V + 5 m eta, eps_D = 2 rho (1 + u) + u.
+    4. Product with the rounded run value, |fl(u_j) - u_j| <= u u_j + eta,
+       and its own rounding: u_j V eps_p + alpha with eps_p = eps_D + 5u and
+       alpha = 8 (m + 1) eta, the absolute term of run ratios and products
+       that underflow.
+    5. Run sum.  The R products are added in run order onto 0.0, which adds
+       gamma(R) times the sum of their magnitudes.
+
+    So E_0 = U V (eps_p + gamma(R) (1 + eps_p)) + R alpha (1 + gamma(R)),
+    with U and V bounded from the floats with upward margins, and E = 4 E_0.
+    The factor 4 is a safety margin; it also covers the few roundings made
+    in evaluating E and the candidate threshold.
+    """
+    runs = len(values)
+    tau = _gamma(3)
+    rho = tau + (3 * _gamma(m) + 4 * _UNIT) * (1 + tau)
+    eps_p = 2 * rho * (1 + _UNIT) + 6 * _UNIT
+    total_u = math.fsum(values) * (1 + 4 * _UNIT) + 2 * runs * _ETA
+    top_w = top_prefix * (1 + 2 * rho) + 4 * m * _ETA
+    alpha = 8 * (m + 1) * _ETA
+    e0 = total_u * top_w * (eps_p + _gamma(runs) * (1 + eps_p))
+    return 4 * (e0 + runs * alpha * (1 + _gamma(runs)))
+
+
+def _exact_B(f: StepSequence, fam: WeightFamily) -> tuple[Fraction, int]:
+    """Exact sup_n B(f, w, n) and its smallest argmax, filtered by a float scan.
+
+    B is linear in f, so the float scan runs on the run values divided
+    exactly by the first one, where no float overflows.  With E from
+    :func:`_scan_error_bound` and ``top`` the largest scanned value, a true
+    maximiser n* has scan(n*) >= B(n*) - E >= B(n_top) - E >= top - 2E.  Only
+    the windows with scan(n) >= top - 2E are evaluated exactly, in
+    increasing n, from the cached Fraction prefixes.  When every window is a
+    candidate this is the O(runs * support) exact work of a plain exact scan.
+    """
+    bounds = f.bounds()
+    m = f.support
+    first = bounds[0][2]
+    runs = [(start, end, float(value / first)) for start, end, value in bounds]
+    prefix = fam.prefix_array(m)
+    band = 2 * _scan_error_bound(m, [u for _, _, u in runs], float(prefix[m]))
+    top, candidates = -math.inf, []
+    for lo, scan in _scan_dense(runs, prefix):
+        # the running top only grows, so this keeps every final candidate
+        top = max(top, float(scan.max()))
+        keep = np.flatnonzero(scan >= top - band)
+        candidates += zip((lo + keep).tolist(), scan[keep].tolist())
+    W = fam.prefix_fraction
+    best, best_n = Fraction(-1), 0
+    for n, s in candidates:
+        if s < top - band:
+            continue
+        value = 0
+        for start, end, v in bounds:
+            if start > n:
+                break
+            value += v * (W(1 + n - start) - W(n - end) if n > end else W(1 + n - start))
+        if value > best:
+            best, best_n = value, n
+    return best, best_n
 
 
 def functional_B(
@@ -326,7 +428,9 @@ def functional_B(
     Scans n = 1..support; windows beyond the support only shift the support
     onto smaller weights, so they never exceed the value at n = support.
     The scan holds one prefix array of support + 1 entries and does
-    O(runs * support) work; both are capped before anything is allocated.
+    O(runs * support) float work; both are capped before anything is
+    allocated.  Exact mode re-evaluates only the windows the float scan
+    cannot rule out (:func:`_exact_B`).
     """
     _check_support(f, fam)
     ar = arithmetic(mode, fam, f)
@@ -340,7 +444,15 @@ def functional_B(
             f"window scan capped at {SCAN_WORK_CAP} run-window terms, "
             f"got {len(f.runs)} runs over support {m}"
         )
-    return _scan_dense(f, ar)
+    if ar.exact:
+        return _exact_B(f, fam)
+    runs = [(start, end, float(value)) for start, end, value in f.bounds()]
+    best, best_n = -math.inf, 0
+    for lo, scan in _scan_dense(runs, fam.prefix_array(m)):
+        k = int(np.argmax(scan))
+        if scan[k] > best:  # the first block maximum wins ties
+            best, best_n = float(scan[k]), lo + k
+    return best, best_n
 
 
 def ratio(f: StepSequence, fam: WeightFamily, mode: str = "float") -> FunctionalReport:

@@ -148,28 +148,33 @@ def find_block_lengths(
 
     for k in range(len(d) + 1, r + 1):
         d_prev = d[-1] if d else 0
-        lhs_i = ar.prefix(n_prev)
-        rhs_ii = two ** (1 - k) * ar.prefix(d_prev) if d_prev else None
 
         def feasible(cand: int) -> bool:
             if lhs_i > half * ar.prefix(cand) * tighten:
                 return False
             return rhs_ii is None or ar.window(cand + 1, cand + d_prev) <= rhs_ii * tighten
 
-        hi = 1
-        while not feasible(hi):
-            hi *= 2
-            if hi > cap:
-                raise CapExceededError(
-                    f"no feasible d_{k} within cap {cap} for {fam.spec}"
-                )
-        lo = hi // 2 + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid + 1
+        try:
+            lhs_i = ar.prefix(n_prev)
+            rhs_ii = two ** (1 - k) * ar.prefix(d_prev) if d_prev else None
+            hi = 1
+            while not feasible(hi):
+                hi *= 2
+                if hi > cap:
+                    raise CapExceededError(f"no feasible d_{k} within cap {cap}")
+            lo = hi // 2 + 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if feasible(mid):
+                    hi = mid
+                else:
+                    lo = mid + 1
+        except CapExceededError as exc:
+            layer = "exact" if ar.exact else "float"
+            raise CapExceededError(
+                f"{layer} block search stopped at d_{k} of {fam.spec} "
+                f"after blocks {d}: {exc}"
+            ) from exc
         d.append(hi)
         n_prev += hi
         if n_prev > cap:

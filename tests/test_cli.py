@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+import sys
 import warnings
 
 import pytest
 
+from seqspace import weights
 from seqspace.cli import main
 from seqspace.norms import garling_norm
 from seqspace.weights import parse_weight_spec
@@ -355,6 +358,39 @@ def test_witness_harmonic_r5_golden(capsys):
         '      "0",\n      "0.29999999999999982",\n      "0.45000913333490389",\n'
         '      "0.5634026561667278",\n      "0.58282211179446608"\n    ]\n  },\n'
         '  "mode": "float"\n}\n'
+    )
+
+
+def test_witness_rational_past_the_digit_limit_golden(tmp_path, capsys, monkeypatch):
+    # exact A and the margins run to 8,000+ digits, past the interpreter's
+    # default 4,300-digit integer/string limit, which the CLI lifts per call
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F.json").write_text(
+        json.dumps({"weights": ["1", "1/2", "1/3", "1/4", "1/5", "1/7"], "tail": "pattern"})
+    )
+    limit = sys.get_int_max_str_digits()
+    argv = ["witness", "-w", "explicit:F.json", "-r", "4", "--mode", "rational"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    cert = json.loads(out)
+    assert cert["d"] == [1, 4, 79, 18607]
+    assert cert["B"] == "6/5"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "46ce1cb00a8f2ffcacd426804ff302a6baab58506e4751cd79a19c8faa3cfc74"
+    )
+    (tmp_path / "cert.json").write_text(out)
+    code, again, err = run(capsys, ["witness", "--verify-only", "cert.json"])
+    assert code == 0 and err == "" and again == out
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_exact_search_cap_names_where_it_stopped(capsys, monkeypatch):
+    monkeypatch.setattr(weights, "EXACT_PREFIX_CAP", 2000)
+    code, out, err = run(capsys, ["witness", "-w", "harmonic", "-r", "4", "--mode", "rational"])
+    assert code == 4 and out == ""
+    assert err == (
+        "resource cap exceeded: exact block search stopped at d_4 of harmonic "
+        "after blocks [1, 4, 54]: exact prefix sums capped at 2000, got 2048\n"
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -302,6 +303,70 @@ def test_exact_scan_matches_the_per_window_loop(fam, runs):
     assert best_n == windows.index(best) + 1
 
 
+@st.composite
+def wide_exact_sequences(draw):
+    # run values far apart in scale (their ratios underflow a float) and
+    # neighbours 1e-30 apart relative, which no float can tell apart
+    scale = st.sampled_from([Fraction(1, 10**400), Fraction(1), Fraction(10**400)])
+    base = st.fractions(min_value=Fraction(1, 1000), max_value=50, max_denominator=1000)
+    values = set()
+    for _ in range(draw(st.integers(1, 5))):
+        v = draw(base) * draw(scale)
+        values.add(v)
+        if draw(st.booleans()):
+            values.add(v * (1 - Fraction(1, 10**30)))
+    lengths = draw(st.lists(st.integers(1, 20), min_size=len(values), max_size=len(values)))
+    return StepSequence(tuple(zip(lengths, sorted(values, reverse=True))))
+
+
+def _float_scan_and_bound(f, fam):
+    # the float pre-scan of the exact B: run values over the first, as _exact_B runs it
+    bounds = f.bounds()
+    first = bounds[0][2]
+    runs = [(start, end, float(v / first)) for start, end, v in bounds]
+    prefix = fam.prefix_array(f.support)
+    scan = np.concatenate([block for _, block in fx._scan_dense(runs, prefix)])
+    bound = fx._scan_error_bound(f.support, [u for _, _, u in runs], float(prefix[-1]))
+    return first, scan, bound
+
+
+def _assert_exact_B_and_a_loose_bound(f, fam):
+    windows = [functional_B_at(f, fam, n, mode="rational") for n in range(1, f.support + 1)]
+    best, best_n = functional_B(f, fam, mode="rational")
+    assert type(best) is Fraction and best == max(windows)
+    assert best_n == windows.index(best) + 1
+    # the a priori bound holds with its safety factor of 4 to spare
+    first, scan, bound = _float_scan_and_bound(f, fam)
+    error = max(abs(Fraction(s) - b / first) for s, b in zip(scan.tolist(), windows))
+    assert error < Fraction(bound) / 4
+
+
+@given(fam=st.sampled_from(EXACT_FAMILIES), f=wide_exact_sequences())
+@example(fam=H, f=StepSequence(((3, Fraction(10**400)), (2, Fraction(1, 10**400)))))
+@example(fam=EXACT_FAMILIES[2], f=StepSequence(((1, Fraction(1)), (3, 1 - Fraction(1, 10**30)))))
+# exact ties that rounding breaks the wrong way: B(4) = B(13) and B(6) = B(8),
+# yet the float scan puts the later window ahead
+@example(fam=EXACT_FAMILIES[1], f=StepSequence(((4, Fraction(12)), (6, Fraction(5)), (3, Fraction(3)))))
+@example(
+    fam=EXACT_FAMILIES[1],
+    f=StepSequence(((3, Fraction(8, 5)), (3, Fraction(5, 4)), (2, Fraction(5, 6)))),
+)
+@settings(max_examples=60, deadline=None)
+def test_filtered_exact_scan_matches_the_per_window_loop(fam, f):
+    _assert_exact_B_and_a_loose_bound(f, fam)
+
+
+def test_near_flat_scan_reevaluates_every_window():
+    # B(n) = 10 + (n - 10) / 10**20 for n = 10..5010: 5,001 windows the float
+    # scan cannot order, all of them candidates; the last one is the maximum
+    fam = ExplicitRationalWeights([Fraction(1)], "constant")
+    f = StepSequence(((10, Fraction(1)), (5000, Fraction(1, 10**20))))
+    assert functional_B(f, fam, mode="rational") == (10 + Fraction(5000, 10**20), 5010)
+    first, scan, bound = _float_scan_and_bound(f, fam)
+    assert np.count_nonzero(scan >= scan.max() - 2 * bound) == 5001
+    _assert_exact_B_and_a_loose_bound(f, fam)
+
+
 def test_scan_argmax_prefers_smallest_window():
     # with harmonic weights and f = (1, 1/2), windows 1 and 2 tie exactly:
     # B(1) = 1 and B(2) = 1*w2 + (1/2)*w1 = 1; the smaller window wins
@@ -372,6 +437,20 @@ def test_non_finite_run_values_rejected(bad):
         StepSequence.from_json_dict({"runs": [[1, repr(bad)]]})
     with pytest.raises(InputError, match="not finite"):
         StepSequence(((1, 1.0),)).scaled(bad)
+
+
+def test_values_past_the_interpreter_digit_limit_are_input_errors():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(InputError, match="640-digit limit"):
+            StepSequence(((1, Fraction(1, 10**700)),)).to_json_dict()
+        with pytest.raises(InputError, match="640-digit limit"):
+            StepSequence.from_json_dict({"runs": [[1, "1/" + "7" * 700]]})
+        with pytest.raises(InputError, match="bad run value"):
+            StepSequence.from_json_dict({"runs": [[1, "1/x" + "7" * 700]]})
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_scaling_into_overflow_rejected():
