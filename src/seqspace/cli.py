@@ -35,19 +35,16 @@ from .witness import (
 
 
 def _resolve_cap(args) -> int:
+    """The --cap flag, else SEQSPACE_CAP, else the default; the family checks its range."""
     if args.cap is not None:
-        cap = args.cap
-    else:
-        env = os.environ.get("SEQSPACE_CAP")
-        if env is None:
-            return DEFAULT_INDEX_CAP
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise InputError(f"SEQSPACE_CAP must be an integer, got {env!r}") from exc
-    if cap < 1:
-        raise InputError(f"index cap must be positive, got {cap}")
-    return cap
+        return args.cap
+    env = os.environ.get("SEQSPACE_CAP")
+    if env is None:
+        return DEFAULT_INDEX_CAP
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise InputError(f"SEQSPACE_CAP must be an integer, got {env!r}") from exc
 
 
 def _family(args) -> WeightFamily:

@@ -33,9 +33,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .exceptions import CapExceededError, InputError
-from .weights import EXACT_PREFIX_CAP, PREFIX_ARRAY_CAP, WeightFamily
+from .weights import EXACT_PREFIX_CAP, WeightFamily
 
-SCAN_CAP = PREFIX_ARRAY_CAP
 SCAN_WORK_CAP = 2**34
 EXPAND_CAP = 2**24
 _SCAN_BLOCK = 2**16
@@ -283,6 +282,16 @@ def functional_A(f: StepSequence, fam: WeightFamily, mode: str = "float") -> Val
     )
 
 
+def _B_at(bounds: list[tuple[int, int, Value]], n: int, ar: Arithmetic) -> Value:
+    # exact arithmetic has Fraction run values, and a Fraction times a float
+    # window is a float, so each product already has the arithmetic's type
+    return ar.total(
+        value * ar.window(1 + n - min(end, n), 1 + n - start)
+        for start, end, value in bounds
+        if start <= n
+    )
+
+
 def functional_B_at(
     f: StepSequence, fam: WeightFamily, n: int, mode: str = "float"
 ) -> Value:
@@ -294,12 +303,7 @@ def functional_B_at(
     if n < 1:
         raise InputError(f"window length must be >= 1, got {n}")
     _check_support(f, fam)
-    ar = arithmetic(mode, fam, f)
-    return ar.total(
-        ar.num(value) * ar.window(1 + n - min(end, n), 1 + n - start)
-        for start, end, value in f.bounds()
-        if start <= n
-    )
+    return _B_at(f.bounds(), n, arithmetic(mode, fam, f))
 
 
 def _scan_dense(
@@ -382,44 +386,6 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
     return 4 * (e0 + runs * alpha * (1 + _gamma(runs)))
 
 
-def _exact_B(f: StepSequence, fam: WeightFamily) -> tuple[Fraction, int]:
-    """Exact sup_n B(f, w, n) and its smallest argmax, filtered by a float scan.
-
-    B is linear in f, so the float scan runs on the run values divided
-    exactly by the first one, where no float overflows.  With E from
-    :func:`_scan_error_bound` and ``top`` the largest scanned value, a true
-    maximiser n* has scan(n*) >= B(n*) - E >= B(n_top) - E >= top - 2E.  Only
-    the windows with scan(n) >= top - 2E are evaluated exactly, in
-    increasing n, from the cached Fraction prefixes.  When every window is a
-    candidate this is the O(runs * support) exact work of a plain exact scan.
-    """
-    bounds = f.bounds()
-    m = f.support
-    first = bounds[0][2]
-    runs = [(start, end, float(value / first)) for start, end, value in bounds]
-    prefix = fam.prefix_array(m)
-    band = 2 * _scan_error_bound(m, [u for _, _, u in runs], float(prefix[m]))
-    top, candidates = -math.inf, []
-    for lo, scan in _scan_dense(runs, prefix):
-        # the running top only grows, so this keeps every final candidate
-        top = max(top, float(scan.max()))
-        keep = np.flatnonzero(scan >= top - band)
-        candidates += zip((lo + keep).tolist(), scan[keep].tolist())
-    W = fam.prefix_fraction
-    best, best_n = Fraction(-1), 0
-    for n, s in candidates:
-        if s < top - band:
-            continue
-        value = 0
-        for start, end, v in bounds:
-            if start > n:
-                break
-            value += v * (W(1 + n - start) - W(n - end) if n > end else W(1 + n - start))
-        if value > best:
-            best, best_n = value, n
-    return best, best_n
-
-
 def functional_B(
     f: StepSequence, fam: WeightFamily, mode: str = "float"
 ) -> tuple[Value, int]:
@@ -427,32 +393,44 @@ def functional_B(
 
     Scans n = 1..support; windows beyond the support only shift the support
     onto smaller weights, so they never exceed the value at n = support.
-    The scan holds one prefix array of support + 1 entries and does
-    O(runs * support) float work; both are capped before anything is
-    allocated.  Exact mode re-evaluates only the windows the float scan
-    cannot rule out (:func:`_exact_B`).
+    One float scan serves both arithmetics.  It holds one prefix array of
+    support + 1 entries and does O(runs * support) work, both capped before
+    anything is allocated.  Float mode scans the run values and returns the
+    first maximum.  B is linear in f, so exact mode scans the values divided
+    exactly by the first one, where no float overflows.  With E from
+    :func:`_scan_error_bound`, a true maximiser n* has scan(n*) >= B(n*) - E
+    >= B(n_top) - E >= top - 2E, so only the windows in that band below the
+    top are re-evaluated exactly, from the cached Fraction prefixes.
     """
     _check_support(f, fam)
     ar = arithmetic(mode, fam, f)
     m = f.support
     if m == 0:
         return ar.num(0), 1
-    if m > SCAN_CAP:
-        raise CapExceededError(f"window scan capped at support {SCAN_CAP}, got {m}")
     if len(f.runs) * m > SCAN_WORK_CAP:
         raise CapExceededError(
             f"window scan capped at {SCAN_WORK_CAP} run-window terms, "
             f"got {len(f.runs)} runs over support {m}"
         )
-    if ar.exact:
-        return _exact_B(f, fam)
-    runs = [(start, end, float(value)) for start, end, value in f.bounds()]
-    best, best_n = -math.inf, 0
-    for lo, scan in _scan_dense(runs, fam.prefix_array(m)):
-        k = int(np.argmax(scan))
-        if scan[k] > best:  # the first block maximum wins ties
-            best, best_n = float(scan[k]), lo + k
-    return best, best_n
+    bounds = f.bounds()
+    scale = bounds[0][2] if ar.exact else 1.0
+    runs = [(start, end, float(value / scale)) for start, end, value in bounds]
+    prefix = fam.prefix_array(m)
+    band = 2 * _scan_error_bound(m, [u for *_, u in runs], float(prefix[m])) if ar.exact else 0.0
+    top, candidates = -math.inf, []
+    for lo, scan in _scan_dense(runs, prefix):
+        k = int(np.argmax(scan))  # the block's first maximum
+        top = max(top, float(scan[k]))
+        if band:  # the running top only grows, so this keeps every final candidate
+            keep = np.flatnonzero(scan >= top - band)
+            candidates += zip((lo + keep).tolist(), scan[keep].tolist())
+        else:  # equal floats need no re-evaluation: the first one is returned
+            candidates.append((lo + k, float(scan[k])))
+    candidates = [n for n, s in candidates if s >= top - band]
+    if not ar.exact:
+        return top, candidates[0]
+    best, neg_n = max((_B_at(bounds, n, ar), -n) for n in candidates)
+    return best, -neg_n
 
 
 def ratio(f: StepSequence, fam: WeightFamily, mode: str = "float") -> FunctionalReport:

@@ -1,9 +1,9 @@
 """Weight families: normalized non-increasing positive sequences.
 
 A weight family exposes point queries ``weight_at``, compensated prefix sums
-``prefix_sum`` (cached at power-of-two checkpoints so indices up to 2**40 stay
-reachable), and ``classify``, which sorts the family into one of three
-branches:
+``prefix_sum`` (cached at power-of-two checkpoints, so indices up to the
+2**28 index cap stay cheap), and ``classify``, which sorts the family into
+one of three branches:
 
 * ``Summable``      - sum of all weights is finite,
 * ``BoundedBelow``  - weights stay above a positive floor,
@@ -29,9 +29,8 @@ import numpy as np
 
 from .exceptions import CapExceededError, InputError
 
-DEFAULT_INDEX_CAP = 2**40
+DEFAULT_INDEX_CAP = 2**28  # the largest support a window scan takes
 EXACT_PREFIX_CAP = 100_000
-PREFIX_ARRAY_CAP = 2**28
 
 _CHUNK = 2**22
 _ARRAY_BLOCK = 2**16
@@ -84,8 +83,8 @@ class WeightFamily:
     spec: str
 
     def __init__(self, index_cap: int = DEFAULT_INDEX_CAP) -> None:
-        if index_cap < 1:
-            raise InputError("index cap must be positive")
+        if not 1 <= index_cap <= DEFAULT_INDEX_CAP:
+            raise InputError(f"index cap must lie in 1..{DEFAULT_INDEX_CAP}, got {index_cap}")
         self._cap = int(index_cap)
         self._lock = threading.Lock()
         # _pow2[k] = W(2**k); ladder grows on demand.
@@ -149,6 +148,10 @@ class WeightFamily:
 
     # -- compensated prefix sums -----------------------------------------
 
+    def _check_cap(self, n: int) -> None:
+        if n > self._cap:
+            raise CapExceededError(f"prefix index {n} exceeds the configured cap {self._cap}")
+
     def _block_sum(self, lo: int, hi: int) -> float:
         """Compensated sum of w_lo..w_hi over fixed blocks anchored at lo.
 
@@ -180,14 +183,11 @@ class WeightFamily:
 
         Relative error is a few machine epsilons: blocks are summed pairwise
         and combined with Neumaier compensation.  Raises CapExceededError
-        beyond the configured index cap (default 2**40).
+        beyond the family's index cap (at most 2**28).
         """
         if n < 0:
             raise InputError(f"prefix length must be non-negative, got {n}")
-        if n > self._cap:
-            raise CapExceededError(
-                f"prefix index {n} exceeds the configured cap {self._cap}"
-            )
+        self._check_cap(n)
         if n == 0:
             return 0.0
         with self._lock:
@@ -217,10 +217,7 @@ class WeightFamily:
         """Array [W(0), W(1), ..., W(m)] via block-compensated cumsum."""
         if m < 0:
             raise InputError("length must be non-negative")
-        if m > PREFIX_ARRAY_CAP:
-            raise CapExceededError(
-                f"dense prefix arrays capped at {PREFIX_ARRAY_CAP}, got {m}"
-            )
+        self._check_cap(m)
         out = np.empty(m + 1)
         out[0] = 0.0
         base = 0.0
@@ -382,7 +379,11 @@ class ExplicitRationalWeights(WeightFamily):
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read explicit weight file {path}: {exc}") from exc
-        if not isinstance(data, dict) or "weights" not in data or "tail" not in data:
+        if (
+            not isinstance(data, dict)
+            or not isinstance(data.get("weights"), list)
+            or "tail" not in data
+        ):
             raise InputError(
                 'explicit weight file must be {"weights": ["p/q", ...], '
                 '"tail": "constant"|"pattern"}'

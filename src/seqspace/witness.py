@@ -87,22 +87,50 @@ class WitnessCertificate:
         }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_value(x) -> bool:
+    return isinstance(x, (str, int, float)) and not isinstance(x, bool)
+
+
+def _is_blocks(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) and v >= 1 for v in x)
+
+
+def _is_margins(x) -> bool:
+    return isinstance(x, dict) and all(
+        isinstance(x.get(k), list) and all(map(_is_value, x[k])) for k in ("cond_i", "cond_ii")
+    )
+
+
+_VALUE = "a number or a 'p/q' string"
+_CERTIFICATE_FIELDS = {
+    "family": ("a weight family string", lambda x: isinstance(x, str)),
+    "r": ("an integer", _is_int),
+    "d": ("a list of positive integers", _is_blocks),
+    "A": (_VALUE, _is_value),
+    "B": (_VALUE, _is_value),
+    "ratio": (_VALUE, _is_value),
+    "margins": ("lists 'cond_i' and 'cond_ii' of numbers or 'p/q' strings", _is_margins),
+    "mode": ("float or rational", lambda x: x in ("float", "rational")),
+}
+
+
 def load_certificate_json(path: str | Path) -> dict:
-    """Read a certificate file, validating the fixed schema."""
+    """Read a certificate file, validating the fixed schema and field types."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read certificate {path}: {exc}") from exc
-    required = {"family", "r", "d", "A", "B", "ratio", "margins", "mode"}
+    required = set(_CERTIFICATE_FIELDS)
     if not isinstance(data, dict) or not required.issubset(data):
         missing = required - set(data) if isinstance(data, dict) else required
         raise InputError(f"certificate missing fields: {sorted(missing)}")
-    if not isinstance(data["d"], list) or not all(
-        isinstance(x, int) and x >= 1 for x in data["d"]
-    ):
-        raise InputError("certificate field 'd' must be a list of positive integers")
-    if data["mode"] not in ("float", "rational"):
-        raise InputError(f"certificate mode must be float|rational, got {data['mode']!r}")
+    for name, (expected, valid) in _CERTIFICATE_FIELDS.items():
+        if not valid(data[name]):
+            raise InputError(f"certificate field {name!r} must be {expected}")
     return data
 
 
@@ -291,14 +319,15 @@ def verify_certificate(
 
 
 def reverify_certificate_dict(
-    data: dict, tolerance: float = DEFAULT_TOLERANCE, cap: int | None = None
+    data: dict, tolerance: float = DEFAULT_TOLERANCE, cap: int = DEFAULT_INDEX_CAP
 ) -> WitnessCertificate:
     """Re-derive a loaded certificate from its family spec and block lengths.
 
-    The claimed A, B, and ratio must match the recomputation: exactly in
-    rational mode, within the tolerance in float mode.
+    The claimed A, B, ratio and margins must match the recomputation:
+    exactly in rational mode, within the tolerance in float mode, where a
+    margin's tolerance scales with its condition's right-hand side.
     """
-    fam = parse_weight_spec(data["family"], index_cap=cap or DEFAULT_INDEX_CAP)
+    fam = parse_weight_spec(data["family"], index_cap=cap)
     mode = data["mode"]
     cert = verify_certificate(fam, data["d"], tolerance=tolerance, mode=mode)
     exact = arithmetic(mode, fam).exact
@@ -306,16 +335,30 @@ def reverify_certificate_dict(
         raise CertificationError(
             f"certificate r = {data['r']} does not match {cert.r} block lengths"
         )
-    for name, claimed_s, actual in (
-        ("A", data["A"], cert.A_value),
-        ("B", data["B"], cert.B_value),
-        ("ratio", data["ratio"], cert.ratio),
-    ):
+    margins = data["margins"]
+    if not len(margins["cond_i"]) == len(margins["cond_ii"]) == cert.r:
+        raise CertificationError(f"certificate margins do not list {cert.r} entries each")
+    checks = [
+        ("A", data["A"], cert.A_value, None),
+        ("B", data["B"], cert.B_value, None),
+        ("ratio", data["ratio"], cert.ratio, None),
+    ]
+    W = fam.prefix_sum
+    for i, (d_prev, d_k) in enumerate(zip((0,) + cert.d, cert.d)):
+        checks += [
+            (f"margins.cond_i[{i}]", margins["cond_i"][i], cert.cond_i_margins[i], W(d_k) / 2),
+            (f"margins.cond_ii[{i}]", margins["cond_ii"][i], cert.cond_ii_margins[i],
+             W(d_prev) / 2**i),
+        ]
+    rel_tol = max(tolerance, 1e-12)
+    for name, claimed_s, actual, rhs in checks:
         claimed = _value_from_string(str(claimed_s))
         if exact:
             agree = claimed == actual
-        else:
-            agree = math.isclose(float(claimed), float(actual), rel_tol=max(tolerance, 1e-12))
+        elif rhs is None:
+            agree = math.isclose(float(claimed), float(actual), rel_tol=rel_tol)
+        else:  # a margin is compared relative to its condition's right-hand side
+            agree = abs(float(claimed) - float(actual)) <= rel_tol * rhs
         if not agree:
             raise CertificationError(
                 f"claimed {name} = {claimed_s} differs from recomputed "

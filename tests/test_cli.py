@@ -237,6 +237,71 @@ def test_cap_flag_and_env(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+def test_cap_past_the_scan_support_exits_2(capsys, monkeypatch):
+    # no witness, scan or norm can use a support past 2**28, so no cap may exceed it
+    message = "error: index cap must lie in 1..268435456, got 268435457\n"
+    code, out, err = run(capsys, ["witness", "-w", "harmonic", "-r", "1", "--cap", "268435457"])
+    assert (code, out, err) == (2, "", message)
+    monkeypatch.setenv("SEQSPACE_CAP", "268435457")
+    code, out, err = run(capsys, ["scan", "-w", "harmonic", "-r", "1"])
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "family, r, blocks",
+    [
+        ("harmonic", 6, "[1, 4, 54, 6306, 72168326]"),
+        ("power:0.5", 7, "[1, 4, 31, 630, 42423, 10916370]"),
+    ],
+)
+def test_hopeless_search_stops_at_the_index_cap(capsys, family, r, blocks):
+    # the next block lies past 2**28, so the search exits 4 after O(2**28) summed terms
+    code, out, err = run(capsys, ["witness", "-w", family, "-r", str(r)])
+    assert code == 4 and out == ""
+    assert err == (
+        f"resource cap exceeded: float block search stopped at d_{r} of {family} "
+        f"after blocks {blocks}: no feasible d_{r} within cap 268435456\n"
+    )
+
+
+def _certificate_file(tmp_path, capsys, edit):
+    code, out, _ = run(capsys, ["witness", "-w", "power:0.5", "-r", "3"])
+    assert code == 0
+    cert = json.loads(out)
+    edit(cert)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("family", 5), ("d", [True, 4, 31]), ("r", "3"), ("margins", "x")],
+)
+def test_verify_only_rejects_bad_field_types(tmp_path, capsys, field, value):
+    path = _certificate_file(tmp_path, capsys, lambda cert: cert.update({field: value}))
+    code, out, err = run(capsys, ["witness", "--verify-only", path])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: certificate field '{field}' must be")
+
+
+def test_verify_only_checks_the_claimed_margins(tmp_path, capsys):
+    def edit(cert):
+        cert["margins"]["cond_i"][2] = "999"
+
+    path = _certificate_file(tmp_path, capsys, edit)
+    code, out, err = run(capsys, ["witness", "--verify-only", path])
+    assert code == 3 and out == ""
+    assert err.startswith("certification failure: claimed margins.cond_i[2] = 999 differs")
+
+
+def test_explicit_weights_must_be_a_list(tmp_path, capsys):
+    (tmp_path / "w.json").write_text(json.dumps({"weights": 5, "tail": "pattern"}))
+    code, out, err = run(capsys, ["classify", "-w", f"explicit:{tmp_path / 'w.json'}"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: explicit weight file must be")
+
+
 def test_bad_family_specs(capsys):
     for spec in ["power:-1", "bogus", "ctail:0", "ctail:2", "power:"]:
         code, _, err = run(capsys, ["classify", "-w", spec])

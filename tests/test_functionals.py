@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqspace.functionals as fx
+from seqspace import weights
 from seqspace.exceptions import CapExceededError, InputError
 from seqspace.functionals import (
     StepSequence,
@@ -303,6 +305,34 @@ def test_exact_scan_matches_the_per_window_loop(fam, runs):
     assert best_n == windows.index(best) + 1
 
 
+@given(
+    fam=st.sampled_from(EXACT_FAMILIES),
+    runs=st.lists(
+        st.tuples(
+            st.integers(1, 20),
+            st.fractions(min_value=Fraction(1, 1000), max_value=50, max_denominator=1000),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_exact_window_sum_matches_a_dense_fraction_sum(fam, runs, data):
+    # functional_B_at shares its run evaluator with the exact B candidates;
+    # the reference expands the sequence and sums a_i * w_{1+n-i} term by term
+    values = sorted({v for _, v in runs}, reverse=True)
+    f = StepSequence(tuple((length, v) for (length, _), v in zip(runs, values)))
+    dense = [v for length, v in f.runs for _ in range(length)]
+    n = data.draw(st.integers(1, f.support + 5))
+    want = sum(
+        (a * fam.weight_fraction(1 + n - i) for i, a in enumerate(dense[:n], start=1)),
+        Fraction(0),
+    )
+    got = functional_B_at(f, fam, n, mode="rational")
+    assert type(got) is Fraction and got == want
+
+
 @st.composite
 def wide_exact_sequences(draw):
     # run values far apart in scale (their ratios underflow a float) and
@@ -320,7 +350,7 @@ def wide_exact_sequences(draw):
 
 
 def _float_scan_and_bound(f, fam):
-    # the float pre-scan of the exact B: run values over the first, as _exact_B runs it
+    # the float pre-scan of the exact B: run values over the first, as functional_B runs it
     bounds = f.bounds()
     first = bounds[0][2]
     runs = [(start, end, float(v / first)) for start, end, v in bounds]
@@ -379,6 +409,20 @@ def test_scan_argmax_prefers_smallest_window():
     assert functional_B(flat, ct) == (pytest.approx(5.0), 5)
 
 
+def test_float_plateau_keeps_one_candidate_per_block():
+    # every window n >= 10 rounds to exactly 10.0: the float scan returns the
+    # first and must not hold the other 2**20 windows as candidates
+    fam = ExplicitRationalWeights([Fraction(1)], "constant")
+    f = StepSequence(((10, 1.0), (2**20, 1e-30)))
+    tracemalloc.start()
+    try:
+        assert functional_B(f, fam) == (10.0, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # the 8 MB prefix array and one block of temporaries
+
+
 @pytest.mark.parametrize("block", [1, 2, 13])
 def test_scan_does_not_depend_on_its_block_size(monkeypatch, block):
     # every window adds the same run terms in the same order whatever the
@@ -408,12 +452,12 @@ def test_scan_does_not_depend_on_its_block_size(monkeypatch, block):
 def test_scan_caps_trip_before_allocating(monkeypatch):
     fam = PowerWeights(0.5)
     monkeypatch.setattr(fam, "prefix_array", lambda m: pytest.fail("prefix array built"))
-    with pytest.raises(CapExceededError, match="window scan capped at support"):
-        functional_B(StepSequence(((fx.SCAN_CAP + 1, 1.0),)), fam)
+    with pytest.raises(CapExceededError, match="support 268435457 exceeds the family index cap"):
+        functional_B(StepSequence(((weights.DEFAULT_INDEX_CAP + 1, 1.0),)), fam)
     # 65 runs over a support of 2**28: 65 * 2**28 run-window terms > 2**34
     lengths = [2**22] * 63 + [2**22 - 1, 1]
     f = StepSequence(tuple((n, 1.0 / (i + 1)) for i, n in enumerate(lengths)))
-    assert len(f.runs) == 65 and f.support == fx.SCAN_CAP
+    assert len(f.runs) == 65 and f.support == weights.DEFAULT_INDEX_CAP
     with pytest.raises(CapExceededError, match="65 runs over support 268435456"):
         functional_B(f, fam)
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from seqspace.exceptions import CapExceededError, InputError
 from seqspace.weights import (
+    DEFAULT_INDEX_CAP,
     Branch,
     ConstantTailWeights,
     ExplicitRationalWeights,
@@ -122,6 +123,21 @@ def test_index_cap_enforced():
         PowerWeights(0.5).prefix_sum(2**40 + 1)
 
 
+def test_index_cap_is_one_limit_up_to_the_scan_support():
+    # the cap bounds every prefix query, dense arrays included, and may not
+    # exceed 2**28, the largest support a window scan takes
+    assert DEFAULT_INDEX_CAP == 2**28
+    fam = PowerWeights(0.5, index_cap=1000)
+    assert fam.prefix_array(1000).size == 1001
+    with pytest.raises(CapExceededError, match="prefix index 1001 exceeds the configured cap"):
+        fam.prefix_array(1001)
+    for cap in (0, -3, 2**28 + 1, 2**40):
+        with pytest.raises(InputError, match=f"index cap must lie in 1..268435456, got {cap}"):
+            HarmonicWeights(index_cap=cap)
+        with pytest.raises(InputError, match="index cap must lie in"):
+            parse_weight_spec("power:0.5", index_cap=cap)
+
+
 def test_exact_prefix_fractions():
     h = HarmonicWeights()
     assert h.prefix_fraction(4) == Fraction(25, 12)
@@ -194,6 +210,10 @@ def test_explicit_rejects_bad_lists(tmp_path):
         parse_weight_spec(f"explicit:{path}")
     with pytest.raises(InputError):
         parse_weight_spec("explicit:/no/such/file.json")
+    for weights in (5, "1", {"1": 1}, None):
+        path.write_text(json.dumps({"weights": weights, "tail": "pattern"}))
+        with pytest.raises(InputError, match="explicit weight file must be"):
+            parse_weight_spec(f"explicit:{path}")
 
 
 def test_parse_weight_spec_errors():

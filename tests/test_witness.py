@@ -215,6 +215,68 @@ def test_reverify_detects_tampering(tmp_path):
         load_certificate_json(path)
 
 
+def test_reverify_checks_every_margin():
+    data = verify_certificate(H, [1, 4, 54], mode="rational").to_json_dict()
+    data["margins"]["cond_i"][2] = "999"
+    with pytest.raises(CertificationError, match=r"claimed margins\.cond_i\[2\] = 999"):
+        reverify_certificate_dict(data)
+
+    good = verify_certificate(P12, [1, 4, 31]).to_json_dict()
+    assert good["margins"]["cond_ii"][0] == "0"  # matched although its scale is 0
+    assert reverify_certificate_dict(good).to_json_dict() == good
+    # float margins agree to the tolerance times their condition's right-hand side
+    W = P12.prefix_sum
+    for name, i, rhs in (("cond_i", 1, W(4) / 2), ("cond_ii", 2, W(4) / 4)):
+        for factor, agrees in ((0.5, True), (2.0, False)):
+            data = json.loads(json.dumps(good))
+            shifted = float(good["margins"][name][i]) + factor * DEFAULT_TOLERANCE * rhs
+            data["margins"][name][i] = repr(shifted)
+            if agrees:
+                assert reverify_certificate_dict(data).to_json_dict() == good
+            else:
+                with pytest.raises(CertificationError, match=rf"margins\.{name}\[{i}\]"):
+                    reverify_certificate_dict(data)
+
+    data = json.loads(json.dumps(good))
+    data["margins"]["cond_ii"].pop()
+    with pytest.raises(CertificationError, match="margins do not list 3 entries each"):
+        reverify_certificate_dict(data)
+
+
+def test_reverify_passes_its_cap_to_the_family():
+    data = verify_certificate(H, [1, 4]).to_json_dict()
+    with pytest.raises(InputError, match="index cap must lie in"):
+        reverify_certificate_dict(data, cap=0)
+    with pytest.raises(CapExceededError):
+        reverify_certificate_dict(data, cap=4)
+    assert reverify_certificate_dict(data, cap=5).to_json_dict() == data
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("family", 5),
+        ("d", [True, 4, 31]),
+        ("d", "1,4,31"),
+        ("r", "3"),
+        ("r", 3.0),
+        ("A", True),
+        ("ratio", None),
+        ("margins", "x"),
+        ("margins", {"cond_i": ["0.5", "0.1", "0.01"]}),
+        ("margins", {"cond_i": ["0.5", "0.1", "0.01"], "cond_ii": ["0", [1], "0.1"]}),
+        ("mode", "interval"),
+    ],
+)
+def test_load_certificate_rejects_bad_field_types(tmp_path, field, value):
+    data = verify_certificate(P12, [1, 4, 31]).to_json_dict()
+    data[field] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputError, match=f"certificate field '{field}' must be"):
+        load_certificate_json(path)
+
+
 def test_lower_bound_examples():
     certified, exact = lower_bound_S(P12, 1)
     assert certified == pytest.approx(1 / 6)
