@@ -38,6 +38,7 @@ print(f"\nr = 3 blocks {d}: forward norm {forward.value:.6f}, "
 print(f"the reversed selection keeps {backward.selector.size} of "
       f"{f.support} indices")
 
-# exponents p > 1 tell the same story through p-th powers
+# at p > 1 the vector is f^(1/p), whose norms' p-th powers are again A and B,
+# so the defect is the same ratio A / B for every p
 defect_p, _, _ = symmetric_defect(f, fam, 2.0, f.support)
 print(f"\nsame blocks at p = 2: defect {defect_p:.6f}")

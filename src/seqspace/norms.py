@@ -8,7 +8,10 @@ of large weights.  The gap between the two behaviors is quantified by
 ``symmetric_defect`` (a non-increasing prefix against its reversal) and
 ``inclusion_gap`` (rearranged norm over selection norm on a reversed block
 witness), both of which grow without bound along the witnesses built in
-:mod:`seqspace.witness`.
+:mod:`seqspace.witness`.  For a non-increasing x = a^(1/p) the p-th power
+of the selection norm of x is the aligned sum A(a) and that of its reversal
+is the window supremum B(a), so both quotients are the functional ratio
+A / B of the runs, for every p.
 
 The selection norm dispatches on shape.  Non-increasing |b|: the full
 nonzero prefix is optimal (aligned sorted-with-sorted pairing).  Non-
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CapExceededError, InputError
-from .functionals import StepSequence, functional_A, functional_B
+from .functionals import StepSequence, functional_B, ratio
 from .weights import WeightFamily
 from .witness import DEFAULT_SLACK, build_witness, find_block_lengths
 
@@ -208,21 +211,6 @@ def garling_norm(b, fam: WeightFamily, p: float, method: str = "auto") -> NormRe
     return _garling_dp(cp, fam, p)
 
 
-def _prefix_defect(
-    a: StepSequence, fam: WeightFamily, p: float, r: int
-) -> tuple[float, float, float, StepSequence, int]:
-    """Defect, forward and reversed norms, p-th-power runs g and best suffix length."""
-    if not 1 <= r <= a.support:
-        raise InputError(f"prefix length must lie in 1..{a.support} (the support), got {r}")
-    runs = [(min(end, r) - start + 1, float(v)) for start, end, v in a.bounds() if start <= r]
-    cp = _powers(np.array([v for _, v in runs]) ** (1.0 / p), p)
-    g = StepSequence(tuple(zip([n for n, _ in runs], cp.tolist())))
-    value_p, t = functional_B(g, fam)
-    forward = _finite_norm(float(functional_A(g, fam)) ** (1.0 / p))
-    backward = _finite_norm(float(value_p) ** (1.0 / p))
-    return (forward / backward) ** p, forward, backward, g, t
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def symmetric_defect(
     a: StepSequence, fam: WeightFamily, p: float, r: int
@@ -232,17 +220,21 @@ def symmetric_defect(
     Takes the first r entries of a, maps them through x -> x^(1/p), and
     compares the selection norms of the forward (non-increasing) and
     reversed (non-decreasing) vectors; their p-th powers are the aligned
-    sum A and the window supremum B of the prefix, so the defect is A / B.
-    Any uniform bound on this quotient over all vectors would make the
-    selection-norm basis symmetric; along the block witnesses it grows
-    like r/6, so no bound exists.
+    sum A and the window supremum B of the prefix, so for every p the
+    defect is A / B of the prefix's runs.  Any uniform bound on this
+    quotient would make the selection-norm basis symmetric; along the
+    block witnesses it grows like r/6, so no bound exists.
     """
     p = _check_p(p)
-    defect, forward, backward, g, t = _prefix_defect(a, fam, p, r)
-    return (
-        defect,
-        NormResult(forward, p, np.arange(1, r + 1)),
-        NormResult(backward, p, _suffix_selector(g, r, t)),
+    if not 1 <= r <= a.support:
+        raise InputError(f"prefix length must lie in 1..{a.support} (the support), got {r}")
+    runs = [(min(end, r) - start + 1, float(v)) for start, end, v in a.bounds() if start <= r]
+    g = StepSequence(tuple(runs))
+    rep = ratio(g, fam)
+    return (  # a NormResult rejects a norm that is not finite
+        rep.ratio,
+        NormResult(rep.A ** (1.0 / p), p, np.arange(1, r + 1)),
+        NormResult(rep.B ** (1.0 / p), p, _suffix_selector(g, r, rep.argmax_n)),
     )
 
 
@@ -250,10 +242,14 @@ def symmetric_defect(
 def witness_gap(f: StepSequence, fam: WeightFamily, p: float) -> float:
     """Rearranged-over-selection norm quotient for one reversed block sequence.
 
-    The rearranged norm ignores the reversal: this is the full-support defect,
-    computed from the runs without building either selector.
+    The rearranged norm ignores the reversal, so the p-th powers of the two
+    norms are A and B of f's runs and the quotient is A / B for every p,
+    computed without building either selector.
     """
-    return _prefix_defect(f, fam, _check_p(p), f.support)[0]
+    _check_p(p)
+    rep = ratio(f, fam)
+    _finite_norm(rep.A)
+    return rep.ratio
 
 
 def inclusion_gap(

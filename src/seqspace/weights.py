@@ -1,9 +1,9 @@
 """Weight families: normalized non-increasing positive sequences.
 
 A weight family exposes point queries ``weight_at``, compensated prefix sums
-``prefix_sum`` (cached at power-of-two checkpoints, so indices up to the
-2**28 index cap stay cheap), and ``classify``, which sorts the family into
-one of three branches:
+``prefix_sum`` (each anchored at the largest power of two below its index
+and cached, so indices up to the 2**28 index cap stay cheap), and
+``classify``, which sorts the family into one of three branches:
 
 * ``Summable``      - sum of all weights is finite,
 * ``BoundedBelow``  - weights stay above a positive floor,
@@ -77,7 +77,8 @@ class WeightFamily:
     Subclasses implement term generation and classification analytics.  All
     caches are guarded by a lock and every prefix sum is computed along a
     deterministic path (largest power-of-two checkpoint, then fixed-size
-    blocks), so concurrent readers always observe identical values.
+    blocks), so concurrent readers always observe identical values.  No
+    weight, window or prefix read may pass the family's index cap.
     """
 
     spec: str
@@ -87,8 +88,6 @@ class WeightFamily:
             raise InputError(f"index cap must lie in 1..{DEFAULT_INDEX_CAP}, got {index_cap}")
         self._cap = int(index_cap)
         self._lock = threading.Lock()
-        # _pow2[k] = W(2**k); ladder grows on demand.
-        self._pow2: list[float] = []
         self._memo: dict[int, float] = {0: 0.0}
         self._frac_prefix: list[Fraction] = [Fraction(0)]
         self._classification: Classification | None = None
@@ -103,6 +102,7 @@ class WeightFamily:
         """Point value w_i (i >= 1)."""
         if i < 1:
             raise InputError(f"weight index must be >= 1, got {i}")
+        self._check_cap(i)
         return float(self._terms(i, i)[0])
 
     def weights_head(self, m: int) -> np.ndarray:
@@ -111,6 +111,7 @@ class WeightFamily:
             raise InputError("length must be non-negative")
         if m == 0:
             return np.empty(0)
+        self._check_cap(m)
         return self._terms(1, m)
 
     def weights_slice(self, lo: int, hi: int) -> np.ndarray:
@@ -119,6 +120,7 @@ class WeightFamily:
             raise InputError("slice start must be >= 1")
         if hi < lo:
             return np.empty(0)
+        self._check_cap(hi)
         return self._terms(lo, hi)
 
     # -- exact (rational) side -------------------------------------------
@@ -167,16 +169,14 @@ class WeightFamily:
             start = end + 1
         return total + comp
 
-    def _pow2_prefix(self, k: int) -> float:
-        # W(2**k), built incrementally so every level has one canonical value.
-        while len(self._pow2) <= k:
-            j = len(self._pow2)
-            if j == 0:
-                self._pow2.append(self.weight_at(1))
-            else:
-                prev = self._pow2[j - 1]
-                self._pow2.append(prev + self._block_sum(2 ** (j - 1) + 1, 2**j))
-        return self._pow2[k]
+    def _prefix(self, n: int) -> float:
+        # W(n) = W(q) + w_{q+1} + ... + w_n with q the largest power of two
+        # below n (0 for n = 1), so every value has one canonical path
+        hit = self._memo.get(n)
+        if hit is None:
+            q = 1 << ((n - 1).bit_length() - 1) if n > 1 else 0
+            hit = self._memo[n] = self._prefix(q) + self._block_sum(q + 1, n)
+        return hit
 
     def prefix_sum(self, n: int) -> float:
         """W(n) = w_1 + ... + w_n, with W(0) = 0.
@@ -188,18 +188,8 @@ class WeightFamily:
         if n < 0:
             raise InputError(f"prefix length must be non-negative, got {n}")
         self._check_cap(n)
-        if n == 0:
-            return 0.0
         with self._lock:
-            hit = self._memo.get(n)
-            if hit is not None:
-                return hit
-            p = 1 << (n.bit_length() - 1)
-            value = self._pow2_prefix(p.bit_length() - 1)
-            if n > p:
-                value = value + self._block_sum(p + 1, n)
-            self._memo[n] = value
-            return value
+            return self._prefix(n)
 
     def window_sum(self, lo: int, hi: int) -> float:
         """w_lo + ... + w_hi by direct summation (empty when hi < lo).
@@ -211,6 +201,7 @@ class WeightFamily:
             raise InputError("window start must be >= 1")
         if hi < lo:
             return 0.0
+        self._check_cap(hi)
         return self._block_sum(lo, hi)
 
     def prefix_array(self, m: int) -> np.ndarray:

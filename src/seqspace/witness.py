@@ -43,7 +43,6 @@ from .weights import DEFAULT_INDEX_CAP, Branch, WeightFamily, parse_weight_spec
 
 DEFAULT_SLACK = 1e-9
 DEFAULT_TOLERANCE = 1e-9
-DEFAULT_R_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -185,12 +184,15 @@ def find_block_lengths(
         try:
             lhs_i = ar.prefix(n_prev)
             rhs_ii = two ** (1 - k) * ar.prefix(d_prev) if d_prev else None
+            # n_k >= d_{k-1} + d_k, so no d_k past the limit can be accepted;
+            # probing no further keeps condition (ii)'s window within the cap
+            limit = cap - d_prev
             hi = 1
-            while not feasible(hi):
+            while not feasible(min(hi, limit)):
                 hi *= 2
                 if hi > cap:
                     raise CapExceededError(f"no feasible d_{k} within cap {cap}")
-            lo = hi // 2 + 1
+            lo, hi = hi // 2 + 1, min(hi, limit)
             while lo < hi:
                 mid = (lo + hi) // 2
                 if feasible(mid):

@@ -8,6 +8,7 @@ import io
 import json
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -152,9 +153,20 @@ def test_scan_rejects_wrong_branch_and_limits(capsys):
     code, _, err = run(capsys, ["scan", "-w", "ctail:0.5"])
     assert code == 2
 
-    code, _, err = run(capsys, ["scan", "-w", "power:0.5", "-r", "7"])
+    code, _, err = run(capsys, ["scan", "-w", "power:0.5", "-r", "0"])
     assert code == 2
     assert "rmax" in err
+
+    # r has no limit of its own: the scan runs until the index cap stops the search
+    code, out, err = run(capsys, ["scan", "-w", "power:0.5", "-r", "7", "--cap", "100000"])
+    assert code == 4
+    assert [row[1] for row in csv.reader(io.StringIO(out))] == [
+        "d_r", "1", "4", "31", "630", "42423"
+    ]
+    assert err == (
+        "resource cap exceeded: float block search stopped at d_6 of power:0.5 "
+        "after blocks [1, 4, 31, 630, 42423]: no feasible d_6 within cap 100000\n"
+    )
 
     code, _, err = run(capsys, ["scan", "-w", "power:0.5", "--output", "json"])
     assert code == 2
@@ -350,6 +362,7 @@ REMOVED_FLAGS = [
     ("norm", "--output json"),
     ("scan", "--output csv"),
     ("scan", "--oracle"),
+    ("scan", "-p 2"),
 ]
 BASE_ARGV = {
     "classify": ["-w", "harmonic"],
@@ -372,17 +385,17 @@ def test_each_subcommand_keeps_its_flags(tmp_path, capsys):
         ["classify", "--output", "csv"],
         ["witness", "-r", "2", "--cap", "100", "--mode", "rational", "--slack", "0"],
         ["norm", vec, "--cap", "100", "-p", "1", "--oracle"],
-        ["scan", "-r", "2", "--cap", "100", "-p", "1", "--mode", "float", "--slack", "0"],
+        ["scan", "-r", "2", "--cap", "100", "--mode", "float", "--slack", "0"],
     ):
         code, out, err = run(capsys, [argv[0], "-w", "harmonic", *argv[1:]])
         assert code == 0 and err == "", argv
         assert out
 
 
-# Full stdout of these scans.  The defect and gap columns come from the runs
-# of the witness, so at p = 1 they equal the ratio column exactly.
+# Full stdout of these scans.  The defect and gap of a witness are both its
+# certified ratio A / B, so those columns repeat the ratio column.
 SCAN_GOLDEN = {
-    ("power:0.5", "1", "5"): (
+    ("power:0.5", "5"): (
         "r,d_r,A,B,ratio,certified,symmetric_defect,inclusion_gap\r\n"
         "1,1,1,1,1,0.16666666666666666,1,1\r\n"
         "2,4,1.8014742570996516,1.4472135954999579,1.2447880967268761,"
@@ -394,13 +407,13 @@ SCAN_GOLDEN = {
         "5,42423,4.2551430946167406,1.4472135954999579,2.9402315648829629,"
         "0.83333333333333337,2.9402315648829629,2.9402315648829629\r\n"
     ),
-    ("harmonic", "2.5", "4"): (
+    ("harmonic", "4"): (
         "r,d_r,A,B,ratio,certified,symmetric_defect,inclusion_gap\r\n"
         "1,1,1,1,1,0.16666666666666666,1,1\r\n"
         "2,4,1.6160000000000001,1.2000000000000002,1.3466666666666665,"
-        "0.33333333333333331,1.3466666666666658,1.3466666666666658\r\n"
+        "0.33333333333333331,1.3466666666666665,1.3466666666666665\r\n"
         "3,54,2.1361413218318441,1.2000000000000002,1.7801177681932032,"
-        "0.5,1.7801177681932023,1.7801177681932023\r\n"
+        "0.5,1.7801177681932032,1.7801177681932032\r\n"
         "4,6306,2.637147490683641,1.2000000000000002,2.1976229089030337,"
         "0.66666666666666663,2.1976229089030337,2.1976229089030337\r\n"
     ),
@@ -459,11 +472,22 @@ def test_exact_search_cap_names_where_it_stopped(capsys, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("family, p, r", sorted(SCAN_GOLDEN))
-def test_scan_full_output_golden(capsys, family, p, r):
-    code, out, err = run(capsys, ["scan", "-w", family, "-p", p, "-r", r])
+@pytest.mark.parametrize("family, r", sorted(SCAN_GOLDEN))
+def test_scan_full_output_golden(capsys, family, r):
+    code, out, err = run(capsys, ["scan", "-w", family, "-r", r])
     assert code == 0 and err == ""
-    assert out == SCAN_GOLDEN[family, p, r]
+    assert out == SCAN_GOLDEN[family, r]
+
+
+def test_rational_scan_defect_is_the_rounded_exact_ratio(capsys):
+    code, out, err = run(capsys, ["scan", "-w", "harmonic", "-r", "4", "--mode", "rational"])
+    assert code == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rows[1][4] == "101/75"  # the ratio column stays exact
+    for row in rows:
+        assert row[6] == row[7] == format(float(Fraction(row[4])), ".17g")
+    # one ulp above the float scan's 2.1976229089030337
+    assert rows[3][6] == "2.1976229089030341"
 
 
 def test_norm_non_decreasing_golden(tmp_path, capsys):

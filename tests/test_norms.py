@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from seqspace import functionals, norms
 from seqspace.functionals import EXPAND_CAP
 from seqspace.exceptions import CapExceededError, InputError
-from seqspace.functionals import StepSequence, functional_B
+from seqspace.functionals import StepSequence, functional_B, ratio
 from seqspace.norms import (
     garling_norm,
     inclusion_gap,
@@ -397,3 +397,25 @@ def test_run_native_defect_and_gap_match_the_dense_route():
         gap = (lorentz_norm(rev, fam, p).value / garling_norm(rev, fam, p).value) ** p
         assert witness_gap(f, fam, p) == pytest.approx(gap, rel=1e-14)
     assert short_prefixes > 100 and cuts_inside_a_run > 5
+
+
+def test_defect_and_gap_are_the_ratio_for_every_p():
+    """For x = a^(1/p) both quotients are A / B of a's own runs, with no p-th
+    power taken, so every exponent gives the same float."""
+    rng = np.random.default_rng(909)
+    fams = [H, P12, ConstantTailWeights(0.25)]
+    for trial in range(150):
+        fam = fams[trial % 3]
+        lengths = rng.integers(1, 9, size=int(rng.integers(1, 6)))
+        values = np.sort(rng.uniform(0.01, 3.0, size=lengths.size))[::-1]
+        f = StepSequence(tuple(zip(lengths.tolist(), values.tolist())))
+        r = int(rng.integers(1, f.support + 1))
+        rep = ratio(StepSequence.from_values(f.expand()[:r]), fam)
+        gaps = set()
+        for p in (1.0, 1.5, 2.5):
+            defect, forward, backward = symmetric_defect(f, fam, p, r)
+            assert defect == rep.ratio
+            assert forward.value == rep.A ** (1.0 / p)
+            assert backward.value == rep.B ** (1.0 / p)
+            gaps.add(witness_gap(f, fam, p))
+        assert gaps == {ratio(f, fam).ratio}

@@ -123,6 +123,23 @@ def test_index_cap_enforced():
         PowerWeights(0.5).prefix_sum(2**40 + 1)
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda fam, n: fam.weight_at(n),
+        lambda fam, n: fam.weights_head(n),
+        lambda fam, n: fam.weights_slice(n - 3, n),
+        lambda fam, n: fam.window_sum(n - 3, n),
+    ],
+    ids=["weight_at", "weights_head", "weights_slice", "window_sum"],
+)
+def test_index_cap_bounds_every_weight_read(read):
+    fam = PowerWeights(0.5, index_cap=10)
+    read(fam, 10)
+    with pytest.raises(CapExceededError, match="index 11 exceeds the configured cap 10"):
+        read(fam, 11)
+
+
 def test_index_cap_is_one_limit_up_to_the_scan_support():
     # the cap bounds every prefix query, dense arrays included, and may not
     # exceed 2**28, the largest support a window scan takes

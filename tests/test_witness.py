@@ -96,6 +96,16 @@ def test_search_cap_and_slack_validation():
         find_block_lengths(P12, 0)
 
 
+def test_search_probes_stay_within_the_cap():
+    # d_4 = 6306 fits under cap 8200, but the doubling probe 8192 would read
+    # condition (ii)'s window w_8193..w_8246 past it: the probe stops at
+    # cap - d_3 = 8146 instead, and every weight read checks the cap
+    assert find_block_lengths(HarmonicWeights(index_cap=8200), 4) == [1, 4, 54, 6306]
+    assert find_block_lengths(HarmonicWeights(index_cap=6365), 3) == [1, 4, 54]
+    with pytest.raises(CapExceededError, match="no feasible d_4 within cap 6365"):
+        find_block_lengths(HarmonicWeights(index_cap=6365), 4)
+
+
 def test_build_witness_examples():
     assert build_witness(P12, [1]).runs == ((1, 1.0),)
     f = build_witness(P12, [1, 3])
