@@ -1,9 +1,8 @@
 """Weight families: normalized non-increasing positive sequences.
 
 A weight family exposes point queries ``weight_at``, compensated prefix sums
-``prefix_sum`` (each anchored at the largest power of two below its index
-and cached, so indices up to the 2**28 index cap stay cheap), and
-``classify``, which sorts the family into one of three branches:
+``prefix_sum`` and ``classify``, which sorts the family into one of three
+branches:
 
 * ``Summable``      - sum of all weights is finite,
 * ``BoundedBelow``  - weights stay above a positive floor,
@@ -13,6 +12,17 @@ The first two branches each come with an explicit constant bounding the
 aligned/reversed functional ratio computed in :mod:`seqspace.functionals`;
 the third branch is exactly the regime where that ratio is unbounded and the
 witness construction of :mod:`seqspace.witness` applies.
+
+A prefix sum W(n) is W(q), q the largest power of two below n, plus the
+compensated sum of the 2**22-term chunks of w_{q+1}..w_n, so each value has
+one canonical path.  Every W(n), and the sum of every full chunk of such a
+dyadic interval (q, 2q], is memoized; the terms of the chunk the latest
+prefix read ended in stay in one span of at most 2**22 floats (32 MB).  The
+next prefix read in another chunk replaces the span, and a window or prefix
+array of more than 2**16 entries releases it first, so the span never sits
+beside a large temporary.  A block search probing back and forth inside one
+interval therefore generates each weight there about once, and indices up
+to the 2**28 index cap stay cheap.
 """
 
 from __future__ import annotations
@@ -77,8 +87,12 @@ class WeightFamily:
     Subclasses implement term generation and classification analytics.  All
     caches are guarded by a lock and every prefix sum is computed along a
     deterministic path (largest power-of-two checkpoint, then fixed-size
-    blocks), so concurrent readers always observe identical values.  No
+    chunks), so concurrent readers always observe identical values.  No
     weight, window or prefix read may pass the family's index cap.
+
+    The chunk memo and the span change no float: a term's value does not
+    depend on the range it is generated in, so a chunk summed from the span
+    equals the ``np.sum`` of its freshly generated terms bit for bit.
     """
 
     spec: str
@@ -89,6 +103,12 @@ class WeightFamily:
         self._cap = int(index_cap)
         self._lock = threading.Lock()
         self._memo: dict[int, float] = {0: 0.0}
+        self._chunks: dict[int, float] = {}
+        # the span: the terms of the chunk starting at w_{_span_lo}, of which
+        # the first _span_len are filled
+        self._span: np.ndarray | None = None
+        self._span_lo = 0
+        self._span_len = 0
         self._frac_prefix: list[Fraction] = [Fraction(0)]
         self._classification: Classification | None = None
 
@@ -102,7 +122,7 @@ class WeightFamily:
         """Point value w_i (i >= 1)."""
         if i < 1:
             raise InputError(f"weight index must be >= 1, got {i}")
-        self._check_cap(i)
+        self._check_cap(i, "weight")
         return float(self._terms(i, i)[0])
 
     def weights_head(self, m: int) -> np.ndarray:
@@ -111,7 +131,7 @@ class WeightFamily:
             raise InputError("length must be non-negative")
         if m == 0:
             return np.empty(0)
-        self._check_cap(m)
+        self._check_cap(m, "weight")
         return self._terms(1, m)
 
     def weights_slice(self, lo: int, hi: int) -> np.ndarray:
@@ -120,7 +140,7 @@ class WeightFamily:
             raise InputError("slice start must be >= 1")
         if hi < lo:
             return np.empty(0)
-        self._check_cap(hi)
+        self._check_cap(hi, "weight")
         return self._terms(lo, hi)
 
     # -- exact (rational) side -------------------------------------------
@@ -150,40 +170,86 @@ class WeightFamily:
 
     # -- compensated prefix sums -----------------------------------------
 
-    def _check_cap(self, n: int) -> None:
+    def _check_cap(self, n: int, read: str = "prefix") -> None:
         if n > self._cap:
-            raise CapExceededError(f"prefix index {n} exceeds the configured cap {self._cap}")
+            raise CapExceededError(f"{read} index {n} exceeds the configured cap {self._cap}")
 
-    def _block_sum(self, lo: int, hi: int) -> float:
-        """Compensated sum of w_lo..w_hi over fixed blocks anchored at lo.
+    def _block_sum(self, lo: int, hi: int, span: int = 0) -> float:
+        """Compensated sum of w_lo..w_hi over fixed chunks anchored at lo.
 
-        numpy's pairwise ``np.sum`` keeps each positive block's relative
-        error near machine epsilon; the blocks are combined with compensation.
+        numpy's pairwise ``np.sum`` keeps each positive chunk's relative
+        error near machine epsilon; the chunks are combined with compensation.
+        ``span`` > 0 marks the chunks of a prefix's dyadic interval, which
+        ``_dyadic_chunk_sum`` caches, and is the span length they take; the
+        caller then holds the lock.  Every other chunk is generated afresh.
         """
         total = 0.0
         comp = 0.0
         start = lo
         while start <= hi:
             end = min(start + _CHUNK - 1, hi)
-            total, comp = neumaier_add(total, comp, float(np.sum(self._terms(start, end))))
+            if span:
+                x = self._dyadic_chunk_sum(start, end, span)
+            else:
+                x = float(np.sum(self._terms(start, end)))
+            total, comp = neumaier_add(total, comp, x)
             start = end + 1
         return total + comp
 
+    def _dyadic_chunk_sum(self, lo: int, hi: int, span: int) -> float:
+        """``np.sum`` of w_lo..w_hi, one chunk of a prefix's dyadic interval.
+
+        A full chunk is memoized by its start.  A read of the span's chunk
+        sums a leading slice of the span, filling it in ``_ARRAY_BLOCK``
+        pieces as far as the read needs; a chunk's start fixes its interval,
+        so a read starting where the span does fits in it.  A read of another
+        chunk re-anchors the span, keeping its buffer when the lengths match.
+        """
+        full = hi - lo + 1 == _CHUNK
+        if full and lo in self._chunks:
+            return self._chunks[lo]
+        if self._span is None or self._span.size != span:
+            self._span = None  # dropped before the next one is allocated
+            self._span, self._span_lo, self._span_len = np.empty(span), lo, 0
+        elif lo != self._span_lo:  # another chunk of the same length reuses it
+            self._span_lo, self._span_len = lo, 0
+        while self._span_len <= hi - lo:
+            a = self._span_len
+            b = min(a + _ARRAY_BLOCK, self._span.size)
+            self._span[a:b] = self._terms(lo + a, lo + b - 1)
+            self._span_len = b
+        total = float(np.sum(self._span[: hi - lo + 1]))
+        if full:
+            self._chunks[lo] = total
+        return total
+
+    def _release_span(self) -> None:
+        # called before a read that holds more than one span piece of terms
+        # or prefixes, so the span never sits beside a large temporary
+        with self._lock:
+            self._span = None
+
     def _prefix(self, n: int) -> float:
         # W(n) = W(q) + w_{q+1} + ... + w_n with q the largest power of two
-        # below n (0 for n = 1), so every value has one canonical path
+        # below n (0 for n = 1), so every value has one canonical path; the
+        # interval (q, 2q] has q terms, so its chunks need a span of no more
         hit = self._memo.get(n)
         if hit is None:
             q = 1 << ((n - 1).bit_length() - 1) if n > 1 else 0
-            hit = self._memo[n] = self._prefix(q) + self._block_sum(q + 1, n)
+            span = min(_CHUNK, max(q, 1))
+            hit = self._memo[n] = self._prefix(q) + self._block_sum(q + 1, n, span)
         return hit
 
     def prefix_sum(self, n: int) -> float:
         """W(n) = w_1 + ... + w_n, with W(0) = 0.
 
-        Relative error is a few machine epsilons: blocks are summed pairwise
-        and combined with Neumaier compensation.  Raises CapExceededError
-        beyond the family's index cap (at most 2**28).
+        Relative error is a few machine epsilons: ``_CHUNK``-term chunks are
+        summed pairwise and combined with Neumaier compensation.  Each value
+        is memoized, as is each full chunk sum of the dyadic interval
+        ``(q, 2q]`` holding n (at most 63 below 2**28); the terms of the
+        chunk n ends in stay in the span (see the module docstring), so a
+        later query in that chunk, a bisection probe say, generates only the
+        terms it adds.  Raises CapExceededError beyond the family's index cap.
         """
         if n < 0:
             raise InputError(f"prefix length must be non-negative, got {n}")
@@ -196,19 +262,28 @@ class WeightFamily:
 
         Summing the window directly avoids the cancellation a difference of
         two large prefix sums would suffer when the window total is small.
+        The window's terms are generated afresh; past ``_ARRAY_BLOCK`` of
+        them, the span is released first.
         """
         if lo < 1:
             raise InputError("window start must be >= 1")
         if hi < lo:
             return 0.0
-        self._check_cap(hi)
+        self._check_cap(hi, "window end")
+        if hi - lo >= _ARRAY_BLOCK:
+            self._release_span()
         return self._block_sum(lo, hi)
 
     def prefix_array(self, m: int) -> np.ndarray:
-        """Array [W(0), W(1), ..., W(m)] via block-compensated cumsum."""
+        """Array [W(0), W(1), ..., W(m)] via block-compensated cumsum.
+
+        Past ``_ARRAY_BLOCK`` entries, the span is released first.
+        """
         if m < 0:
             raise InputError("length must be non-negative")
         self._check_cap(m)
+        if m >= _ARRAY_BLOCK:
+            self._release_span()
         out = np.empty(m + 1)
         out[0] = 0.0
         base = 0.0

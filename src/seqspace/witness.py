@@ -185,13 +185,14 @@ def find_block_lengths(
             lhs_i = ar.prefix(n_prev)
             rhs_ii = two ** (1 - k) * ar.prefix(d_prev) if d_prev else None
             # n_k >= d_{k-1} + d_k, so no d_k past the limit can be accepted;
-            # probing no further keeps condition (ii)'s window within the cap
+            # probing no further keeps condition (ii)'s window within the cap,
+            # and the search gives up only once the limit itself is infeasible
             limit = cap - d_prev
             hi = 1
-            while not feasible(min(hi, limit)):
-                hi *= 2
-                if hi > cap:
+            while limit < 1 or not feasible(min(hi, limit)):
+                if hi >= limit:
                     raise CapExceededError(f"no feasible d_{k} within cap {cap}")
+                hi *= 2
             lo, hi = hi // 2 + 1, min(hi, limit)
             while lo < hi:
                 mid = (lo + hi) // 2

@@ -227,12 +227,13 @@ def test_norm_input_errors(tmp_path, capsys):
 
 
 def test_cap_flag_and_env(tmp_path, capsys, monkeypatch):
-    code, _, err = run(capsys, ["witness", "-w", "power:0.5", "-r", "4", "--cap", "1000"])
+    # d_5 = 42423 lies past cap 1000
+    code, _, err = run(capsys, ["witness", "-w", "power:0.5", "-r", "5", "--cap", "1000"])
     assert code == 4
     assert "resource cap" in err
 
     monkeypatch.setenv("SEQSPACE_CAP", "1000")
-    code, _, err = run(capsys, ["witness", "-w", "power:0.5", "-r", "4"])
+    code, _, err = run(capsys, ["witness", "-w", "power:0.5", "-r", "5"])
     assert code == 4
 
     # an explicit flag wins over the environment
@@ -439,6 +440,44 @@ def test_witness_harmonic_r5_golden(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "family, r, cap",
+    [("power:0.5", 4, "1000"), ("power:0.5", 4, "969"), ("harmonic", 4, "6400")],
+)
+def test_certificate_under_a_cap_that_holds_its_support(capsys, family, r, cap):
+    # the supports, 666 and 6,365, fit under the cap although the doubling
+    # probe past d_4 does not: the capped certificate is the uncapped one
+    code, uncapped, _ = run(capsys, ["witness", "-w", family, "-r", str(r)])
+    assert code == 0
+    code, out, err = run(capsys, ["witness", "-w", family, "-r", str(r), "--cap", cap])
+    assert (code, out, err) == (0, uncapped, "")
+    assert json.loads(out)["d"] == ([1, 4, 31, 630] if family == "power:0.5" else [1, 4, 54, 6306])
+
+
+WITNESS_R6_GOLDEN = (
+    '{\n  "family": "power:0.5",\n  "r": 6,\n'
+    '  "d": [\n    1,\n    4,\n    31,\n    630,\n    42423,\n    10916370\n  ],\n'
+    '  "A": "5.1944953025599032",\n  "B": "1.4472135954999579",\n'
+    '  "ratio": "3.5893079768680591",\n  "margins": {\n    "cond_i": [\n'
+    '      "0.5",\n      "0.3922285251880866",\n      "1.6506970934148675",\n'
+    '      "13.756796529947739",\n      "155.06651143074663",\n'
+    '      "2889.5630816122311"\n    ],\n    "cond_ii": [\n'
+    '      "0",\n      "0.052786404500042128",\n      "0.0047304752534966799",\n'
+    '      "0.00082554574513693524",\n      "1.695076766994319e-05",\n'
+    '      "1.2746313871048187e-07"\n    ]\n  },\n'
+    '  "mode": "float"\n}\n'
+)
+
+
+def test_witness_power_r6_golden(tmp_path, capsys):
+    # d_6 = 10,916,370: its search probes share the span of one partial chunk
+    code, out, err = run(capsys, ["witness", "-w", "power:0.5", "-r", "6"])
+    assert (code, out, err) == (0, WITNESS_R6_GOLDEN, "")
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    assert run(capsys, ["witness", "--verify-only", str(cert)]) == (0, WITNESS_R6_GOLDEN, "")
+
+
 def test_witness_rational_past_the_digit_limit_golden(tmp_path, capsys, monkeypatch):
     # exact A and the margins run to 8,000+ digits, past the interpreter's
     # default 4,300-digit integer/string limit, which the CLI lifts per call
@@ -505,6 +544,14 @@ def test_norm_non_decreasing_golden(tmp_path, capsys):
         "p": "1.5",
         "selector": [8, 6, 7, 3, 4, 5, 2, 1],
     }
+
+
+def test_norm_cap_error_names_the_weight_read(tmp_path, capsys):
+    # the rearranged norm reads w_1..w_2 past cap 1
+    vec = write_vector(tmp_path, [2.0, 1.0])
+    code, out, err = run(capsys, ["norm", "-w", "harmonic", "--cap", "1", vec])
+    assert (code, out) == (4, "")
+    assert err == "resource cap exceeded: weight index 2 exceeds the configured cap 1\n"
 
 
 def test_norm_overflow_is_one_error_line(tmp_path, capsys):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqspace import weights
 from seqspace.exceptions import CapExceededError, InputError
 from seqspace.weights import (
     DEFAULT_INDEX_CAP,
@@ -268,3 +271,192 @@ def test_window_sum_property(alpha, lo, width):
     hi = lo + width
     expected = math.fsum(float(i) ** -alpha for i in range(lo, hi + 1))
     assert fam.window_sum(lo, hi) == pytest.approx(expected, rel=1e-12)
+
+
+# Six family kinds: a vanishing and a summable power, harmonic, a floor, and
+# explicit lists with a constant and a pattern tail.
+FAMILY_KINDS = {
+    "power:0.5": lambda: PowerWeights(0.5),
+    "power:1.5": lambda: PowerWeights(1.5),
+    "harmonic": HarmonicWeights,
+    "ctail:0.25": lambda: ConstantTailWeights(0.25),
+    "explicit-constant": lambda: ExplicitRationalWeights(
+        [Fraction(1), Fraction(3, 4), Fraction(1, 3)], "constant"
+    ),
+    "explicit-pattern": lambda: ExplicitRationalWeights(
+        [Fraction(1), Fraction(3, 4), Fraction(1, 2)], "pattern"
+    ),
+}
+
+
+def _reference_sum(fam, lo: int, hi: int, chunk: int) -> float:
+    # the canonical rule, from fresh terms: np.sum of each chunk anchored at
+    # lo, the chunk sums added with Neumaier's compensation
+    total = comp = 0.0
+    for start in range(lo, hi + 1, chunk):
+        x = float(np.sum(fam._terms(start, min(start + chunk - 1, hi))))
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
+
+
+def _reference_prefix(fam, n: int, chunk: int) -> float:
+    # W(n) = W(q) + w_{q+1} + ... + w_n, q the largest power of two below n
+    if n == 0:
+        return 0.0
+    q = 1 << ((n - 1).bit_length() - 1) if n > 1 else 0
+    return _reference_prefix(fam, q, chunk) + _reference_sum(fam, q + 1, n, chunk)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+def test_terms_do_not_depend_on_where_they_are_generated(kind):
+    # the chunk memo and the span rest on this: a term generated in one
+    # _ARRAY_BLOCK piece equals the same term generated in any other range,
+    # and the np.sum of a slice equals the np.sum of the fresh range
+    fam = FAMILY_KINDS[kind]()
+    rng = np.random.default_rng(7)
+    piece = weights._ARRAY_BLOCK
+    for base in (1, 2, 1000, 3 * 2**20 + 5):
+        span = np.concatenate([fam._terms(base + a, base + a + piece - 1) for a in range(0, 4 * piece, piece)])
+        for _ in range(40):
+            i, j = sorted(int(x) for x in rng.integers(0, span.size, 2))
+            fresh = fam._terms(base + i, base + j)
+            assert np.array_equal(span[i : j + 1], fresh)
+            assert float(np.sum(span[i : j + 1])) == float(np.sum(fresh))
+
+
+_CLUSTER = (5121, 5376)  # one 256-term chunk of (4096, 8192] when _CHUNK = 2**8
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("prefix"), st.integers(0, 2**13) | st.integers(*_CLUSTER)),
+            st.tuples(st.just("window"), st.integers(1, 2**13) | st.integers(*_CLUSTER), st.integers(0, 600)),
+            st.tuples(st.just("array"), st.integers(0, 3000)),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_cached_sums_match_the_canonical_rule(kind, ops):
+    # small chunks and pieces put many full chunks, spans and refills within
+    # reach; every prefix and window must equal the fresh-term reference bit
+    # for bit, whatever the order of the reads before it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_CHUNK", 2**8)
+        mp.setattr(weights, "_ARRAY_BLOCK", 2**5)
+        fam, ref = FAMILY_KINDS[kind](), FAMILY_KINDS[kind]()
+        for op, *args in ops:
+            if op == "prefix":
+                assert fam.prefix_sum(args[0]) == _reference_prefix(ref, args[0], 2**8)
+            elif op == "window":
+                lo, hi = args[0], args[0] + args[1]
+                assert fam.window_sum(lo, hi) == _reference_sum(ref, lo, hi, 2**8)
+            else:
+                assert fam.prefix_array(args[0]).size == args[0] + 1
+
+
+def test_chunk_memo_matches_the_canonical_rule():
+    # at the real chunk size: n - q > 2**22 takes a memoized full chunk and a
+    # partial chunk from the span; later reads regenerate neither
+    fam, ref = PowerWeights(0.5), PowerWeights(0.5)
+    generate, count = fam._terms, [0]
+
+    def counted(lo, hi):
+        count[0] += hi - lo + 1
+        return generate(lo, hi)
+
+    fam._terms = counted
+    q = 2**23
+    assert fam.prefix_sum(q + 2**22 + 12345) == _reference_prefix(ref, q + 2**22 + 12345, 2**22)
+    count[0] = 0
+    for n in (q + 2**22 + 99, q + 2**22, q + 777, q + 2**22 + 54321):
+        assert fam.prefix_sum(n) == _reference_prefix(ref, n, 2**22)
+    assert fam.window_sum(q + 2**22 + 1, q + 2**22 + 60000) == _reference_sum(
+        ref, q + 2**22 + 1, q + 2**22 + 60000, 2**22
+    )
+    # one piece for the span at q + 1, one for the span at q + 2**22 + 1,
+    # and the window's own terms
+    assert count[0] == 2 * weights._ARRAY_BLOCK + 60000
+
+
+@pytest.mark.parametrize(
+    "read, name",
+    [
+        (lambda fam: fam.weight_at(11), "weight index 11"),
+        (lambda fam: fam.weights_head(11), "weight index 11"),
+        (lambda fam: fam.weights_slice(8, 11), "weight index 11"),
+        (lambda fam: fam.window_sum(8, 11), "window end index 11"),
+        (lambda fam: fam.prefix_sum(11), "prefix index 11"),
+        (lambda fam: fam.prefix_array(11), "prefix index 11"),
+    ],
+    ids=["weight_at", "weights_head", "weights_slice", "window_sum", "prefix_sum", "prefix_array"],
+)
+def test_cap_errors_name_the_read(read, name):
+    with pytest.raises(CapExceededError, match=f"^{name} exceeds the configured cap 10$"):
+        read(PowerWeights(0.5, index_cap=10))
+
+
+def test_span_lifetime():
+    # the span of a 2**22-term chunk outlives its prefix read; a window or a
+    # prefix array of more than one span piece drops it, smaller ones keep it
+    fam = PowerWeights(0.5)
+    piece = weights._ARRAY_BLOCK
+    tracemalloc.start()
+    try:
+        releases = [lambda: fam.prefix_array(piece), lambda: fam.window_sum(1, piece + 1)]
+        for n, release in zip((2**22 + 5, 2**22 + 7), releases):
+            fam.prefix_sum(n)
+            held = tracemalloc.get_traced_memory()[0]
+            assert held >= 32 * 2**20
+            fam.prefix_array(piece - 1)
+            fam.window_sum(2, piece + 1)
+            assert tracemalloc.get_traced_memory()[0] >= held
+            release()
+            assert tracemalloc.get_traced_memory()[0] < held - 31 * 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_span_is_shared_safely_across_threads():
+    # threads re-anchor, fill, read and release one span; with a short switch
+    # interval an unguarded fill, re-anchor or release would hand a thread
+    # wrong terms or fail it
+    ops = []
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        lo = int(rng.integers(1, 2**13))
+        ops.append(("prefix", lo) if rng.random() < 0.6 else ("window", lo, lo + int(rng.integers(0, 300))))
+    switch = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_CHUNK", 2**8)
+        mp.setattr(weights, "_ARRAY_BLOCK", 2**5)
+        ref = HarmonicWeights()
+        expected = [
+            _reference_prefix(ref, op[1], 2**8) if op[0] == "prefix" else _reference_sum(ref, op[1], op[2], 2**8)
+            for op in ops
+        ]
+        fam = HarmonicWeights()
+
+        def worker(seed: int) -> bool:
+            order = np.random.default_rng(seed).permutation(len(ops))
+            for i in order:
+                op = ops[i]
+                got = fam.prefix_sum(op[1]) if op[0] == "prefix" else fam.window_sum(op[1], op[2])
+                if got != expected[i]:
+                    return False
+                if i % 50 == 0:
+                    fam.prefix_array(100)
+            return True
+
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                futures = [ex.submit(worker, seed) for seed in range(8)]
+                assert all(f.result(timeout=120) for f in futures)
+        finally:
+            sys.setswitchinterval(switch)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -101,9 +102,16 @@ def test_search_probes_stay_within_the_cap():
     # condition (ii)'s window w_8193..w_8246 past it: the probe stops at
     # cap - d_3 = 8146 instead, and every weight read checks the cap
     assert find_block_lengths(HarmonicWeights(index_cap=8200), 4) == [1, 4, 54, 6306]
-    assert find_block_lengths(HarmonicWeights(index_cap=6365), 3) == [1, 4, 54]
-    with pytest.raises(CapExceededError, match="no feasible d_4 within cap 6365"):
-        find_block_lengths(HarmonicWeights(index_cap=6365), 4)
+    # the doubling stops at 4096 < 6306, so the limit cap - d_3 is probed
+    # itself: a support of exactly the cap is found, one past it is not
+    assert find_block_lengths(HarmonicWeights(index_cap=6365), 4) == [1, 4, 54, 6306]
+    with pytest.raises(CapExceededError, match="witness support 6365 exceeds cap 6364"):
+        find_block_lengths(HarmonicWeights(index_cap=6364), 4)
+    with pytest.raises(CapExceededError, match="no feasible d_4 within cap 6359"):
+        find_block_lengths(HarmonicWeights(index_cap=6359), 4)
+    # no d_2 fits beside d_1 = 1 under cap 1: the search stops without a probe
+    with pytest.raises(CapExceededError, match="no feasible d_2 within cap 1"):
+        find_block_lengths(HarmonicWeights(index_cap=1), 2)
 
 
 def test_build_witness_examples():
@@ -401,3 +409,35 @@ def test_certificate_golden(spec, r, mode, tmp_path, monkeypatch):
     # exact checks run with no tolerance at all
     assert cert.tolerance == (0.0 if mode == "rational" else DEFAULT_TOLERANCE)
     assert reverify_certificate_dict(data).to_json_dict() == data
+
+
+def test_search_generates_each_weight_about_once():
+    # every bisection probe for d_6 ends in (2**23, 2**24]; the memoized
+    # chunk sums and the span keep the search from regenerating that
+    # interval's terms per probe (78.1M terms before, for a 10.96M support)
+    fam = PowerWeights(0.5)
+    generate, count = fam._terms, [0]
+
+    def counted(lo, hi):
+        count[0] += hi - lo + 1
+        return generate(lo, hi)
+
+    fam._terms = counted
+    assert find_block_lengths(fam, 6) == [1, 4, 31, 630, 42423, 10916370]
+    assert count[0] <= 26_000_000
+
+
+def test_no_span_sits_beside_the_prefix_array():
+    # the search leaves the span of its last probe; verification must drop
+    # it before the window scan's prefix array of 8 bytes per support entry
+    fam = PowerWeights(0.5)
+    tracemalloc.start()
+    try:
+        d = find_block_lengths(fam, 6)
+        tracemalloc.reset_peak()
+        verify_certificate(fam, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array = 8 * (sum(d) + 1)
+    assert array <= peak < array + 4 * 2**20
