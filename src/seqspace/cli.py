@@ -77,6 +77,11 @@ def cmd_classify(args) -> int:
 
 def cmd_witness(args) -> int:
     if args.verify_only:
+        # the certificate fixes the family, mode and blocks
+        search = {"-r": args.r, "-w": args.family, "--mode": args.mode, "--slack": args.slack}
+        for flag, value in search.items():
+            if value is not None:
+                raise InputError(f"{flag} does not act with --verify-only")
         data = load_certificate_json(args.verify_only)
         cert = reverify_certificate_dict(data, cap=_resolve_cap(args))
         _emit_json(cert.to_json_dict())
@@ -84,8 +89,10 @@ def cmd_witness(args) -> int:
     if args.r is None:
         raise InputError("witness requires -r (blocks to build) or --verify-only")
     fam = _family(args)
-    d = find_block_lengths(fam, args.r, slack=args.slack, mode=args.mode)
-    cert = verify_certificate(fam, d, mode=args.mode)
+    mode = args.mode or "float"
+    slack = DEFAULT_SLACK if args.slack is None else args.slack
+    d = find_block_lengths(fam, args.r, slack=slack, mode=mode)
+    cert = verify_certificate(fam, d, mode=mode)
     _emit_json(cert.to_json_dict())
     return 0
 
@@ -99,15 +106,17 @@ def _load_vector(path: str) -> list[float]:
         raise InputError("vector file must be a non-empty JSON array")
     out = []
     for entry in data:
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            out.append(float(entry))
-        elif isinstance(entry, str):
-            try:
+        try:
+            if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+                out.append(float(entry))
+            elif isinstance(entry, str):
                 out.append(float(Fraction(entry)) if "/" in entry else float(entry))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"bad vector entry {entry!r}") from exc
-        else:
-            raise InputError(f"bad vector entry {entry!r}")
+            else:
+                raise InputError(f"bad vector entry {entry!r}")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad vector entry {entry!r}") from exc
+        except OverflowError as exc:
+            raise InputError("vector entries must be finite") from exc
     return out
 
 
@@ -238,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="re-derive an existing certificate from scratch",
     )
-    p_witness.set_defaults(func=cmd_witness)
+    # None marks a search flag left unset, which --verify-only requires
+    p_witness.set_defaults(func=cmd_witness, mode=None, slack=None)
 
     p_norm = sub.add_parser("norm", help="selection and rearranged norms of a vector")
     _add_common(p_norm)

@@ -73,7 +73,10 @@ def _finite_norm(value: float) -> float:
 
 
 def _as_vector(b) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    try:
+        arr = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    except OverflowError as exc:  # a Python int or Fraction past the double range
+        raise InputError("vector entries must be finite") from exc
     if arr.ndim != 1:
         raise InputError("vector input must be one-dimensional")
     if arr.size == 0:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -66,6 +67,14 @@ class Classification:
     branch: Branch
     constant: float | None
     evidence: str
+
+
+def _index(i, read: str) -> int:
+    """i as an int; floats and other non-integers are refused, numpy integers pass."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise InputError(f"{read} must be an integer, got {i!r}") from None
 
 
 def neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -120,6 +129,7 @@ class WeightFamily:
 
     def weight_at(self, i: int) -> float:
         """Point value w_i (i >= 1)."""
+        i = _index(i, "weight index")
         if i < 1:
             raise InputError(f"weight index must be >= 1, got {i}")
         self._check_cap(i, "weight")
@@ -127,6 +137,7 @@ class WeightFamily:
 
     def weights_head(self, m: int) -> np.ndarray:
         """First m weights as an array (w_1..w_m)."""
+        m = _index(m, "length")
         if m < 0:
             raise InputError("length must be non-negative")
         if m == 0:
@@ -136,6 +147,7 @@ class WeightFamily:
 
     def weights_slice(self, lo: int, hi: int) -> np.ndarray:
         """Weights w_lo..w_hi inclusive (empty when hi < lo)."""
+        lo, hi = _index(lo, "slice start"), _index(hi, "slice end")
         if lo < 1:
             raise InputError("slice start must be >= 1")
         if hi < lo:
@@ -156,6 +168,7 @@ class WeightFamily:
         """Exact W(n) for rational families; capped at EXACT_PREFIX_CAP."""
         if not self.supports_exact:
             raise InputError(f"family {self.spec!r} has no exact rational weights")
+        n = _index(n, "prefix length")
         if n < 0:
             raise InputError("prefix length must be non-negative")
         if n > EXACT_PREFIX_CAP:
@@ -251,6 +264,7 @@ class WeightFamily:
         later query in that chunk, a bisection probe say, generates only the
         terms it adds.  Raises CapExceededError beyond the family's index cap.
         """
+        n = _index(n, "prefix length")
         if n < 0:
             raise InputError(f"prefix length must be non-negative, got {n}")
         self._check_cap(n)
@@ -265,6 +279,7 @@ class WeightFamily:
         The window's terms are generated afresh; past ``_ARRAY_BLOCK`` of
         them, the span is released first.
         """
+        lo, hi = _index(lo, "window start"), _index(hi, "window end")
         if lo < 1:
             raise InputError("window start must be >= 1")
         if hi < lo:
@@ -279,6 +294,7 @@ class WeightFamily:
 
         Past ``_ARRAY_BLOCK`` entries, the span is released first.
         """
+        m = _index(m, "length")
         if m < 0:
             raise InputError("length must be non-negative")
         self._check_cap(m)

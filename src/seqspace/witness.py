@@ -14,9 +14,12 @@ aligned/reversed ratio of at least r/6 that grows without bound in r.
 The search returns the componentwise-minimal block lengths: both conditions
 are monotone in d_k (W is increasing, and the window sum in (ii) slides down
 a non-increasing weight), so each d_k is located by doubling then bisection.
-A multiplicative slack tightens the right-hand sides during the float search
-so summation error cannot admit a borderline violator; verification is an
-independent recomputation from the family and the block lengths alone.
+The search bounds each d_k by the family's index cap less n_{k-1}, so every
+support it returns fits within the cap.  A multiplicative slack tightens the
+right-hand sides during the float search so summation error cannot admit a
+borderline violator; verification is an independent recomputation from the
+family and the block lengths alone, within the fixed relative tolerance
+``DEFAULT_TOLERANCE`` in float mode and exactly in rational mode.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-
-import numpy as np
 
 from .exceptions import CapExceededError, CertificationError, InputError
 from .functionals import (
@@ -133,6 +135,19 @@ def load_certificate_json(path: str | Path) -> dict:
     return data
 
 
+def _block_lengths(d) -> list[int]:
+    """The block lengths d as a non-empty list of positive ints; bools are refused."""
+    try:
+        out = [operator.index(x) for x in d]
+    except TypeError:
+        out = []
+    if not out or min(out) < 1 or any(isinstance(x, bool) for x in d):
+        raise InputError(
+            f"block lengths must be a non-empty list of positive integers, got {d!r}"
+        )
+    return out
+
+
 def _check_preconditions(fam: WeightFamily, r: int, slack: float) -> None:
     if r < 1:
         raise InputError(f"r must be >= 1, got {r}")
@@ -157,8 +172,8 @@ def find_block_lengths(
 
     ``initial`` may carry the result of a previous, smaller-r search for the
     same family and slack; the search then only extends it.  Rational mode
-    decides each condition exactly, so it ignores the slack.  No block length
-    or support may pass the family's index cap.
+    decides each condition exactly, so it ignores the slack.  No support
+    n_k may pass the family's index cap.
     """
     _check_preconditions(fam, r, slack)
     ar = arithmetic(mode, fam)
@@ -166,7 +181,7 @@ def find_block_lengths(
         slack = 0
     cap = fam.index_cap
 
-    d = [int(x) for x in (initial or [])]
+    d = _block_lengths(initial) if initial else []
     if len(d) > r:
         raise InputError("initial block prefix longer than requested r")
     n_prev = sum(d)
@@ -184,10 +199,10 @@ def find_block_lengths(
         try:
             lhs_i = ar.prefix(n_prev)
             rhs_ii = two ** (1 - k) * ar.prefix(d_prev) if d_prev else None
-            # n_k >= d_{k-1} + d_k, so no d_k past the limit can be accepted;
-            # probing no further keeps condition (ii)'s window within the cap,
-            # and the search gives up only once the limit itself is infeasible
-            limit = cap - d_prev
+            # the support n_k = n_{k-1} + d_k bounds d_k; since n_{k-1} >= d_{k-1},
+            # condition (ii)'s window ends at d_{k-1} + d_k <= n_k, within the
+            # cap, and the search gives up only once the limit itself is infeasible
+            limit = cap - n_prev
             hi = 1
             while limit < 1 or not feasible(min(hi, limit)):
                 if hi >= limit:
@@ -208,10 +223,6 @@ def find_block_lengths(
             ) from exc
         d.append(hi)
         n_prev += hi
-        if n_prev > cap:
-            raise CapExceededError(
-                f"witness support {n_prev} exceeds cap {cap} at k = {k}"
-            )
     return d
 
 
@@ -221,14 +232,7 @@ def build_witness(fam: WeightFamily, d: list[int], mode: str = "float") -> StepS
     Condition (i) forces W(d_k) to double block over block, so the values
     decrease strictly; if they do not, the supplied d is rejected here.
     """
-    if not d:
-        raise InputError("block length list must be non-empty")
-    try:
-        d = [operator.index(x) for x in d]
-    except TypeError as exc:
-        raise InputError("block lengths must be integers") from exc
-    if any(x < 1 for x in d):
-        raise InputError("block lengths must be positive integers")
+    d = _block_lengths(d)
     ar = arithmetic(mode, fam)
     values = [ar.num(1) / ar.prefix(dk) for dk in d]
     for a, b in zip(values, values[1:]):
@@ -241,36 +245,29 @@ def build_witness(fam: WeightFamily, d: list[int], mode: str = "float") -> StepS
 
 
 def verify_certificate(
-    fam: WeightFamily,
-    d: list[int],
-    tolerance: float = DEFAULT_TOLERANCE,
-    mode: str = "float",
+    fam: WeightFamily, d: list[int], mode: str = "float"
 ) -> WitnessCertificate:
     """Recompute conditions (i)-(ii) and the bounds A >= r/2, B <= 3 from scratch.
 
     Raises a certification error naming the first violated inequality and the
-    residual by which it fails.  In rational mode every check is exact and
-    the tolerance is ignored.
+    residual by which it fails.  Float checks allow the relative tolerance
+    ``DEFAULT_TOLERANCE``; in rational mode every check is exact.
     """
-    if not d:
-        raise InputError("block length list must be non-empty")
-    if tolerance < 0:
-        raise InputError("tolerance must be non-negative")
+    d = _block_lengths(d)
     r = len(d)
     ar = arithmetic(mode, fam)
-    if ar.exact:
-        tolerance = 0
+    tolerance = 0 if ar.exact else DEFAULT_TOLERANCE
     prefix = ar.prefix
     half, two = ar.num(1) / 2, ar.num(2)
 
-    n_parts = np.cumsum([0] + list(d))
+    n_parts = [0, *accumulate(d)]
     cond_i: list[Value] = []
     cond_ii: list[Value] = []
     for k in range(1, r + 1):
         d_k = d[k - 1]
         d_km1 = d[k - 2] if k >= 2 else 0
         rhs_i = half * prefix(d_k)
-        margin_i = rhs_i - prefix(int(n_parts[k - 1]))
+        margin_i = rhs_i - prefix(n_parts[k - 1])
         if margin_i < -tolerance * abs(rhs_i):
             raise CertificationError(
                 f"condition (i) violated at k = {k}: "
@@ -307,8 +304,8 @@ def verify_certificate(
     return WitnessCertificate(
         family=fam.spec,
         r=r,
-        d=tuple(int(x) for x in d),
-        n=tuple(int(x) for x in n_parts[1:]),
+        d=tuple(d),
+        n=tuple(n_parts[1:]),
         block_values=tuple(v for _, v in f.runs),
         A_value=a_value,
         B_value=b_value,
@@ -321,19 +318,16 @@ def verify_certificate(
     )
 
 
-def reverify_certificate_dict(
-    data: dict, tolerance: float = DEFAULT_TOLERANCE, cap: int = DEFAULT_INDEX_CAP
-) -> WitnessCertificate:
+def reverify_certificate_dict(data: dict, cap: int = DEFAULT_INDEX_CAP) -> WitnessCertificate:
     """Re-derive a loaded certificate from its family spec and block lengths.
 
     The claimed A, B, ratio and margins must match the recomputation:
-    exactly in rational mode, within the tolerance in float mode, where a
-    margin's tolerance scales with its condition's right-hand side.
+    exactly in rational mode, within the relative ``DEFAULT_TOLERANCE`` in
+    float mode, where a margin's tolerance scales with its condition's
+    right-hand side.
     """
     fam = parse_weight_spec(data["family"], index_cap=cap)
-    mode = data["mode"]
-    cert = verify_certificate(fam, data["d"], tolerance=tolerance, mode=mode)
-    exact = arithmetic(mode, fam).exact
+    cert = verify_certificate(fam, data["d"], mode=data["mode"])
     if cert.r != data["r"]:
         raise CertificationError(
             f"certificate r = {data['r']} does not match {cert.r} block lengths"
@@ -353,15 +347,14 @@ def reverify_certificate_dict(
             (f"margins.cond_ii[{i}]", margins["cond_ii"][i], cert.cond_ii_margins[i],
              W(d_prev) / 2**i),
         ]
-    rel_tol = max(tolerance, 1e-12)
     for name, claimed_s, actual, rhs in checks:
         claimed = _value_from_string(str(claimed_s))
-        if exact:
+        if cert.mode == "rational":
             agree = claimed == actual
         elif rhs is None:
-            agree = math.isclose(float(claimed), float(actual), rel_tol=rel_tol)
+            agree = math.isclose(float(claimed), float(actual), rel_tol=DEFAULT_TOLERANCE)
         else:  # a margin is compared relative to its condition's right-hand side
-            agree = abs(float(claimed) - float(actual)) <= rel_tol * rhs
+            agree = abs(float(claimed) - float(actual)) <= DEFAULT_TOLERANCE * rhs
         if not agree:
             raise CertificationError(
                 f"claimed {name} = {claimed_s} differs from recomputed "

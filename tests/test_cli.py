@@ -225,6 +225,11 @@ def test_norm_input_errors(tmp_path, capsys):
     code, _, _ = run(capsys, ["norm", vec])
     assert code == 2  # family flag missing
 
+    # entries past the double range, as an integer or a 'p/q' string
+    for big in ([10**400, 1], ["1" + "0" * 400 + "/1", 1]):
+        code, out, err = run(capsys, ["norm", "-w", "harmonic", write_vector(tmp_path, big)])
+        assert (code, out, err) == (2, "", "error: vector entries must be finite\n")
+
 
 def test_cap_flag_and_env(tmp_path, capsys, monkeypatch):
     # d_5 = 42423 lies past cap 1000
@@ -277,6 +282,24 @@ def test_hopeless_search_stops_at_the_index_cap(capsys, family, r, blocks):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, blocks",
+    [
+        (["-w", "power:0.5", "-r", "4", "--cap", "665"], "[1, 4, 31]"),
+        (["-w", "harmonic", "-r", "4", "--cap", "6364"], "[1, 4, 54]"),
+    ],
+)
+def test_support_past_the_cap_stops_the_search(capsys, argv, blocks):
+    # d_4 would take the support one entry past the cap: the search bounds
+    # d_4 by the cap less n_3 and names the blocks it found
+    code, out, err = run(capsys, ["witness", *argv])
+    assert (code, out) == (4, "")
+    assert err == (
+        f"resource cap exceeded: float block search stopped at d_4 of {argv[1]} "
+        f"after blocks {blocks}: no feasible d_4 within cap {argv[-1]}\n"
+    )
+
+
 def _certificate_file(tmp_path, capsys, edit):
     code, out, _ = run(capsys, ["witness", "-w", "power:0.5", "-r", "3"])
     assert code == 0
@@ -296,6 +319,23 @@ def test_verify_only_rejects_bad_field_types(tmp_path, capsys, field, value):
     code, out, err = run(capsys, ["witness", "--verify-only", path])
     assert code == 2 and out == ""
     assert err.startswith(f"error: certificate field '{field}' must be")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("-r", "9"), ("-w", "harmonic"), ("--mode", "rational"), ("--mode", "float"),
+        ("--slack", "0.05"),
+    ],
+)
+def test_verify_only_rejects_search_flags(tmp_path, capsys, flag, value):
+    # the certificate fixes the family, mode and blocks, so these flags cannot act
+    path = _certificate_file(tmp_path, capsys, lambda cert: None)
+    code, out, err = run(capsys, ["witness", "--verify-only", path, flag, value])
+    assert (code, out, err) == (2, "", f"error: {flag} does not act with --verify-only\n")
+    # the index cap bounds the re-derivation, so it stays
+    code, out, err = run(capsys, ["witness", "--verify-only", path, "--cap", "100"])
+    assert code == 0 and err == ""
 
 
 def test_verify_only_checks_the_claimed_margins(tmp_path, capsys):

@@ -270,6 +270,10 @@ def test_input_validation():
         garling_norm([1.0], H, 0.5)
     with pytest.raises(InputError):
         garling_norm([np.inf], H, 1.0)
+    for big in ([10**400, 1], [Fraction(10**400), 1]):
+        for norm in (garling_norm, lorentz_norm):
+            with pytest.raises(InputError, match="vector entries must be finite"):
+                norm(big, H, 1.0)
     with pytest.raises(InputError):
         garling_norm([[1.0, 2.0]], H, 1.0)
     with pytest.raises(InputError):

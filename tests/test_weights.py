@@ -253,6 +253,33 @@ def test_parse_weight_spec_errors():
         parse_weight_spec("harmonic:2")
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda fam, i: fam.weight_at(i),
+        lambda fam, i: fam.weights_head(i),
+        lambda fam, i: fam.weights_slice(i - 2, i),
+        lambda fam, i: fam.window_sum(i - 2, i),
+        lambda fam, i: fam.prefix_sum(i),
+        lambda fam, i: fam.prefix_array(i),
+        lambda fam, i: fam.prefix_fraction(i),
+    ],
+    ids=[
+        "weight_at", "weights_head", "weights_slice", "window_sum",
+        "prefix_sum", "prefix_array", "prefix_fraction",
+    ],
+)
+def test_weight_reads_take_integer_indices(read):
+    # a float index, even a whole one, is refused whether or not its value is
+    # memoized; numpy integers are indices
+    fam = HarmonicWeights()
+    expected = read(fam, 3)
+    assert np.array_equal(read(fam, np.int64(3)), expected)
+    for bad in (3.0, 3.5):
+        with pytest.raises(InputError, match="must be an integer, got"):
+            read(fam, bad)
+
+
 def test_weight_at_rejects_bad_index():
     with pytest.raises(InputError):
         HarmonicWeights().weight_at(0)

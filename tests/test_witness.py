@@ -7,6 +7,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from seqspace.exceptions import CapExceededError, CertificationError, InputError
@@ -100,18 +101,36 @@ def test_search_cap_and_slack_validation():
 def test_search_probes_stay_within_the_cap():
     # d_4 = 6306 fits under cap 8200, but the doubling probe 8192 would read
     # condition (ii)'s window w_8193..w_8246 past it: the probe stops at
-    # cap - d_3 = 8146 instead, and every weight read checks the cap
+    # cap - n_3 = 8141 instead, and every weight read checks the cap
     assert find_block_lengths(HarmonicWeights(index_cap=8200), 4) == [1, 4, 54, 6306]
-    # the doubling stops at 4096 < 6306, so the limit cap - d_3 is probed
+    # the doubling stops at 4096 < 6306, so the limit cap - n_3 is probed
     # itself: a support of exactly the cap is found, one past it is not
     assert find_block_lengths(HarmonicWeights(index_cap=6365), 4) == [1, 4, 54, 6306]
-    with pytest.raises(CapExceededError, match="witness support 6365 exceeds cap 6364"):
+    with pytest.raises(CapExceededError, match="no feasible d_4 within cap 6364"):
         find_block_lengths(HarmonicWeights(index_cap=6364), 4)
     with pytest.raises(CapExceededError, match="no feasible d_4 within cap 6359"):
         find_block_lengths(HarmonicWeights(index_cap=6359), 4)
     # no d_2 fits beside d_1 = 1 under cap 1: the search stops without a probe
     with pytest.raises(CapExceededError, match="no feasible d_2 within cap 1"):
         find_block_lengths(HarmonicWeights(index_cap=1), 2)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda d: build_witness(P12, d),
+        lambda d: verify_certificate(P12, d),
+        lambda d: find_block_lengths(P12, 3, initial=d),
+    ],
+    ids=["build_witness", "verify_certificate", "find_block_lengths"],
+)
+def test_block_lengths_are_positive_integers(use):
+    # one check runs before any prefix read: no float is truncated, no bool
+    # counts as a length, and numpy integers pass
+    for d in ([1.5], ["2"], [1, 4, 31.0], [True, 4], [0, 4]):
+        with pytest.raises(InputError, match="block lengths must be a non-empty list"):
+            use(d)
+    assert use([np.int64(1), np.int64(4)]) == use([1, 4])
 
 
 def test_build_witness_examples():
