@@ -33,21 +33,32 @@ def garling_norm_bruteforce(b, fam: WeightFamily, p: float) -> float:
     new rightmost element assigns it the next weight in rank order, so the
     score table doubles per position with a popcount-indexed weight lookup.
     """
-    c = np.abs(np.atleast_1d(np.asarray(b, dtype=np.float64)))
+    try:
+        c = np.abs(np.atleast_1d(np.asarray(b, dtype=np.float64)))
+    except OverflowError:  # an int or Fraction past the double range
+        raise InputError("vector entries must be finite") from None
+    if not np.all(np.isfinite(c)):
+        raise InputError("vector entries must be finite")
     m = c.size
     if m > SUBSET_LIMIT:
         raise CapExceededError(f"subset enumeration capped at {SUBSET_LIMIT}, got {m}")
     p = float(p)
     if not (p >= 1.0) or not math.isfinite(p):
         raise InputError(f"exponent p must be a real >= 1, got {p}")
-    cp = c**p
-    w = np.array([fam.weight_at(i) for i in range(1, m + 1)])
-    scores = np.zeros(1)
-    counts = np.zeros(1, dtype=np.int64)
-    for i in range(m):
-        scores = np.concatenate([scores, scores + cp[i] * w[counts]])
-        counts = np.concatenate([counts, counts + 1])
-    return float(np.max(scores)) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        cp = c**p
+        if not np.all(np.isfinite(cp)):
+            raise InputError(f"the entries' p-th powers (p = {p}) overflow double precision")
+        w = np.array([fam.weight_at(i) for i in range(1, m + 1)])
+        scores = np.zeros(1)
+        counts = np.zeros(1, dtype=np.int64)
+        for i in range(m):
+            scores = np.concatenate([scores, scores + cp[i] * w[counts]])
+            counts = np.concatenate([counts, counts + 1])
+    best = float(np.max(scores))
+    if not math.isfinite(best):
+        raise InputError("a weighted subset sum of the entries' p-th powers overflows")
+    return best ** (1.0 / p)
 
 
 def rearrangement_check(

@@ -97,7 +97,7 @@ class WeightFamily:
     caches are guarded by a lock and every prefix sum is computed along a
     deterministic path (largest power-of-two checkpoint, then fixed-size
     chunks), so concurrent readers always observe identical values.  No
-    weight, window or prefix read may pass the family's index cap.
+    weight, window or prefix read, exact or float, may pass the family's index cap.
 
     The chunk memo and the span change no float: a term's value does not
     depend on the range it is generated in, so a chunk summed from the span
@@ -121,6 +121,27 @@ class WeightFamily:
         self._frac_prefix: list[Fraction] = [Fraction(0)]
         self._classification: Classification | None = None
 
+    # -- read checks -----------------------------------------------------
+
+    def _check_cap(self, n: int, read: str) -> None:
+        if n > self._cap:
+            raise CapExceededError(f"{read} index {n} exceeds the configured cap {self._cap}")
+
+    def _range(self, lo, hi, start: str, end: str, read: str = "weight") -> tuple[int, int]:
+        """lo and hi as ints with lo >= 1; a non-empty range must end within the cap."""
+        lo, hi = _index(lo, start), _index(hi, end)
+        if lo < 1:
+            raise InputError(f"{start} must be >= 1, got {lo}")
+        if hi >= lo:
+            self._check_cap(hi, read)
+        return lo, hi
+
+    def _length(self, n, name: str) -> int:
+        n = _index(n, name)
+        if n < 0:
+            raise InputError(f"{name} must be non-negative, got {n}")
+        return n
+
     # -- term generation -------------------------------------------------
 
     def _terms(self, lo: int, hi: int) -> np.ndarray:
@@ -129,63 +150,50 @@ class WeightFamily:
 
     def weight_at(self, i: int) -> float:
         """Point value w_i (i >= 1)."""
-        i = _index(i, "weight index")
-        if i < 1:
-            raise InputError(f"weight index must be >= 1, got {i}")
-        self._check_cap(i, "weight")
+        i, _ = self._range(i, i, "weight index", "weight index")
         return float(self._terms(i, i)[0])
 
     def weights_head(self, m: int) -> np.ndarray:
         """First m weights as an array (w_1..w_m)."""
-        m = _index(m, "length")
-        if m < 0:
-            raise InputError("length must be non-negative")
-        if m == 0:
-            return np.empty(0)
-        self._check_cap(m, "weight")
-        return self._terms(1, m)
+        return self.weights_slice(1, self._length(m, "length"))
 
     def weights_slice(self, lo: int, hi: int) -> np.ndarray:
         """Weights w_lo..w_hi inclusive (empty when hi < lo)."""
-        lo, hi = _index(lo, "slice start"), _index(hi, "slice end")
-        if lo < 1:
-            raise InputError("slice start must be >= 1")
-        if hi < lo:
-            return np.empty(0)
-        self._check_cap(hi, "weight")
-        return self._terms(lo, hi)
+        lo, hi = self._range(lo, hi, "slice start", "slice end")
+        return self._terms(lo, hi) if hi >= lo else np.empty(0)
 
     # -- exact (rational) side -------------------------------------------
 
-    @property
-    def supports_exact(self) -> bool:
-        return False
+    supports_exact = False
 
-    def weight_fraction(self, i: int) -> Fraction:
-        raise InputError(f"family {self.spec!r} has no exact rational weights")
+    def _fraction(self, i: int) -> Fraction:
+        """Exact w_i, i >= 1, of a family that supports exact weights."""
+        raise NotImplementedError
 
-    def prefix_fraction(self, n: int) -> Fraction:
-        """Exact W(n) for rational families; capped at EXACT_PREFIX_CAP."""
+    def _require_exact(self) -> None:
         if not self.supports_exact:
             raise InputError(f"family {self.spec!r} has no exact rational weights")
-        n = _index(n, "prefix length")
-        if n < 0:
-            raise InputError("prefix length must be non-negative")
+
+    def weight_fraction(self, i: int) -> Fraction:
+        """Exact w_i for rational families, within the index cap."""
+        self._require_exact()
+        i, _ = self._range(i, i, "weight index", "weight index")
+        return self._fraction(i)
+
+    def prefix_fraction(self, n: int) -> Fraction:
+        """Exact W(n) for rational families, within the index cap and EXACT_PREFIX_CAP."""
+        self._require_exact()
+        n = self._length(n, "prefix length")
+        self._check_cap(n, "prefix")
         if n > EXACT_PREFIX_CAP:
-            raise CapExceededError(
-                f"exact prefix sums capped at {EXACT_PREFIX_CAP}, got {n}"
-            )
+            raise CapExceededError(f"exact prefix sums capped at {EXACT_PREFIX_CAP}, got {n}")
         with self._lock:
             while len(self._frac_prefix) <= n:
                 i = len(self._frac_prefix)
-                self._frac_prefix.append(self._frac_prefix[-1] + self.weight_fraction(i))
+                self._frac_prefix.append(self._frac_prefix[-1] + self._fraction(i))
             return self._frac_prefix[n]
 
     # -- compensated prefix sums -----------------------------------------
-
-    def _check_cap(self, n: int, read: str = "prefix") -> None:
-        if n > self._cap:
-            raise CapExceededError(f"{read} index {n} exceeds the configured cap {self._cap}")
 
     def _block_sum(self, lo: int, hi: int, span: int = 0) -> float:
         """Compensated sum of w_lo..w_hi over fixed chunks anchored at lo.
@@ -264,10 +272,8 @@ class WeightFamily:
         later query in that chunk, a bisection probe say, generates only the
         terms it adds.  Raises CapExceededError beyond the family's index cap.
         """
-        n = _index(n, "prefix length")
-        if n < 0:
-            raise InputError(f"prefix length must be non-negative, got {n}")
-        self._check_cap(n)
+        n = self._length(n, "prefix length")
+        self._check_cap(n, "prefix")
         with self._lock:
             return self._prefix(n)
 
@@ -279,12 +285,7 @@ class WeightFamily:
         The window's terms are generated afresh; past ``_ARRAY_BLOCK`` of
         them, the span is released first.
         """
-        lo, hi = _index(lo, "window start"), _index(hi, "window end")
-        if lo < 1:
-            raise InputError("window start must be >= 1")
-        if hi < lo:
-            return 0.0
-        self._check_cap(hi, "window end")
+        lo, hi = self._range(lo, hi, "window start", "window end", "window end")
         if hi - lo >= _ARRAY_BLOCK:
             self._release_span()
         return self._block_sum(lo, hi)
@@ -294,10 +295,8 @@ class WeightFamily:
 
         Past ``_ARRAY_BLOCK`` entries, the span is released first.
         """
-        m = _index(m, "length")
-        if m < 0:
-            raise InputError("length must be non-negative")
-        self._check_cap(m)
+        m = self._length(m, "length")
+        self._check_cap(m, "prefix")
         if m >= _ARRAY_BLOCK:
             self._release_span()
         out = np.empty(m + 1)
@@ -376,13 +375,9 @@ class HarmonicWeights(WeightFamily):
     def _terms(self, lo: int, hi: int) -> np.ndarray:
         return 1.0 / np.arange(lo, hi + 1, dtype=np.float64)
 
-    @property
-    def supports_exact(self) -> bool:
-        return True
+    supports_exact = True
 
-    def weight_fraction(self, i: int) -> Fraction:
-        if i < 1:
-            raise InputError(f"weight index must be >= 1, got {i}")
+    def _fraction(self, i: int) -> Fraction:
         return Fraction(1, i)
 
     def _classify(self) -> Classification:
@@ -404,13 +399,9 @@ class ConstantTailWeights(WeightFamily):
     def _terms(self, lo: int, hi: int) -> np.ndarray:
         return np.maximum(self.floor, 1.0 / np.arange(lo, hi + 1, dtype=np.float64))
 
-    @property
-    def supports_exact(self) -> bool:
-        return True
+    supports_exact = True
 
-    def weight_fraction(self, i: int) -> Fraction:
-        if i < 1:
-            raise InputError(f"weight index must be >= 1, got {i}")
+    def _fraction(self, i: int) -> Fraction:
         return max(Fraction(self.floor), Fraction(1, i))
 
     def _classify(self) -> Classification:
@@ -498,13 +489,9 @@ class ExplicitRationalWeights(WeightFamily):
                 out[tail_lo - lo :] = w_L * L / idx
         return out
 
-    @property
-    def supports_exact(self) -> bool:
-        return True
+    supports_exact = True
 
-    def weight_fraction(self, i: int) -> Fraction:
-        if i < 1:
-            raise InputError(f"weight index must be >= 1, got {i}")
+    def _fraction(self, i: int) -> Fraction:
         if i <= self._L:
             return self.values[i - 1]
         if self.tail == "constant":

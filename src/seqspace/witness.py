@@ -181,7 +181,9 @@ def find_block_lengths(
         slack = 0
     cap = fam.index_cap
 
-    d = _block_lengths(initial) if initial else []
+    # None or an empty list or array is no prefix; anything else must be block lengths
+    no_prefix = initial is None or (hasattr(initial, "__len__") and len(initial) == 0)
+    d = [] if no_prefix else _block_lengths(initial)
     if len(d) > r:
         raise InputError("initial block prefix longer than requested r")
     n_prev = sum(d)

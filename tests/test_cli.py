@@ -237,32 +237,33 @@ def test_cap_flag_and_env(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert "resource cap" in err
 
-    monkeypatch.setenv("SEQSPACE_CAP", "1000")
-    code, _, err = run(capsys, ["witness", "-w", "power:0.5", "-r", "5"])
-    assert code == 4
-
-    # an explicit flag wins over the environment
     code, out, _ = run(capsys, ["witness", "-w", "power:0.5", "-r", "2", "--cap", str(2**20)])
     assert code == 0
 
+    # --cap is the only cap setter: SEQSPACE_CAP is not read
     monkeypatch.setenv("SEQSPACE_CAP", "abc")
     code, _, err = run(capsys, ["witness", "-w", "harmonic", "-r", "1"])
-    assert code == 2
-    assert "SEQSPACE_CAP" in err
-
-    monkeypatch.setenv("SEQSPACE_CAP", "-3")
-    code, _, err = run(capsys, ["witness", "-w", "harmonic", "-r", "1"])
-    assert code == 2
+    assert (code, err) == (0, "")
 
 
-def test_cap_past_the_scan_support_exits_2(capsys, monkeypatch):
+def test_cap_past_the_scan_support_exits_2(capsys):
     # no witness, scan or norm can use a support past 2**28, so no cap may exceed it
     message = "error: index cap must lie in 1..268435456, got 268435457\n"
     code, out, err = run(capsys, ["witness", "-w", "harmonic", "-r", "1", "--cap", "268435457"])
     assert (code, out, err) == (2, "", message)
-    monkeypatch.setenv("SEQSPACE_CAP", "268435457")
-    code, out, err = run(capsys, ["scan", "-w", "harmonic", "-r", "1"])
+    code, out, err = run(capsys, ["scan", "-w", "harmonic", "-r", "1", "--cap", "268435457"])
     assert (code, out, err) == (2, "", message)
+
+
+def test_rational_reverify_names_the_read_past_the_cap(tmp_path, capsys):
+    # the exact prefix W(d_3) = W(54) is the first read past cap 10
+    code, out, _ = run(capsys, ["witness", "-w", "harmonic", "-r", "3", "--mode", "rational"])
+    assert code == 0
+    cert = tmp_path / "h3.json"
+    cert.write_text(out)
+    code, out, err = run(capsys, ["witness", "--verify-only", str(cert), "--cap", "10"])
+    assert (code, out) == (4, "")
+    assert err == "resource cap exceeded: prefix index 54 exceeds the configured cap 10\n"
 
 
 @pytest.mark.parametrize(

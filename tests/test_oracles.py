@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from seqspace.exceptions import CapExceededError, InputError
 from seqspace.functionals import StepSequence, functional_B, ratio
+from seqspace.norms import garling_norm
 from seqspace.oracles import (
     exhaustive_ratio,
     functional_B_bruteforce,
@@ -34,6 +35,25 @@ def test_subset_bruteforce_limits():
         garling_norm_bruteforce(np.ones(21), H, 1.0)
     with pytest.raises(InputError):
         garling_norm_bruteforce([1.0], H, 0.25)
+
+
+@pytest.mark.parametrize(
+    "b, p, message",
+    [
+        ([10**400, 1], 1.0, "vector entries must be finite"),
+        ([float("inf"), 1], 2.0, "vector entries must be finite"),
+        ([float("nan"), 1], 2.0, "vector entries must be finite"),
+        ([1e308, 1e308], 2.0, "p-th powers"),
+        ([1e308] * 3, 1.0, "weighted subset sum"),
+    ],
+    ids=["int-past-double", "inf", "nan", "powers-overflow", "sum-overflows"],
+)
+def test_subset_bruteforce_rejects_what_the_fast_path_rejects(b, p, message):
+    # the oracle returns no inf or nan where the fast path refuses the input
+    with pytest.raises(InputError):
+        garling_norm(b, H, p)
+    with pytest.raises(InputError, match=message):
+        garling_norm_bruteforce(b, H, p)
 
 
 def test_rearrangement_examples():

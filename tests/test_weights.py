@@ -263,10 +263,11 @@ def test_parse_weight_spec_errors():
         lambda fam, i: fam.prefix_sum(i),
         lambda fam, i: fam.prefix_array(i),
         lambda fam, i: fam.prefix_fraction(i),
+        lambda fam, i: fam.weight_fraction(i),
     ],
     ids=[
         "weight_at", "weights_head", "weights_slice", "window_sum",
-        "prefix_sum", "prefix_array", "prefix_fraction",
+        "prefix_sum", "prefix_array", "prefix_fraction", "weight_fraction",
     ],
 )
 def test_weight_reads_take_integer_indices(read):
@@ -420,12 +421,18 @@ def test_chunk_memo_matches_the_canonical_rule():
         (lambda fam: fam.window_sum(8, 11), "window end index 11"),
         (lambda fam: fam.prefix_sum(11), "prefix index 11"),
         (lambda fam: fam.prefix_array(11), "prefix index 11"),
+        (lambda fam: fam.prefix_fraction(11), "prefix index 11"),
+        (lambda fam: fam.weight_fraction(11), "weight index 11"),
     ],
-    ids=["weight_at", "weights_head", "weights_slice", "window_sum", "prefix_sum", "prefix_array"],
+    ids=[
+        "weight_at", "weights_head", "weights_slice", "window_sum", "prefix_sum", "prefix_array",
+        "prefix_fraction", "weight_fraction",
+    ],
 )
 def test_cap_errors_name_the_read(read, name):
+    # an exact family, so the exact reads are capped like the float ones
     with pytest.raises(CapExceededError, match=f"^{name} exceeds the configured cap 10$"):
-        read(PowerWeights(0.5, index_cap=10))
+        read(HarmonicWeights(index_cap=10))
 
 
 def test_span_lifetime():

@@ -87,6 +87,9 @@ def test_incremental_prefix_reuse():
     assert d5 == find_block_lengths(P12, 5)
     with pytest.raises(InputError):
         find_block_lengths(P12, 2, initial=[1, 4, 31])
+    # None, an empty list and an empty array are all no prefix
+    for empty in (None, [], np.array([], dtype=np.int64)):
+        assert find_block_lengths(P12, 3, initial=empty) == d3
 
 
 def test_search_cap_and_slack_validation():
@@ -131,6 +134,10 @@ def test_block_lengths_are_positive_integers(use):
         with pytest.raises(InputError, match="block lengths must be a non-empty list"):
             use(d)
     assert use([np.int64(1), np.int64(4)]) == use([1, 4])
+    assert use(np.array([1, 4])) == use([1, 4])
+    for bad in (np.array([1.5]), np.array([0, 4])):
+        with pytest.raises(InputError, match="block lengths must be a non-empty list"):
+            use(bad)
 
 
 def test_build_witness_examples():
@@ -152,6 +159,12 @@ def test_build_witness_rejects_bad_blocks():
         build_witness(P12, [1, -1])
     with pytest.raises(InputError):
         build_witness(P12, [1, 1.5])
+
+
+def test_rational_build_witness_stays_within_the_cap():
+    # the exact prefix W(54) is past cap 10, as the float one already was
+    with pytest.raises(CapExceededError, match="^prefix index 54 exceeds the configured cap 10$"):
+        build_witness(HarmonicWeights(index_cap=10), [1, 4, 54], mode="rational")
 
 
 def test_block_values_strictly_decrease():
