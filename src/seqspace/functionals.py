@@ -11,10 +11,12 @@ family w this module computes
 
 Sequences are run-length encoded (:class:`StepSequence`), so A and a single
 window sum cost O(runs) weight-window sums rather than O(support).  The
-supremum takes one float window-scan kernel: O(runs * support) work
-against one prefix array.  Exact arithmetic runs the same float scan with
-a proven error band and re-evaluates exactly only the windows inside the
-band, so its O(support) work stays in floats.
+supremum takes one float window-scan kernel: O(runs * support) work in one
+pass over a stream of weight prefix blocks, of which it keeps only the
+entries later windows read.  ``ratio`` sums A's windows from the same
+stream, so each weight is generated once.  Exact arithmetic runs the same
+float scan with a proven error band and re-evaluates exactly only the
+windows inside the band, so its O(support) work stays in floats.
 For the supremum it suffices to scan window lengths n up to the support
 size m: for n > m every factor w_{1+n-i} on the support has shifted further
 down the non-increasing weight, so B(f, w, n) <= B(f, w, m).
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -33,6 +36,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .exceptions import CapExceededError, InputError
+from . import weights
 from .weights import EXACT_PREFIX_CAP, WeightFamily
 
 SCAN_WORK_CAP = 2**34
@@ -306,20 +310,73 @@ def functional_B_at(
     return _B_at(f.bounds(), n, arithmetic(mode, fam, f))
 
 
-def _scan_dense(
-    runs: list[tuple[int, int, float]], prefix: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """All float window sums against one prefix array [W(0), ..., W(m)].
+class _Retained:
+    """W(0) and a ring of the prefixes W(1..m) that the prefix stream writes in.
 
-    ``runs`` holds (start, end, value) per run.  Yields (lo, scan), where
-    scan[i] is the sum for window length lo + i; window lengths 1..m come in
-    blocks of ``_SCAN_BLOCK``, so temporaries stay O(block) beside the
-    O(support) prefix array.  Each n adds the same run terms in the same
-    order whatever the blocking, so no sum depends on the block size.
+    Window n reads W(1 + n - s) and, once n >= e, W(n - e) of each run
+    [s, e].  The runs tile 1..m, so windows n >= lo read no index below
+    lo + 1 - s_R, s_R the last run's start, except W(0).  W(x), x >= 1,
+    sits at 1 + (x - 1) % cap in a ring of about s_R + ``_SCAN_BLOCK`` +
+    ``_ARRAY_BLOCK`` entries, in whole stream blocks, so a block overwrites
+    only indices no later window reads; past the ring a guard repeats its
+    first ``_SCAN_BLOCK`` entries, so every read is one slice.  W(0) is
+    read with later entries only while the ring has not wrapped.  A
+    witness's s_R = n_{r-1} + 1 is small; when the ring would hold the whole
+    support, it is the prefix array.  The stream sums ``windows`` into
+    ``sums`` as it goes (see ``WeightFamily._prefix_blocks``).
     """
-    m = prefix.size - 1
+
+    def __init__(self, fam: WeightFamily, m: int, last_start: int, windows=(), sums=None) -> None:
+        block = weights._ARRAY_BLOCK
+        self.cap = min(m, -(-(last_start + _SCAN_BLOCK + block) // block) * block)
+        self._guard = _SCAN_BLOCK if self.cap < m else 0
+        self.data = np.empty(1 + self.cap + self._guard)
+        self.data[0] = 0.0
+        self.top = 0  # the last index streamed in
+        self._stream = fam._prefix_blocks(m, self._slot, windows, sums)
+
+    def _slot(self, lo: int, hi: int) -> np.ndarray:
+        # stream blocks start at whole blocks of the ring, so none wraps
+        i = 1 + (lo - 1) % self.cap
+        self.top = hi
+        return self.data[i : i + hi - lo + 1]
+
+    def reach(self, hi: int) -> np.ndarray:
+        """The data array, once W(hi) is streamed in."""
+        while self.top < hi:
+            lo = self.top + 1
+            next(self._stream)
+            i = (lo - 1) % self.cap  # the guard repeats ring offsets 0.._guard - 1
+            if i < self._guard:
+                j = min(self._guard, i + self.top - lo + 1)
+                self.data[1 + self.cap + i : 1 + self.cap + j] = self.data[1 + i : 1 + j]
+        return self.data
+
+    @property
+    def last(self) -> float:
+        """W(top), the last entry streamed in."""
+        return float(self.data[1 + (self.top - 1) % self.cap])
+
+    def close(self) -> None:
+        self._stream.close()
+
+
+def _scan_dense(
+    runs: list[tuple[int, int, float]], prefix: _Retained
+) -> Iterator[tuple[int, np.ndarray]]:
+    """All float window sums against the prefixes W(0..m) that ``prefix`` reaches.
+
+    ``runs`` holds (start, end, value) per run, tiling 1..m.  Yields (lo,
+    scan), where scan[i] is the sum for window length lo + i; window lengths
+    1..m come in blocks of ``_SCAN_BLOCK``, so temporaries stay O(block)
+    beside the retained prefixes.  Each n adds the same run terms in the
+    same order whatever the blocking or the retained range, so no sum
+    depends on either.
+    """
+    m, c = runs[-1][1], prefix.cap
     for lo in range(1, m + 1, _SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK - 1, m)
+        p = prefix.reach(hi)
         scan = np.zeros(hi - lo + 1)
         for start, end, v in runs:
             if start > hi:
@@ -327,14 +384,15 @@ def _scan_dense(
             # Window n >= start sees the run's first min(end, n) - start + 1 terms:
             # v * W(1+n-start) while n < end, then v * (W(1+n-start) - W(n-end)),
             # the difference taken before scaling so that v * W cannot overflow.
+            # W(x) is p[1 + (x - 1) % c] for x >= 1, and W(0) is p[0].
             a, b = max(start, lo), min(end, hi + 1)
             if a < b:
-                scan[a - lo : b - lo] += v * prefix[1 + a - start : 1 + b - start]
+                i = 1 + (a - start) % c
+                scan[a - lo : b - lo] += v * p[i : i + b - a]
             if end <= hi:
                 a = max(end, lo)
-                scan[a - lo :] += v * (
-                    prefix[1 + a - start : 2 + hi - start] - prefix[a - end : 1 + hi - end]
-                )
+                i, j, k = 1 + (a - start) % c, 1 + (a - end - 1) % c if a > end else 0, 1 + hi - a
+                scan[a - lo :] += v * (p[i : i + k] - p[j : j + k])
         yield lo, scan
 
 
@@ -347,18 +405,20 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
 
     ``scan`` is :func:`_scan_dense` run on the values u_j = a_j / a_1, each
     in (0, 1] and rounded once to the float in ``values``, against the
-    float prefix array P of ``WeightFamily.prefix_array(m)``; ``top_prefix``
-    is P(m).  Write u = 2**-53, gamma(k) = k u / (1 - k u), eta = 2**-1073
-    for a result that lands below the normal range, R runs, U = sum_j u_j,
-    and V >= W(m) >= w_1 = 1.  The error enters in five steps:
+    float prefixes P of the family's prefix stream, the entries of
+    ``WeightFamily.prefix_array(m)``; ``top_prefix`` is P(m).  Write
+    u = 2**-53, gamma(k) = k u / (1 - k u), eta = 2**-1073 for a result
+    that lands below the normal range, R runs, U = sum_j u_j, and
+    V >= W(m) >= w_1 = 1.  The error enters in five steps:
 
     1. Term rounding.  The rational families form each float weight with at
        most three roundings (1/i; max(c, 1/i); a listed p/q; w_L * L / i),
        so |t_i - w_i| <= tau w_i + eta with tau = gamma(3).
-    2. Prefix array.  Within a block P is a sequential ``cumsum`` (gamma(m));
-       the block base is a Neumaier sum of pairwise block sums (gamma(m)
-       for the block sums, u for the compensated sum and u m gamma(m) <=
-       gamma(m) for its compensation term); one add joins the two (u).  So
+    2. Prefix stream.  Within a streamed block P is a sequential ``cumsum``
+       (gamma(m)); the block base is a Neumaier sum of pairwise block sums
+       (gamma(m) for the block sums, u for the compensated sum and
+       u m gamma(m) <= gamma(m) for its compensation term); one add joins
+       the two (u).  Which entries the scan retains changes none of them.  So
        |P(k) - W(k)| <= rho W(k) + 2 k eta, rho = tau + (3 gamma(m) + 4u)(1 + tau).
     3. Per-run prefix difference P(a) - P(b), a, b <= m (b = 0 while the
        window ends inside the run, where P(0) = 0 exactly): the two prefix
@@ -386,24 +446,14 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
     return 4 * (e0 + runs * alpha * (1 + _gamma(runs)))
 
 
-def functional_B(
-    f: StepSequence, fam: WeightFamily, mode: str = "float"
+def _scan(
+    f: StepSequence, fam: WeightFamily, ar: Arithmetic, sums: list[float] | None = None
 ) -> tuple[Value, int]:
-    """Largest reversed window sum and the smallest window length attaining it.
+    """B and its smallest attaining window from one pass over the prefix stream.
 
-    Scans n = 1..support; windows beyond the support only shift the support
-    onto smaller weights, so they never exceed the value at n = support.
-    One float scan serves both arithmetics.  It holds one prefix array of
-    support + 1 entries and does O(runs * support) work, both capped before
-    anything is allocated.  Float mode scans the run values and returns the
-    first maximum.  B is linear in f, so exact mode scans the values divided
-    exactly by the first one, where no float overflows.  With E from
-    :func:`_scan_error_bound`, a true maximiser n* has scan(n*) >= B(n*) - E
-    >= B(n_top) - E >= top - 2E, so only the windows in that band below the
-    top are re-evaluated exactly, from the cached Fraction prefixes.
+    With ``sums`` given, the float window sums of f's runs are appended to
+    it from the same terms.
     """
-    _check_support(f, fam)
-    ar = arithmetic(mode, fam, f)
     m = f.support
     if m == 0:
         return ar.num(0), 1
@@ -415,28 +465,63 @@ def functional_B(
     bounds = f.bounds()
     scale = bounds[0][2] if ar.exact else 1.0
     runs = [(start, end, float(value / scale)) for start, end, value in bounds]
-    prefix = fam.prefix_array(m)
-    band = 2 * _scan_error_bound(m, [u for *_, u in runs], float(prefix[m])) if ar.exact else 0.0
-    top, candidates = -math.inf, []
-    for lo, scan in _scan_dense(runs, prefix):
-        k = int(np.argmax(scan))  # the block's first maximum
-        top = max(top, float(scan[k]))
-        if band:  # the running top only grows, so this keeps every final candidate
-            keep = np.flatnonzero(scan >= top - band)
-            candidates += zip((lo + keep).tolist(), scan[keep].tolist())
-        else:  # equal floats need no re-evaluation: the first one is returned
-            candidates.append((lo + k, float(scan[k])))
-    candidates = [n for n, s in candidates if s >= top - band]
+    windows = [(start, end) for start, end, _ in bounds] if sums is not None else ()
+    top, first, blocks = -math.inf, 0, []
+    with closing(_Retained(fam, m, runs[-1][0], windows, sums)) as prefix:
+        for lo, scan in _scan_dense(runs, prefix):
+            k = int(np.argmax(scan))  # the block's first maximum
+            if scan[k] > top:
+                top, first = float(scan[k]), lo + k
+            if ar.exact:
+                blocks.append(scan)
     if not ar.exact:
-        return top, candidates[0]
+        return top, first
+    # B(n*) >= B(n) for every n, so scan(n*) >= top - 2E for a true maximiser n*
+    band = 2 * _scan_error_bound(m, [u for *_, u in runs], prefix.last)
+    scan = np.concatenate(blocks)
+    candidates = (np.flatnonzero(scan >= top - band) + 1).tolist()
     best, neg_n = max((_B_at(bounds, n, ar), -n) for n in candidates)
     return best, -neg_n
 
 
+def functional_B(
+    f: StepSequence, fam: WeightFamily, mode: str = "float"
+) -> tuple[Value, int]:
+    """Largest reversed window sum and the smallest window length attaining it.
+
+    Scans n = 1..support; windows beyond the support only shift the support
+    onto smaller weights, so they never exceed the value at n = support.
+    One float scan serves both arithmetics.  It streams the weight prefixes
+    in blocks, generating each weight once, and keeps only the entries later
+    windows read (see :class:`_Retained`); its O(runs * support) work is
+    capped before anything is allocated.  Float mode scans the run values
+    and returns the first maximum.  B is linear in f, so exact mode scans
+    the values divided exactly by the first one, where no float overflows,
+    keeping the at most ``EXACT_PREFIX_CAP`` scan values.  With E from
+    :func:`_scan_error_bound` and P(m) the stream's last entry, a true
+    maximiser n* has scan(n*) >= B(n*) - E >= B(n_top) - E >= top - 2E, so
+    only the windows in that band below the top are re-evaluated exactly,
+    from the cached Fraction prefixes.
+    """
+    _check_support(f, fam)
+    return _scan(f, fam, arithmetic(mode, fam, f))
+
+
 def ratio(f: StepSequence, fam: WeightFamily, mode: str = "float") -> FunctionalReport:
-    """Full report: A, B, argmax window, and the quotient A / B."""
+    """Full report: A, B, argmax window, and the quotient A / B.
+
+    In float mode A's run windows are summed in B's pass, from the same
+    terms, equal bit for bit to :func:`functional_A`.
+    """
     if f.is_zero:
         raise InputError("ratio undefined for the zero sequence (B = 0)")
-    a = functional_A(f, fam, mode=mode)
-    b, argmax_n = functional_B(f, fam, mode=mode)
+    _check_support(f, fam)
+    ar = arithmetic(mode, fam, f)
+    if ar.exact:
+        a = functional_A(f, fam, mode=mode)
+        b, argmax_n = _scan(f, fam, ar)
+    else:
+        sums: list[float] = []
+        b, argmax_n = _scan(f, fam, ar, sums)
+        a = math.fsum(float(value) * s for (_, value), s in zip(f.runs, sums))
     return FunctionalReport(A=a, B=b, argmax_n=argmax_n, ratio=a / b)

@@ -84,6 +84,8 @@ def rearrangement_check(
         raise InputError(f"both inputs must have at least n = {n} entries")
     av, bv = av[:n], bv[:n]
     for name, v in (("first", av), ("second", bv)):
+        if not np.all(np.isfinite(v)):
+            raise InputError(f"{name} input must be finite")
         if np.any(v < 0):
             raise InputError(f"{name} input must be non-negative")
         if np.any(np.diff(v) > 0):

@@ -16,13 +16,16 @@ witness construction of :mod:`seqspace.witness` applies.
 A prefix sum W(n) is W(q), q the largest power of two below n, plus the
 compensated sum of the 2**22-term chunks of w_{q+1}..w_n, so each value has
 one canonical path.  Every W(n), and the sum of every full chunk of such a
-dyadic interval (q, 2q], is memoized; the terms of the chunk the latest
-prefix read ended in stay in one span of at most 2**22 floats (32 MB).  The
-next prefix read in another chunk replaces the span, and a window or prefix
-array of more than 2**16 entries releases it first, so the span never sits
-beside a large temporary.  A block search probing back and forth inside one
-interval therefore generates each weight there about once, and indices up
-to the 2**28 index cap stay cheap.
+dyadic interval (q, 2q], is memoized.  A family holds one term buffer of at
+most 2**22 floats (32 MB), the span: the terms of the chunk the latest
+prefix or window read ended in, when that chunk is longer than one
+2**16-term piece.  A streamed pass borrows the buffer instead of
+allocating beside it, and the next read refills it.  A block search
+probing back and forth inside one interval therefore generates each weight
+there about once, and indices up to the 2**28 index cap stay cheap.
+``prefix_array`` and the window scan of :mod:`seqspace.functionals` read
+W(1..m) from one stream of 2**16-entry blocks that generates each term
+once.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -99,9 +103,13 @@ class WeightFamily:
     chunks), so concurrent readers always observe identical values.  No
     weight, window or prefix read, exact or float, may pass the family's index cap.
 
-    The chunk memo and the span change no float: a term's value does not
-    depend on the range it is generated in, so a chunk summed from the span
-    equals the ``np.sum`` of its freshly generated terms bit for bit.
+    The chunk memo, the term buffer and the prefix stream change no float: a
+    term's value does not depend on the range it is generated in, and the
+    ``np.sum`` of a slice equals that of the same terms generated afresh, so
+    a chunk summed from the buffer or from a streamed block equals the sum
+    of its fresh terms bit for bit.  A reader that borrows the buffer owns it
+    until it gives it back; meanwhile the family has no span, and a
+    concurrent span read allocates its own.
     """
 
     spec: str
@@ -113,9 +121,9 @@ class WeightFamily:
         self._lock = threading.Lock()
         self._memo: dict[int, float] = {0: 0.0}
         self._chunks: dict[int, float] = {}
-        # the span: the terms of the chunk starting at w_{_span_lo}, of which
-        # the first _span_len are filled
-        self._span: np.ndarray | None = None
+        # the term buffer; as the span, it holds the terms of the chunk
+        # starting at w_{_span_lo}, of which the first _span_len are filled
+        self._buf: np.ndarray | None = None
         self._span_lo = 0
         self._span_len = 0
         self._frac_prefix: list[Fraction] = [Fraction(0)]
@@ -212,43 +220,73 @@ class WeightFamily:
             if span:
                 x = self._dyadic_chunk_sum(start, end, span)
             else:
-                x = float(np.sum(self._terms(start, end)))
+                x = self._chunk_sum(start, end)
             total, comp = neumaier_add(total, comp, x)
             start = end + 1
         return total + comp
 
+    def _take_buffer(self, size: int) -> np.ndarray:
+        """The term buffer, of at least size floats, for the caller alone.
+
+        The family keeps no span until ``_give_buffer``; a buffer too small
+        is dropped before its replacement is allocated.
+        """
+        with self._lock:
+            buf, self._buf, self._span_len = self._buf, None, 0
+        if buf is None or buf.size < size:
+            buf = None  # dropped before the next one is allocated
+            buf = np.empty(size)
+        return buf
+
+    def _give_buffer(self, buf: np.ndarray) -> None:
+        with self._lock:
+            if self._buf is None:
+                self._buf = buf
+
+    def _span_sum(self, lo: int, hi: int, size: int) -> float:
+        """``np.sum`` of w_lo..w_hi from the span anchored at lo; the caller holds the lock.
+
+        The span is filled in ``_ARRAY_BLOCK`` pieces as far as the read
+        needs.  A read at another anchor re-anchors it, keeping the buffer
+        when it holds ``size`` floats.
+        """
+        if self._buf is None or self._buf.size < size:
+            self._buf = None  # dropped before the next one is allocated
+            self._buf, self._span_len = np.empty(size), 0
+        if lo != self._span_lo:
+            self._span_lo, self._span_len = lo, 0
+        while self._span_len <= hi - lo:
+            a = self._span_len
+            b = min(a + _ARRAY_BLOCK, size)
+            self._buf[a:b] = self._terms(lo + a, lo + b - 1)
+            self._span_len = b
+        return float(np.sum(self._buf[: hi - lo + 1]))
+
+    def _chunk_sum(self, lo: int, hi: int) -> float:
+        """``np.sum`` of w_lo..w_hi, a window chunk; past one piece, through the span."""
+        if hi - lo < _ARRAY_BLOCK:
+            return float(np.sum(self._terms(lo, hi)))
+        with self._lock:
+            return self._span_sum(lo, hi, hi - lo + 1)
+
     def _dyadic_chunk_sum(self, lo: int, hi: int, span: int) -> float:
         """``np.sum`` of w_lo..w_hi, one chunk of a prefix's dyadic interval.
 
-        A full chunk is memoized by its start.  A read of the span's chunk
-        sums a leading slice of the span, filling it in ``_ARRAY_BLOCK``
-        pieces as far as the read needs; a chunk's start fixes its interval,
-        so a read starting where the span does fits in it.  A read of another
-        chunk re-anchors the span, keeping its buffer when the lengths match.
+        A full chunk is memoized by its start.  A chunk of one piece is
+        summed from fresh terms, a longer one from the span, which holds
+        ``span`` terms; a chunk's start fixes its interval, so a read
+        starting where the span does fits in it.
         """
         full = hi - lo + 1 == _CHUNK
         if full and lo in self._chunks:
             return self._chunks[lo]
-        if self._span is None or self._span.size != span:
-            self._span = None  # dropped before the next one is allocated
-            self._span, self._span_lo, self._span_len = np.empty(span), lo, 0
-        elif lo != self._span_lo:  # another chunk of the same length reuses it
-            self._span_lo, self._span_len = lo, 0
-        while self._span_len <= hi - lo:
-            a = self._span_len
-            b = min(a + _ARRAY_BLOCK, self._span.size)
-            self._span[a:b] = self._terms(lo + a, lo + b - 1)
-            self._span_len = b
-        total = float(np.sum(self._span[: hi - lo + 1]))
+        if span <= _ARRAY_BLOCK:
+            total = float(np.sum(self._terms(lo, hi)))
+        else:
+            total = self._span_sum(lo, hi, span)
         if full:
             self._chunks[lo] = total
         return total
-
-    def _release_span(self) -> None:
-        # called before a read that holds more than one span piece of terms
-        # or prefixes, so the span never sits beside a large temporary
-        with self._lock:
-            self._span = None
 
     def _prefix(self, n: int) -> float:
         # W(n) = W(q) + w_{q+1} + ... + w_n with q the largest power of two
@@ -282,35 +320,74 @@ class WeightFamily:
 
         Summing the window directly avoids the cancellation a difference of
         two large prefix sums would suffer when the window total is small.
-        The window's terms are generated afresh; past ``_ARRAY_BLOCK`` of
-        them, the span is released first.
+        The window's terms are generated afresh; a chunk of more than one
+        ``_ARRAY_BLOCK`` piece is filled into the span, anchored at the chunk.
         """
         lo, hi = self._range(lo, hi, "window start", "window end", "window end")
-        if hi - lo >= _ARRAY_BLOCK:
-            self._release_span()
         return self._block_sum(lo, hi)
 
-    def prefix_array(self, m: int) -> np.ndarray:
-        """Array [W(0), W(1), ..., W(m)] via block-compensated cumsum.
+    def _prefix_blocks(self, m: int, slot, windows=(), sums=None) -> Iterator[None]:
+        """Write W(1..m) in aligned ``_ARRAY_BLOCK`` blocks, yielding after each.
 
-        Past ``_ARRAY_BLOCK`` entries, the span is released first.
+        Block j, W(1 + jB), ..., W(min((j + 1)B, m)) with B = ``_ARRAY_BLOCK``,
+        goes into the array ``slot(lo, hi)`` returns for its indices lo..hi:
+        the ``cumsum`` of its terms, each generated once, plus the Neumaier
+        sum of the earlier blocks' ``np.sum``.  ``windows`` are ranges
+        (lo, hi) tiling 1..m in order; the sum of each, bit for bit
+        ``window_sum(lo, hi)``, is appended to ``sums`` once the block
+        holding hi is written.  A ``_CHUNK``-term chunk of a window is summed
+        in place when it lies in one block, and otherwise from the term
+        buffer, which the stream borrows until it ends.
         """
+        chunks = [
+            (c, min(c + _CHUNK - 1, hi), hi)
+            for lo, hi in windows
+            for c in range(lo, hi + 1, _CHUNK)
+        ]
+        # the longest chunk that crosses a block boundary sizes the buffer
+        crossing = [
+            e - c + 1 for c, e, _ in chunks if (c - 1) // _ARRAY_BLOCK != (e - 1) // _ARRAY_BLOCK
+        ]
+        buf = self._take_buffer(max(crossing)) if crossing else None
+        base = comp = 0.0  # the blocks so far
+        total = part = 0.0  # the current window's chunks so far
+        i = 0
+        try:
+            for start in range(1, m + 1, _ARRAY_BLOCK):
+                end = min(start + _ARRAY_BLOCK - 1, m)
+                terms = self._terms(start, end)
+                block = np.cumsum(terms, out=slot(start, end))
+                block += base + comp
+                base, comp = neumaier_add(base, comp, float(np.sum(terms)))
+                while i < len(chunks) and chunks[i][0] <= end:
+                    c, e, hi = chunks[i]
+                    if start <= c and e <= end:
+                        x = np.sum(terms[c - start : e - start + 1])
+                    else:
+                        a, b = max(c, start), min(e, end)
+                        buf[a - c : b - c + 1] = terms[a - start : b - start + 1]
+                        if e > end:
+                            break
+                        x = np.sum(buf[: e - c + 1])
+                    total, part = neumaier_add(total, part, float(x))
+                    if e == hi:
+                        sums.append(total + part)
+                        total = part = 0.0
+                    i += 1
+                del terms, block  # not held while the stream waits
+                yield
+        finally:
+            if buf is not None:
+                self._give_buffer(buf)
+
+    def prefix_array(self, m: int) -> np.ndarray:
+        """Array [W(0), W(1), ..., W(m)]: the prefix stream's blocks, drained."""
         m = self._length(m, "length")
         self._check_cap(m, "prefix")
-        if m >= _ARRAY_BLOCK:
-            self._release_span()
         out = np.empty(m + 1)
         out[0] = 0.0
-        base = 0.0
-        comp = 0.0
-        start = 1
-        while start <= m:
-            end = min(start + _ARRAY_BLOCK - 1, m)
-            terms = self._terms(start, end)
-            np.cumsum(terms, out=out[start : end + 1])
-            out[start : end + 1] += base + comp
-            base, comp = neumaier_add(base, comp, float(np.sum(terms)))
-            start = end + 1
+        for _ in self._prefix_blocks(m, lambda lo, hi: out[lo : hi + 1]):
+            pass
         return out
 
     # -- classification ----------------------------------------------------
@@ -350,7 +427,8 @@ class PowerWeights(WeightFamily):
     def _classify(self) -> Classification:
         if self.alpha > 1.0:
             n = _SUMMABLE_PARTIAL_TERMS
-            partial = self._block_sum(1, n)
+            # one chunk of fresh terms, so a verdict leaves no term buffer behind
+            partial = float(np.sum(self._terms(1, n)))
             tail = n ** (1.0 - self.alpha) / (self.alpha - 1.0)
             # Nudge upward so the reported constant is a true upper bound.
             constant = (partial + tail) * (1.0 + 1e-13)

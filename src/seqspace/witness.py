@@ -36,8 +36,7 @@ from .functionals import (
     StepSequence,
     Value,
     arithmetic,
-    functional_A,
-    functional_B,
+    ratio,
     _value_from_string,
     _value_to_string,
 )
@@ -288,8 +287,8 @@ def verify_certificate(
         cond_ii.append(margin_ii)
 
     f = build_witness(fam, d, mode=mode)
-    a_value = functional_A(f, fam, mode=mode)
-    b_value, argmax_n = functional_B(f, fam, mode=mode)
+    rep = ratio(f, fam, mode=mode)  # A and B from one pass over the weights
+    a_value, b_value = rep.A, rep.B
 
     a_bound = ar.num(r) / 2
     if a_value < a_bound - tolerance * a_bound:
@@ -311,8 +310,8 @@ def verify_certificate(
         block_values=tuple(v for _, v in f.runs),
         A_value=a_value,
         B_value=b_value,
-        ratio=a_value / b_value,
-        argmax_n=argmax_n,
+        ratio=rep.ratio,
+        argmax_n=rep.argmax_n,
         tolerance=float(tolerance),
         cond_i_margins=tuple(cond_i),
         cond_ii_margins=tuple(cond_ii),

@@ -354,9 +354,9 @@ def _float_scan_and_bound(f, fam):
     bounds = f.bounds()
     first = bounds[0][2]
     runs = [(start, end, float(v / first)) for start, end, v in bounds]
-    prefix = fam.prefix_array(f.support)
+    prefix = fx._Retained(fam, f.support, runs[-1][0])
     scan = np.concatenate([block for _, block in fx._scan_dense(runs, prefix)])
-    bound = fx._scan_error_bound(f.support, [u for _, _, u in runs], float(prefix[-1]))
+    bound = fx._scan_error_bound(f.support, [u for _, _, u in runs], prefix.last)
     return first, scan, bound
 
 
@@ -449,9 +449,93 @@ def test_scan_does_not_depend_on_its_block_size(monkeypatch, block):
     assert expected[0][1] == expected[1][1] == 1
 
 
+class _Whole:
+    """A whole prefix array [W(0), ..., W(m)], read as the scan read it before the stream."""
+
+    def __init__(self, prefix):
+        self.prefix, self.cap = prefix, prefix.size - 1
+
+    def reach(self, hi):
+        return self.prefix
+
+
+STREAM_FAMILIES = [
+    PowerWeights(0.5),
+    HarmonicWeights(),
+    parse_weight_spec("ctail:0.25"),
+    ExplicitRationalWeights([Fraction(1), Fraction(3, 4), Fraction(1, 2)], "pattern"),
+]
+
+
+@st.composite
+def float_step_sequences(draw):
+    # up to 40 runs, some of them long, so the last run may start early (a
+    # witness's shape, where the scan drops most prefixes) or late
+    k = draw(st.integers(1, 40))
+    lengths = draw(st.lists(st.integers(1, 25) | st.integers(100, 600), min_size=k, max_size=k))
+    values = draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k, unique=True))
+    return StepSequence(tuple(zip(lengths, sorted(values, reverse=True))))
+
+
+@given(
+    fam=st.sampled_from(STREAM_FAMILIES),
+    f=float_step_sequences(),
+    block=st.sampled_from([1, 2, 13]),
+    piece=st.sampled_from([2**3, 2**5, 2**16]),
+)
+@example(fam=STREAM_FAMILIES[0], f=StepSequence(((3, 2.0), (40, 1.0), (2000, 0.5))), block=13, piece=2**3)
+@example(fam=STREAM_FAMILIES[1], f=StepSequence(tuple((7, 1.0 / i) for i in range(1, 41))), block=2, piece=2**3)
+@settings(max_examples=60, deadline=None)
+def test_streamed_scan_matches_the_whole_prefix_array(fam, f, block, piece):
+    # the retained prefixes hold W(0) and the range later windows read; every
+    # scan block equals the one read from the whole array, bit for bit
+    runs = [(start, end, float(v)) for start, end, v in f.bounds()]
+    m = f.support
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fx, "_SCAN_BLOCK", block)
+        mp.setattr(weights, "_ARRAY_BLOCK", piece)
+        whole = fam.prefix_array(m)
+        want = list(fx._scan_dense(runs, _Whole(whole)))
+        prefix = fx._Retained(fam, m, runs[-1][0])
+        got = list(fx._scan_dense(runs, prefix))
+    assert [lo for lo, _ in got] == [lo for lo, _ in want]
+    assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
+    assert prefix.last == whole[-1]
+    # W(0), a ring of whole pieces over s_R + block + piece entries, and its guard
+    assert prefix.data.size <= 1 + min(m, runs[-1][0] + block + 2 * piece) + block
+
+
+@given(
+    fam=st.sampled_from(STREAM_FAMILIES),
+    f=float_step_sequences(),
+    piece=st.sampled_from([2**3, 2**5]),
+    chunk=st.sampled_from([2**2, 2**6, 2**9]),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_pass_A_is_the_run_window_sum(fam, f, piece, chunk):
+    # small pieces and chunks put chunks inside one streamed block, across
+    # blocks and across several; A from B's pass is math.fsum of the run
+    # values times window_sum, bit for bit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_ARRAY_BLOCK", piece)
+        mp.setattr(weights, "_CHUNK", chunk)
+        rep = ratio(f, fam)
+        want = math.fsum(float(v) * fam.window_sum(s, e) for s, e, v in f.bounds())
+        assert rep.A == want == functional_A(f, fam)
+        assert (rep.B, rep.argmax_n) == functional_B(f, fam)
+
+
+def test_one_pass_A_of_the_r6_witness():
+    # real chunk and piece sizes: the last run's 2**22-term chunks cross
+    # stream blocks and fill the term buffer
+    fam = PowerWeights(0.5)
+    f = StepSequence(tuple((d, 1.0 / fam.prefix_sum(d)) for d in (1, 4, 31, 630, 42423, 10916370)))
+    assert ratio(f, fam).A == functional_A(f, fam)
+
+
 def test_scan_caps_trip_before_allocating(monkeypatch):
     fam = PowerWeights(0.5)
-    monkeypatch.setattr(fam, "prefix_array", lambda m: pytest.fail("prefix array built"))
+    monkeypatch.setattr(fam, "_prefix_blocks", lambda *a, **k: pytest.fail("prefix stream started"))
     with pytest.raises(CapExceededError, match="support 268435457 exceeds the family index cap"):
         functional_B(StepSequence(((weights.DEFAULT_INDEX_CAP + 1, 1.0),)), fam)
     # 65 runs over a support of 2**28: 65 * 2**28 run-window terms > 2**34

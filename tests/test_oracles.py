@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,14 @@ def test_rearrangement_validation():
         rearrangement_check([1.0], [1.0, 1.0], 2)
     with pytest.raises(InputError):
         rearrangement_check([1.0], [1.0], 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rearrangement_check_rejects_non_finite_input(bad):
+    with pytest.raises(InputError, match="first input must be finite"):
+        rearrangement_check([bad, 1.0], [2.0, 1.0], 2)
+    with pytest.raises(InputError, match="second input must be finite"):
+        rearrangement_check([2.0, 1.0], [bad, 1.0], 2)
 
 
 def test_window_scan_bruteforce_examples():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from seqspace import weights
 from seqspace.exceptions import CapExceededError, InputError
+from seqspace.functionals import StepSequence, ratio
 from seqspace.weights import (
     DEFAULT_INDEX_CAP,
     Branch,
@@ -436,30 +437,44 @@ def test_cap_errors_name_the_read(read, name):
 
 
 def test_span_lifetime():
-    # the span of a 2**22-term chunk outlives its prefix read; a window or a
-    # prefix array of more than one span piece drops it, smaller ones keep it
+    # the span of a 2**22-term chunk outlives its prefix read.  A window or a
+    # prefix array of one piece leaves it alone; a longer window re-anchors
+    # the same buffer at its chunk instead of allocating beside it, and the
+    # next prefix read in the first chunk refills one piece
     fam = PowerWeights(0.5)
     piece = weights._ARRAY_BLOCK
+    generate, count = fam._terms, [0]
+
+    def counted(lo, hi):
+        count[0] += hi - lo + 1
+        return generate(lo, hi)
+
+    fam._terms = counted
     tracemalloc.start()
     try:
-        releases = [lambda: fam.prefix_array(piece), lambda: fam.window_sum(1, piece + 1)]
-        for n, release in zip((2**22 + 5, 2**22 + 7), releases):
-            fam.prefix_sum(n)
-            held = tracemalloc.get_traced_memory()[0]
-            assert held >= 32 * 2**20
-            fam.prefix_array(piece - 1)
-            fam.window_sum(2, piece + 1)
-            assert tracemalloc.get_traced_memory()[0] >= held
-            release()
-            assert tracemalloc.get_traced_memory()[0] < held - 31 * 2**20
+        fam.prefix_sum(2**22 + 5)
+        held = tracemalloc.get_traced_memory()[0]
+        assert held >= 32 * 2**20
+        tracemalloc.reset_peak()
+        count[0] = 0
+        fam.prefix_array(piece - 1)
+        fam.window_sum(2, piece + 1)
+        fam.prefix_sum(2**22 + 9)
+        assert count[0] == 2 * piece - 1
+        fam.window_sum(1, 2**22)
+        fam.prefix_sum(2**22 + 11)
+        assert count[0] == 2 * piece - 1 + 2**22 + piece
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert held - 2**20 <= current and peak < held + 2 * 2**20
 
 
 def test_span_is_shared_safely_across_threads():
-    # threads re-anchor, fill, read and release one span; with a short switch
-    # interval an unguarded fill, re-anchor or release would hand a thread
-    # wrong terms or fail it
+    # threads re-anchor, fill and read the span, and borrow and give back the
+    # term buffer for windows and for A's pass; with a short switch interval
+    # an unguarded fill, re-anchor or hand-over would give a thread wrong
+    # terms or fail it
     ops = []
     rng = np.random.default_rng(3)
     for _ in range(2000):
@@ -474,6 +489,9 @@ def test_span_is_shared_safely_across_threads():
             _reference_prefix(ref, op[1], 2**8) if op[0] == "prefix" else _reference_sum(ref, op[1], op[2], 2**8)
             for op in ops
         ]
+        # A's chunks cross stream blocks, so its pass holds the buffer between them
+        f = StepSequence(((40, 1.0), (300, 0.5), (700, 0.25)))
+        want_A = math.fsum(v * _reference_sum(ref, lo, hi, 2**8) for lo, hi, v in f.bounds())
         fam = HarmonicWeights()
 
         def worker(seed: int) -> bool:
@@ -485,6 +503,8 @@ def test_span_is_shared_safely_across_threads():
                     return False
                 if i % 50 == 0:
                     fam.prefix_array(100)
+                    if ratio(f, fam).A != want_A:
+                        return False
             return True
 
         sys.setswitchinterval(1e-6)

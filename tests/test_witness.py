@@ -443,11 +443,7 @@ def test_certificate_golden(spec, r, mode, tmp_path, monkeypatch):
     assert reverify_certificate_dict(data).to_json_dict() == data
 
 
-def test_search_generates_each_weight_about_once():
-    # every bisection probe for d_6 ends in (2**23, 2**24]; the memoized
-    # chunk sums and the span keep the search from regenerating that
-    # interval's terms per probe (78.1M terms before, for a 10.96M support)
-    fam = PowerWeights(0.5)
+def _count_terms(fam) -> list[int]:
     generate, count = fam._terms, [0]
 
     def counted(lo, hi):
@@ -455,13 +451,24 @@ def test_search_generates_each_weight_about_once():
         return generate(lo, hi)
 
     fam._terms = counted
+    return count
+
+
+def test_search_generates_each_weight_about_once():
+    # every bisection probe for d_6 ends in (2**23, 2**24]; the memoized
+    # chunk sums and the span keep the search from regenerating that
+    # interval's terms per probe (78.1M terms before, for a 10.96M support)
+    fam = PowerWeights(0.5)
+    count = _count_terms(fam)
     assert find_block_lengths(fam, 6) == [1, 4, 31, 630, 42423, 10916370]
     assert count[0] <= 26_000_000
 
 
-def test_no_span_sits_beside_the_prefix_array():
-    # the search leaves the span of its last probe; verification must drop
-    # it before the window scan's prefix array of 8 bytes per support entry
+def test_verification_holds_one_term_buffer():
+    # the search leaves the span of its last probe, 2**22 terms; verification
+    # streams the weights, borrows that buffer for A's chunks and keeps only
+    # the prefixes the scan has yet to read, so no second buffer, prefix
+    # array or chunk of fresh terms sits beside it
     fam = PowerWeights(0.5)
     tracemalloc.start()
     try:
@@ -471,5 +478,16 @@ def test_no_span_sits_beside_the_prefix_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    array = 8 * (sum(d) + 1)
-    assert array <= peak < array + 4 * 2**20
+    assert peak <= 8 * 2**22 + 4 * 2**20
+
+
+def test_verification_generates_each_weight_about_once():
+    # after the search, A and B share one pass over the support of
+    # 10,959,459 weights; the margins read memoized prefixes and the span
+    # (24.57M terms when A and B each generated the support)
+    fam = PowerWeights(0.5)
+    d = find_block_lengths(fam, 6)
+    count = _count_terms(fam)
+    cert = verify_certificate(fam, d)
+    assert cert.n[-1] == 10_959_459
+    assert count[0] <= 12_000_000
