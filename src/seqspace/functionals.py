@@ -12,9 +12,8 @@ family w this module computes
 Sequences are run-length encoded (:class:`StepSequence`), so A and a single
 window sum cost O(runs) weight-window sums rather than O(support).  The
 supremum takes one float window-scan kernel: O(runs * support) work in one
-pass over a stream of weight prefix blocks, of which it keeps only the
-entries later windows read.  ``ratio`` sums A's windows from the same
-stream, so each weight is generated once.  Exact arithmetic runs the same
+pass over a :class:`~seqspace.weights.PrefixStream`, from which ``ratio``
+also sums A's windows.  Exact arithmetic runs the same
 float scan with a proven error band and re-evaluates exactly only the
 windows inside the band, so its O(support) work stays in floats.
 For the supremum it suffices to scan window lengths n up to the support
@@ -36,8 +35,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .exceptions import CapExceededError, InputError
-from . import weights
-from .weights import EXACT_PREFIX_CAP, WeightFamily
+from .weights import EXACT_PREFIX_CAP, PrefixStream, WeightFamily
 
 SCAN_WORK_CAP = 2**34
 EXPAND_CAP = 2**24
@@ -310,59 +308,8 @@ def functional_B_at(
     return _B_at(f.bounds(), n, arithmetic(mode, fam, f))
 
 
-class _Retained:
-    """W(0) and a ring of the prefixes W(1..m) that the prefix stream writes in.
-
-    Window n reads W(1 + n - s) and, once n >= e, W(n - e) of each run
-    [s, e].  The runs tile 1..m, so windows n >= lo read no index below
-    lo + 1 - s_R, s_R the last run's start, except W(0).  W(x), x >= 1,
-    sits at 1 + (x - 1) % cap in a ring of about s_R + ``_SCAN_BLOCK`` +
-    ``_ARRAY_BLOCK`` entries, in whole stream blocks, so a block overwrites
-    only indices no later window reads; past the ring a guard repeats its
-    first ``_SCAN_BLOCK`` entries, so every read is one slice.  W(0) is
-    read with later entries only while the ring has not wrapped.  A
-    witness's s_R = n_{r-1} + 1 is small; when the ring would hold the whole
-    support, it is the prefix array.  The stream sums ``windows`` into
-    ``sums`` as it goes (see ``WeightFamily._prefix_blocks``).
-    """
-
-    def __init__(self, fam: WeightFamily, m: int, last_start: int, windows=(), sums=None) -> None:
-        block = weights._ARRAY_BLOCK
-        self.cap = min(m, -(-(last_start + _SCAN_BLOCK + block) // block) * block)
-        self._guard = _SCAN_BLOCK if self.cap < m else 0
-        self.data = np.empty(1 + self.cap + self._guard)
-        self.data[0] = 0.0
-        self.top = 0  # the last index streamed in
-        self._stream = fam._prefix_blocks(m, self._slot, windows, sums)
-
-    def _slot(self, lo: int, hi: int) -> np.ndarray:
-        # stream blocks start at whole blocks of the ring, so none wraps
-        i = 1 + (lo - 1) % self.cap
-        self.top = hi
-        return self.data[i : i + hi - lo + 1]
-
-    def reach(self, hi: int) -> np.ndarray:
-        """The data array, once W(hi) is streamed in."""
-        while self.top < hi:
-            lo = self.top + 1
-            next(self._stream)
-            i = (lo - 1) % self.cap  # the guard repeats ring offsets 0.._guard - 1
-            if i < self._guard:
-                j = min(self._guard, i + self.top - lo + 1)
-                self.data[1 + self.cap + i : 1 + self.cap + j] = self.data[1 + i : 1 + j]
-        return self.data
-
-    @property
-    def last(self) -> float:
-        """W(top), the last entry streamed in."""
-        return float(self.data[1 + (self.top - 1) % self.cap])
-
-    def close(self) -> None:
-        self._stream.close()
-
-
 def _scan_dense(
-    runs: list[tuple[int, int, float]], prefix: _Retained
+    runs: list[tuple[int, int, float]], prefix: PrefixStream
 ) -> Iterator[tuple[int, np.ndarray]]:
     """All float window sums against the prefixes W(0..m) that ``prefix`` reaches.
 
@@ -405,8 +352,8 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
 
     ``scan`` is :func:`_scan_dense` run on the values u_j = a_j / a_1, each
     in (0, 1] and rounded once to the float in ``values``, against the
-    float prefixes P of the family's prefix stream, the entries of
-    ``WeightFamily.prefix_array(m)``; ``top_prefix`` is P(m).  Write
+    float prefixes P of a :class:`~seqspace.weights.PrefixStream` over
+    W(1..m); ``top_prefix`` is P(m).  Write
     u = 2**-53, gamma(k) = k u / (1 - k u), eta = 2**-1073 for a result
     that lands below the normal range, R runs, U = sum_j u_j, and
     V >= W(m) >= w_1 = 1.  The error enters in five steps:
@@ -414,11 +361,11 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
     1. Term rounding.  The rational families form each float weight with at
        most three roundings (1/i; max(c, 1/i); a listed p/q; w_L * L / i),
        so |t_i - w_i| <= tau w_i + eta with tau = gamma(3).
-    2. Prefix stream.  Within a streamed block P is a sequential ``cumsum``
-       (gamma(m)); the block base is a Neumaier sum of pairwise block sums
-       (gamma(m) for the block sums, u for the compensated sum and
+    2. Prefix stream (``PrefixStream``).  Within a block P is a sequential
+       ``cumsum`` (gamma(m)); the block base is a Neumaier sum of pairwise
+       block sums (gamma(m) for the block sums, u for the compensated sum and
        u m gamma(m) <= gamma(m) for its compensation term); one add joins
-       the two (u).  Which entries the scan retains changes none of them.  So
+       the two (u).  Which entries the ring keeps changes none of them.  So
        |P(k) - W(k)| <= rho W(k) + 2 k eta, rho = tau + (3 gamma(m) + 4u)(1 + tau).
     3. Per-run prefix difference P(a) - P(b), a, b <= m (b = 0 while the
        window ends inside the run, where P(0) = 0 exactly): the two prefix
@@ -467,7 +414,10 @@ def _scan(
     runs = [(start, end, float(value / scale)) for start, end, value in bounds]
     windows = [(start, end) for start, end, _ in bounds] if sums is not None else ()
     top, first, blocks = -math.inf, 0, []
-    with closing(_Retained(fam, m, runs[-1][0], windows, sums)) as prefix:
+    # windows from lo on read W(0) and no W(x) below lo + 1 - s_R, s_R the
+    # last run's start, in slices of at most _SCAN_BLOCK entries
+    keep = runs[-1][0] + _SCAN_BLOCK
+    with closing(PrefixStream(fam, m, keep, _SCAN_BLOCK, windows, sums)) as prefix:
         for lo, scan in _scan_dense(runs, prefix):
             k = int(np.argmax(scan))  # the block's first maximum
             if scan[k] > top:
@@ -491,10 +441,10 @@ def functional_B(
 
     Scans n = 1..support; windows beyond the support only shift the support
     onto smaller weights, so they never exceed the value at n = support.
-    One float scan serves both arithmetics.  It streams the weight prefixes
-    in blocks, generating each weight once, and keeps only the entries later
-    windows read (see :class:`_Retained`); its O(runs * support) work is
-    capped before anything is allocated.  Float mode scans the run values
+    One float scan serves both arithmetics.  It reads the weight prefixes
+    from a :class:`~seqspace.weights.PrefixStream` that keeps only the
+    entries later windows read; its O(runs * support) work is capped before
+    anything is allocated.  Float mode scans the run values
     and returns the first maximum.  B is linear in f, so exact mode scans
     the values divided exactly by the first one, where no float overflows,
     keeping the at most ``EXACT_PREFIX_CAP`` scan values.  With E from

@@ -19,13 +19,10 @@ one canonical path.  Every W(n), and the sum of every full chunk of such a
 dyadic interval (q, 2q], is memoized.  A family holds one term buffer of at
 most 2**22 floats (32 MB), the span: the terms of the chunk the latest
 prefix or window read ended in, when that chunk is longer than one
-2**16-term piece.  A streamed pass borrows the buffer instead of
-allocating beside it, and the next read refills it.  A block search
-probing back and forth inside one interval therefore generates each weight
-there about once, and indices up to the 2**28 index cap stay cheap.
-``prefix_array`` and the window scan of :mod:`seqspace.functionals` read
-W(1..m) from one stream of 2**16-entry blocks that generates each term
-once.
+2**16-term piece.  A block search probing back and forth inside one interval
+therefore generates each weight there about once, and indices up to the
+2**28 index cap stay cheap.  ``prefix_array`` and the window scan of
+:mod:`seqspace.functionals` read W(1..m) from a :class:`PrefixStream`.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -94,6 +90,16 @@ def neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
     return t, comp
 
 
+def _chunks(lo: int, hi: int):
+    """The chunks (start, end) of w_lo..w_hi: ``_CHUNK`` terms each, anchored at lo.
+
+    A window sum is the compensated sum of its chunks' ``np.sum``, whichever
+    path reads them.
+    """
+    for start in range(lo, hi + 1, _CHUNK):
+        yield start, min(start + _CHUNK - 1, hi)
+
+
 class WeightFamily:
     """Base class: immutable weight sequence with internal prefix caches.
 
@@ -107,9 +113,7 @@ class WeightFamily:
     term's value does not depend on the range it is generated in, and the
     ``np.sum`` of a slice equals that of the same terms generated afresh, so
     a chunk summed from the buffer or from a streamed block equals the sum
-    of its fresh terms bit for bit.  A reader that borrows the buffer owns it
-    until it gives it back; meanwhile the family has no span, and a
-    concurrent span read allocates its own.
+    of its fresh terms bit for bit.
     """
 
     spec: str
@@ -120,7 +124,7 @@ class WeightFamily:
         self._cap = int(index_cap)
         self._lock = threading.Lock()
         self._memo: dict[int, float] = {0: 0.0}
-        self._chunks: dict[int, float] = {}
+        self._chunk_memo: dict[int, float] = {}
         # the term buffer; as the span, it holds the terms of the chunk
         # starting at w_{_span_lo}, of which the first _span_len are filled
         self._buf: np.ndarray | None = None
@@ -204,88 +208,48 @@ class WeightFamily:
     # -- compensated prefix sums -----------------------------------------
 
     def _block_sum(self, lo: int, hi: int, span: int = 0) -> float:
-        """Compensated sum of w_lo..w_hi over fixed chunks anchored at lo.
+        """Compensated sum of w_lo..w_hi over its ``_chunks``; the caller holds the lock.
 
         numpy's pairwise ``np.sum`` keeps each positive chunk's relative
         error near machine epsilon; the chunks are combined with compensation.
-        ``span`` > 0 marks the chunks of a prefix's dyadic interval, which
-        ``_dyadic_chunk_sum`` caches, and is the span length they take; the
-        caller then holds the lock.  Every other chunk is generated afresh.
         """
-        total = 0.0
-        comp = 0.0
-        start = lo
-        while start <= hi:
-            end = min(start + _CHUNK - 1, hi)
-            if span:
-                x = self._dyadic_chunk_sum(start, end, span)
-            else:
-                x = self._chunk_sum(start, end)
-            total, comp = neumaier_add(total, comp, x)
-            start = end + 1
+        total = comp = 0.0
+        for a, b in _chunks(lo, hi):
+            total, comp = neumaier_add(total, comp, self._chunk(a, b, span))
         return total + comp
 
-    def _take_buffer(self, size: int) -> np.ndarray:
-        """The term buffer, of at least size floats, for the caller alone.
+    def _chunk(self, lo: int, hi: int, span: int = 0) -> float:
+        """``np.sum`` of w_lo..w_hi, one chunk; the caller holds the lock.
 
-        The family keeps no span until ``_give_buffer``; a buffer too small
-        is dropped before its replacement is allocated.
+        ``span`` > 0 marks a chunk of a prefix's dyadic interval: a full one
+        is memoized by its start, and ``span`` is the span its interval takes
+        (a chunk's start fixes its interval, so a read starting where the span
+        does fits in it).  A window chunk takes a span of its own length.  A
+        span of at most one ``_ARRAY_BLOCK`` piece is not kept: those terms
+        are generated afresh.  A longer one is anchored at lo and filled in
+        pieces as far as the read needs; a read at another anchor re-anchors
+        it, keeping the buffer when it holds the span.
         """
-        with self._lock:
-            buf, self._buf, self._span_len = self._buf, None, 0
-        if buf is None or buf.size < size:
-            buf = None  # dropped before the next one is allocated
-            buf = np.empty(size)
-        return buf
-
-    def _give_buffer(self, buf: np.ndarray) -> None:
-        with self._lock:
-            if self._buf is None:
-                self._buf = buf
-
-    def _span_sum(self, lo: int, hi: int, size: int) -> float:
-        """``np.sum`` of w_lo..w_hi from the span anchored at lo; the caller holds the lock.
-
-        The span is filled in ``_ARRAY_BLOCK`` pieces as far as the read
-        needs.  A read at another anchor re-anchors it, keeping the buffer
-        when it holds ``size`` floats.
-        """
-        if self._buf is None or self._buf.size < size:
-            self._buf = None  # dropped before the next one is allocated
-            self._buf, self._span_len = np.empty(size), 0
-        if lo != self._span_lo:
-            self._span_lo, self._span_len = lo, 0
-        while self._span_len <= hi - lo:
-            a = self._span_len
-            b = min(a + _ARRAY_BLOCK, size)
-            self._buf[a:b] = self._terms(lo + a, lo + b - 1)
-            self._span_len = b
-        return float(np.sum(self._buf[: hi - lo + 1]))
-
-    def _chunk_sum(self, lo: int, hi: int) -> float:
-        """``np.sum`` of w_lo..w_hi, a window chunk; past one piece, through the span."""
-        if hi - lo < _ARRAY_BLOCK:
-            return float(np.sum(self._terms(lo, hi)))
-        with self._lock:
-            return self._span_sum(lo, hi, hi - lo + 1)
-
-    def _dyadic_chunk_sum(self, lo: int, hi: int, span: int) -> float:
-        """``np.sum`` of w_lo..w_hi, one chunk of a prefix's dyadic interval.
-
-        A full chunk is memoized by its start.  A chunk of one piece is
-        summed from fresh terms, a longer one from the span, which holds
-        ``span`` terms; a chunk's start fixes its interval, so a read
-        starting where the span does fits in it.
-        """
-        full = hi - lo + 1 == _CHUNK
-        if full and lo in self._chunks:
-            return self._chunks[lo]
-        if span <= _ARRAY_BLOCK:
+        full = span and hi - lo + 1 == _CHUNK
+        if full and lo in self._chunk_memo:
+            return self._chunk_memo[lo]
+        size = span or hi - lo + 1
+        if size <= _ARRAY_BLOCK:
             total = float(np.sum(self._terms(lo, hi)))
         else:
-            total = self._span_sum(lo, hi, span)
+            if self._buf is None or self._buf.size < size:
+                self._buf = None  # dropped before the next one is allocated
+                self._buf, self._span_len = np.empty(size), 0
+            if lo != self._span_lo:
+                self._span_lo, self._span_len = lo, 0
+            while self._span_len <= hi - lo:
+                a = self._span_len
+                b = min(a + _ARRAY_BLOCK, size)
+                self._buf[a:b] = self._terms(lo + a, lo + b - 1)
+                self._span_len = b
+            total = float(np.sum(self._buf[: hi - lo + 1]))
         if full:
-            self._chunks[lo] = total
+            self._chunk_memo[lo] = total
         return total
 
     def _prefix(self, n: int) -> float:
@@ -324,71 +288,14 @@ class WeightFamily:
         ``_ARRAY_BLOCK`` piece is filled into the span, anchored at the chunk.
         """
         lo, hi = self._range(lo, hi, "window start", "window end", "window end")
-        return self._block_sum(lo, hi)
-
-    def _prefix_blocks(self, m: int, slot, windows=(), sums=None) -> Iterator[None]:
-        """Write W(1..m) in aligned ``_ARRAY_BLOCK`` blocks, yielding after each.
-
-        Block j, W(1 + jB), ..., W(min((j + 1)B, m)) with B = ``_ARRAY_BLOCK``,
-        goes into the array ``slot(lo, hi)`` returns for its indices lo..hi:
-        the ``cumsum`` of its terms, each generated once, plus the Neumaier
-        sum of the earlier blocks' ``np.sum``.  ``windows`` are ranges
-        (lo, hi) tiling 1..m in order; the sum of each, bit for bit
-        ``window_sum(lo, hi)``, is appended to ``sums`` once the block
-        holding hi is written.  A ``_CHUNK``-term chunk of a window is summed
-        in place when it lies in one block, and otherwise from the term
-        buffer, which the stream borrows until it ends.
-        """
-        chunks = [
-            (c, min(c + _CHUNK - 1, hi), hi)
-            for lo, hi in windows
-            for c in range(lo, hi + 1, _CHUNK)
-        ]
-        # the longest chunk that crosses a block boundary sizes the buffer
-        crossing = [
-            e - c + 1 for c, e, _ in chunks if (c - 1) // _ARRAY_BLOCK != (e - 1) // _ARRAY_BLOCK
-        ]
-        buf = self._take_buffer(max(crossing)) if crossing else None
-        base = comp = 0.0  # the blocks so far
-        total = part = 0.0  # the current window's chunks so far
-        i = 0
-        try:
-            for start in range(1, m + 1, _ARRAY_BLOCK):
-                end = min(start + _ARRAY_BLOCK - 1, m)
-                terms = self._terms(start, end)
-                block = np.cumsum(terms, out=slot(start, end))
-                block += base + comp
-                base, comp = neumaier_add(base, comp, float(np.sum(terms)))
-                while i < len(chunks) and chunks[i][0] <= end:
-                    c, e, hi = chunks[i]
-                    if start <= c and e <= end:
-                        x = np.sum(terms[c - start : e - start + 1])
-                    else:
-                        a, b = max(c, start), min(e, end)
-                        buf[a - c : b - c + 1] = terms[a - start : b - start + 1]
-                        if e > end:
-                            break
-                        x = np.sum(buf[: e - c + 1])
-                    total, part = neumaier_add(total, part, float(x))
-                    if e == hi:
-                        sums.append(total + part)
-                        total = part = 0.0
-                    i += 1
-                del terms, block  # not held while the stream waits
-                yield
-        finally:
-            if buf is not None:
-                self._give_buffer(buf)
+        with self._lock:
+            return self._block_sum(lo, hi)
 
     def prefix_array(self, m: int) -> np.ndarray:
-        """Array [W(0), W(1), ..., W(m)]: the prefix stream's blocks, drained."""
+        """Array [W(0), W(1), ..., W(m)]: the prefix stream, kept whole."""
         m = self._length(m, "length")
         self._check_cap(m, "prefix")
-        out = np.empty(m + 1)
-        out[0] = 0.0
-        for _ in self._prefix_blocks(m, lambda lo, hi: out[lo : hi + 1]):
-            pass
-        return out
+        return PrefixStream(self, m, m).reach(m)
 
     # -- classification ----------------------------------------------------
 
@@ -408,6 +315,100 @@ class WeightFamily:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.spec!r})"
+
+
+class PrefixStream:
+    """W(0) and a ring of the prefixes W(1..m), streamed in aligned blocks.
+
+    Block j, W(1 + jB), ..., W(min((j + 1)B, m)) with B = ``_ARRAY_BLOCK``,
+    is the ``cumsum`` of its terms, each generated once, plus the Neumaier
+    sum of the earlier blocks' ``np.sum``, written straight into the ring;
+    ``reach(hi)`` streams blocks until W(hi) is in.  W(0) is ``data[0]`` and
+    W(x), x >= 1, is ``data[1 + (x - 1) % cap]``.  The ring holds whole
+    blocks, at least ``keep`` + B entries and at most m, so once W(hi) is in,
+    every W(x) with x > hi - keep is still there: a block overwrites only
+    older entries.  Past a ring that wraps, a guard repeats its first
+    ``read`` entries, so a read of at most ``read`` consecutive entries is
+    one slice.  Kept whole (``keep = m``), the ring is the prefix array.
+
+    ``windows`` are ranges (lo, hi) tiling 1..m in order; the sum of each,
+    bit for bit ``window_sum(lo, hi)``, is appended to ``sums`` once the
+    block holding hi is in.  A chunk of a window (``_chunks``) is summed in
+    place when it lies in one block, and otherwise copied into the family's
+    term buffer, which the stream borrows, sized by the longest such chunk,
+    until ``close``; meanwhile the family has no span, and a concurrent span
+    read allocates its own.
+    """
+
+    def __init__(
+        self, fam: WeightFamily, m: int, keep: int, read: int = 0, windows=(), sums=None
+    ) -> None:
+        block = _ARRAY_BLOCK
+        self.cap = min(m, -(-(keep + block) // block) * block)
+        self._guard = read if self.cap < m else 0
+        self.data = np.empty(1 + self.cap + self._guard)
+        self.data[0] = 0.0
+        self.top = 0  # the last index streamed in
+        self._fam, self._m, self._sums = fam, m, sums
+        self._base = self._comp = 0.0  # the blocks so far
+        self._chunks = [(c, e, hi) for lo, hi in windows for c, e in _chunks(lo, hi)]
+        self._i = 0  # the next chunk to sum
+        self._total = self._part = 0.0  # the current window's chunks so far
+        crossing = [e - c + 1 for c, e, _ in self._chunks if (c - 1) // block != (e - 1) // block]
+        self._buf = None
+        if crossing:
+            with fam._lock:
+                self._buf, fam._buf, fam._span_len = fam._buf, None, 0
+            if self._buf is None or self._buf.size < max(crossing):
+                self._buf = None  # dropped before the next one is allocated
+                self._buf = np.empty(max(crossing))
+
+    def reach(self, hi: int) -> np.ndarray:
+        """The data array, once W(hi) is streamed in."""
+        while self.top < hi:
+            self._next_block()
+        return self.data
+
+    def _next_block(self) -> None:
+        start = self.top + 1
+        end = min(start + _ARRAY_BLOCK - 1, self._m)
+        terms = self._fam._terms(start, end)
+        i = (start - 1) % self.cap  # blocks start at whole blocks of the ring, so none wraps
+        block = np.cumsum(terms, out=self.data[1 + i : 2 + i + end - start])
+        block += self._base + self._comp
+        self._base, self._comp = neumaier_add(self._base, self._comp, float(np.sum(terms)))
+        if i < self._guard:  # the guard repeats ring offsets 0.._guard - 1
+            j = min(self._guard, i + end - start + 1)
+            self.data[1 + self.cap + i : 1 + self.cap + j] = self.data[1 + i : 1 + j]
+        self.top = end
+        while self._i < len(self._chunks) and self._chunks[self._i][0] <= end:
+            c, e, hi = self._chunks[self._i]
+            if start <= c and e <= end:
+                x = np.sum(terms[c - start : e - start + 1])
+            else:
+                a, b = max(c, start), min(e, end)
+                self._buf[a - c : b - c + 1] = terms[a - start : b - start + 1]
+                if e > end:
+                    break
+                x = np.sum(self._buf[: e - c + 1])
+            self._total, self._part = neumaier_add(self._total, self._part, float(x))
+            if e == hi:
+                self._sums.append(self._total + self._part)
+                self._total = self._part = 0.0
+            self._i += 1
+
+    @property
+    def last(self) -> float:
+        """W(top), the last entry streamed in."""
+        return float(self.data[1 + (self.top - 1) % self.cap])
+
+    def close(self) -> None:
+        """Give the term buffer back, unless the family has allocated another."""
+        buf, self._buf = self._buf, None
+        if buf is not None:
+            with self._fam._lock:
+                if self._fam._buf is None:
+                    self._fam._buf = buf
 
 
 class PowerWeights(WeightFamily):

@@ -354,7 +354,7 @@ def _float_scan_and_bound(f, fam):
     bounds = f.bounds()
     first = bounds[0][2]
     runs = [(start, end, float(v / first)) for start, end, v in bounds]
-    prefix = fx._Retained(fam, f.support, runs[-1][0])
+    prefix = weights.PrefixStream(fam, f.support, runs[-1][0] + fx._SCAN_BLOCK, fx._SCAN_BLOCK)
     scan = np.concatenate([block for _, block in fx._scan_dense(runs, prefix)])
     bound = fx._scan_error_bound(f.support, [u for _, _, u in runs], prefix.last)
     return first, scan, bound
@@ -496,7 +496,7 @@ def test_streamed_scan_matches_the_whole_prefix_array(fam, f, block, piece):
         mp.setattr(weights, "_ARRAY_BLOCK", piece)
         whole = fam.prefix_array(m)
         want = list(fx._scan_dense(runs, _Whole(whole)))
-        prefix = fx._Retained(fam, m, runs[-1][0])
+        prefix = weights.PrefixStream(fam, m, runs[-1][0] + block, block)
         got = list(fx._scan_dense(runs, prefix))
     assert [lo for lo, _ in got] == [lo for lo, _ in want]
     assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
@@ -535,7 +535,7 @@ def test_one_pass_A_of_the_r6_witness():
 
 def test_scan_caps_trip_before_allocating(monkeypatch):
     fam = PowerWeights(0.5)
-    monkeypatch.setattr(fam, "_prefix_blocks", lambda *a, **k: pytest.fail("prefix stream started"))
+    monkeypatch.setattr(weights.PrefixStream, "__init__", lambda *a, **k: pytest.fail("prefix stream started"))
     with pytest.raises(CapExceededError, match="support 268435457 exceeds the family index cap"):
         functional_B(StepSequence(((weights.DEFAULT_INDEX_CAP + 1, 1.0),)), fam)
     # 65 runs over a support of 2**28: 65 * 2**28 run-window terms > 2**34
