@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .exceptions import CapExceededError, InputError
-from .weights import EXACT_PREFIX_CAP, PrefixStream, WeightFamily
+from .weights import EXACT_PREFIX_CAP, PrefixStream, WeightFamily, as_index
 
 SCAN_WORK_CAP = 2**34
 EXPAND_CAP = 2**24
@@ -121,7 +121,8 @@ class StepSequence:
                 length, value = entry
             except (TypeError, ValueError) as exc:
                 raise InputError(f"run {entry!r} is not a (length, value) pair") from exc
-            if not isinstance(length, int) or isinstance(length, bool) or length < 1:
+            length = as_index(length, "run length")
+            if length < 1:
                 raise InputError(f"run length must be a positive integer, got {length!r}")
             value = _coerce_value(value)
             if value < 0:
@@ -200,8 +201,6 @@ class StepSequence:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise InputError(f"bad run entry {entry!r}")
             length, value = entry
-            if not isinstance(length, int):
-                raise InputError(f"run length must be an integer, got {length!r}")
             runs.append((length, _value_from_string(str(value))))
         return cls(tuple(runs))
 
@@ -302,6 +301,7 @@ def functional_B_at(
     A run covering positions s..e meets the window in positions s..min(e, n)
     and, reversed, picks up the weight window [1+n-min(e,n), 1+n-s].
     """
+    n = as_index(n, "window length")
     if n < 1:
         raise InputError(f"window length must be >= 1, got {n}")
     _check_support(f, fam)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import CapExceededError, InputError
 from .functionals import StepSequence, functional_B, ratio
-from .weights import WeightFamily
+from .weights import WeightFamily, as_index
 from .witness import DEFAULT_SLACK, build_witness, find_block_lengths
 
 GARLING_DP_CAP = 4096
@@ -229,6 +229,7 @@ def symmetric_defect(
     block witnesses it grows like r/6, so no bound exists.
     """
     p = _check_p(p)
+    r = as_index(r, "prefix length")
     if not 1 <= r <= a.support:
         raise InputError(f"prefix length must lie in 1..{a.support} (the support), got {r}")
     runs = [(min(end, r) - start + 1, float(v)) for start, end, v in a.bounds() if start <= r]

@@ -69,12 +69,14 @@ class Classification:
     evidence: str
 
 
-def _index(i, read: str) -> int:
-    """i as an int; floats and other non-integers are refused, numpy integers pass."""
-    try:
-        return operator.index(i)
-    except TypeError:
-        raise InputError(f"{read} must be an integer, got {i!r}") from None
+def as_index(i, name: str) -> int:
+    """i as an int: Python and numpy integers pass; bools, floats and other types are refused."""
+    if not isinstance(i, bool):
+        try:
+            return operator.index(i)
+        except TypeError:
+            pass
+    raise InputError(f"{name} must be an integer, got {i!r}")
 
 
 def neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -119,9 +121,9 @@ class WeightFamily:
     spec: str
 
     def __init__(self, index_cap: int = DEFAULT_INDEX_CAP) -> None:
-        if not 1 <= index_cap <= DEFAULT_INDEX_CAP:
+        self._cap = as_index(index_cap, "index cap")
+        if not 1 <= self._cap <= DEFAULT_INDEX_CAP:
             raise InputError(f"index cap must lie in 1..{DEFAULT_INDEX_CAP}, got {index_cap}")
-        self._cap = int(index_cap)
         self._lock = threading.Lock()
         self._memo: dict[int, float] = {0: 0.0}
         self._chunk_memo: dict[int, float] = {}
@@ -141,7 +143,7 @@ class WeightFamily:
 
     def _range(self, lo, hi, start: str, end: str, read: str = "weight") -> tuple[int, int]:
         """lo and hi as ints with lo >= 1; a non-empty range must end within the cap."""
-        lo, hi = _index(lo, start), _index(hi, end)
+        lo, hi = as_index(lo, start), as_index(hi, end)
         if lo < 1:
             raise InputError(f"{start} must be >= 1, got {lo}")
         if hi >= lo:
@@ -149,7 +151,7 @@ class WeightFamily:
         return lo, hi
 
     def _length(self, n, name: str) -> int:
-        n = _index(n, name)
+        n = as_index(n, name)
         if n < 0:
             raise InputError(f"{name} must be non-negative, got {n}")
         return n
@@ -508,9 +510,12 @@ class ExplicitRationalWeights(WeightFamily):
         index_cap: int = DEFAULT_INDEX_CAP,
     ) -> None:
         super().__init__(index_cap)
-        if not values:
+        try:
+            vals = [Fraction(v) for v in values]
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise InputError(f"explicit weights must be finite rationals: {exc}") from exc
+        if not vals:
             raise InputError("explicit weight list must be non-empty")
-        vals = [Fraction(v) for v in values]
         if vals[0] != 1:
             raise InputError("weights must be normalized: w_1 = 1")
         for a, b in zip(vals, vals[1:]):

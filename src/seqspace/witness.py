@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -40,10 +39,18 @@ from .functionals import (
     _value_from_string,
     _value_to_string,
 )
-from .weights import DEFAULT_INDEX_CAP, Branch, WeightFamily, parse_weight_spec
+from .weights import (
+    DEFAULT_INDEX_CAP,
+    EXACT_PREFIX_CAP,
+    Branch,
+    WeightFamily,
+    as_index,
+    parse_weight_spec,
+)
 
 DEFAULT_SLACK = 1e-9
 DEFAULT_TOLERANCE = 1e-9
+_REACH_SLACK = 1e-6  # far above the error of a float sum of at most 10**5 weights
 
 
 @dataclass(frozen=True)
@@ -135,19 +142,21 @@ def load_certificate_json(path: str | Path) -> dict:
 
 
 def _block_lengths(d) -> list[int]:
-    """The block lengths d as a non-empty list of positive ints; bools are refused."""
+    """The block lengths d as a non-empty list of positive ints (see ``as_index``)."""
     try:
-        out = [operator.index(x) for x in d]
-    except TypeError:
+        out = [as_index(x, "block length") for x in d]
+    except (InputError, TypeError):
         out = []
-    if not out or min(out) < 1 or any(isinstance(x, bool) for x in d):
+    if not out or min(out) < 1:
         raise InputError(
             f"block lengths must be a non-empty list of positive integers, got {d!r}"
         )
     return out
 
 
-def _check_preconditions(fam: WeightFamily, r: int, slack: float) -> None:
+def _check_preconditions(fam: WeightFamily, r: int, slack: float) -> int:
+    """r as an int once r, slack and the family's branch admit a search."""
+    r = as_index(r, "r")
     if r < 1:
         raise InputError(f"r must be >= 1, got {r}")
     if not (0.0 <= slack <= 0.1):
@@ -157,6 +166,34 @@ def _check_preconditions(fam: WeightFamily, r: int, slack: float) -> None:
         raise InputError(
             f"classification precondition failed: {fam.spec} is {c.branch.value}; "
             "the block search terminates only for vanishing non-summable weights"
+        )
+    return r
+
+
+def _check_exact_reach(fam: WeightFamily, k: int, n_prev: int, d_prev: int) -> None:
+    """Give up on d_k at once when no d_k within exact reach satisfies (i) and (ii).
+
+    Exact prefixes stop at ``EXACT_PREFIX_CAP``, so the exact search reads
+    condition (ii)'s window only for d_k <= top = min(cap, EXACT_PREFIX_CAP)
+    - d_{k-1}.  Both conditions are monotone in d_k, so if they fail at top,
+    they fail at every smaller d_k.  They are checked at top in floats, with
+    right-hand sides loosened by the relative ``_REACH_SLACK``: each sum here
+    adds at most 10**5 weights, each rounded at most three times, so its
+    relative error is below 2**-52 * (10**5 + 3) < 3e-11, and a d_k that
+    satisfies a condition exactly passes its loosened float check.  The
+    bound takes the weights to lie in the normal float range, which only an
+    explicit list with entries below 2**-1022 leaves.
+    """
+    reach = min(fam.index_cap, EXACT_PREFIX_CAP)
+    top = reach - d_prev
+    W, loose = fam.prefix_sum, 1 + _REACH_SLACK
+    if top >= 1 and not (
+        W(n_prev) <= W(top) / 2 * loose
+        and fam.window_sum(top + 1, top + d_prev) <= 2.0 ** (1 - k) * W(d_prev) * loose
+    ):
+        raise CapExceededError(
+            f"no feasible d_{k} within exact reach {reach}: "
+            f"(i) or (ii) fails in floats even at d_{k} = {top}"
         )
 
 
@@ -174,7 +211,7 @@ def find_block_lengths(
     decides each condition exactly, so it ignores the slack.  No support
     n_k may pass the family's index cap.
     """
-    _check_preconditions(fam, r, slack)
+    r = _check_preconditions(fam, r, slack)
     ar = arithmetic(mode, fam)
     if ar.exact:
         slack = 0
@@ -200,6 +237,8 @@ def find_block_lengths(
         try:
             lhs_i = ar.prefix(n_prev)
             rhs_ii = two ** (1 - k) * ar.prefix(d_prev) if d_prev else None
+            if ar.exact and d_prev:
+                _check_exact_reach(fam, k, n_prev, d_prev)
             # the support n_k = n_{k-1} + d_k bounds d_k; since n_{k-1} >= d_{k-1},
             # condition (ii)'s window ends at d_{k-1} + d_k <= n_k, within the
             # cap, and the search gives up only once the limit itself is infeasible
@@ -378,4 +417,4 @@ def lower_bound_S(
     """
     d = find_block_lengths(fam, r, slack=slack, mode=mode)
     cert = verify_certificate(fam, d, mode=mode)
-    return (r / 6.0, float(cert.ratio))
+    return (cert.r / 6.0, float(cert.ratio))

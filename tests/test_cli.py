@@ -7,6 +7,8 @@ import hashlib
 import io
 import json
 import sys
+import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -550,6 +552,27 @@ def test_exact_search_cap_names_where_it_stopped(capsys, monkeypatch):
         "resource cap exceeded: exact block search stopped at d_4 of harmonic "
         "after blocks [1, 4, 54]: exact prefix sums capped at 2000, got 2048\n"
     )
+
+
+def test_hopeless_rational_search_stops_before_the_exact_prefixes(capsys):
+    # d_5 of harmonic lies past the 10**5 exact prefixes: a float check at the
+    # largest d_5 they reach shows it, so the search exits 4 without filling
+    # them (filling them to 65,536 took about 5 s and 829 MB of RSS)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, ["witness", "-w", "harmonic", "-r", "5", "--mode", "rational"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (4, "")
+    assert err == (
+        "resource cap exceeded: exact block search stopped at d_5 of harmonic after blocks "
+        "[1, 4, 54, 6306]: no feasible d_5 within exact reach 100000: (i) or (ii) fails "
+        "in floats even at d_5 = 93694\n"
+    )
+    assert peak < 64 * 2**20 and elapsed < 5.0
 
 
 @pytest.mark.parametrize("family, r", sorted(SCAN_GOLDEN))

@@ -282,6 +282,17 @@ def test_weight_reads_take_integer_indices(read):
             read(fam, bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "x", "1/0"])
+def test_explicit_weights_reject_bad_entries(bad):
+    with pytest.raises(InputError, match="^explicit weights must be finite rationals: "):
+        ExplicitRationalWeights([1, bad], "constant")
+
+
+def test_explicit_weights_take_an_array():
+    # the entries are converted before the list is tested for emptiness
+    assert ExplicitRationalWeights(np.array([1.0, 0.5]), "constant").values == [1, Fraction(1, 2)]
+
+
 def test_weight_at_rejects_bad_index():
     with pytest.raises(InputError):
         HarmonicWeights().weight_at(0)

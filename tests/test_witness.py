@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from seqspace.exceptions import CapExceededError, CertificationError, InputError
-from seqspace.functionals import StepSequence, functional_A, functional_B
+from seqspace.functionals import StepSequence, functional_A, functional_B, functional_B_at
+from seqspace.norms import inclusion_gap, symmetric_defect
 from seqspace.weights import HarmonicWeights, PowerWeights, parse_weight_spec
 from seqspace.witness import (
     DEFAULT_TOLERANCE,
@@ -118,6 +119,20 @@ def test_search_probes_stay_within_the_cap():
         find_block_lengths(HarmonicWeights(index_cap=1), 2)
 
 
+def test_rational_search_checks_its_exact_reach_in_floats():
+    # exact reads reach d_4 <= cap - d_3; the exact d_4 = 6306 passes the
+    # loosened float check at that reach (cap 6360; the support n_4 = 6365
+    # then stops the exact search), and one below it fails at once
+    assert find_block_lengths(HarmonicWeights(index_cap=6365), 4, mode="rational") == [1, 4, 54, 6306]
+    with pytest.raises(CapExceededError, match="no feasible d_4 within cap 6360$"):
+        find_block_lengths(HarmonicWeights(index_cap=6360), 4, mode="rational")
+    with pytest.raises(
+        CapExceededError,
+        match=r"no feasible d_4 within exact reach 6359: \(i\) or \(ii\) fails in floats even at d_4 = 6305$",
+    ):
+        find_block_lengths(HarmonicWeights(index_cap=6359), 4, mode="rational")
+
+
 @pytest.mark.parametrize(
     "use",
     [
@@ -138,6 +153,34 @@ def test_block_lengths_are_positive_integers(use):
     for bad in (np.array([1.5]), np.array([0, 4])):
         with pytest.raises(InputError, match="block lengths must be a non-empty list"):
             use(bad)
+
+
+_STEPS = StepSequence(((3, 1.0), (2, 0.5)))
+# every integer argument, checked by one rule: r, a window or prefix length,
+# a run length and the index cap
+INTEGER_ARGUMENTS = {
+    "find_block_lengths": lambda x: find_block_lengths(P12, x),
+    "lower_bound_S": lambda x: lower_bound_S(P12, x),
+    "inclusion_gap": lambda x: inclusion_gap(P12, 1.0, x),
+    "functional_B_at": lambda x: functional_B_at(_STEPS, P12, x),
+    "symmetric_defect": lambda x: symmetric_defect(_STEPS, P12, 1.0, x)[0],
+    "prefix_sum": lambda x: P12.prefix_sum(x),
+    "run_length": lambda x: StepSequence(((x, 1.0),)).runs,
+    "index_cap": lambda x: PowerWeights(0.5, index_cap=x).index_cap,
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, np.float64(2.0), np.bool_(True)])
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_integer_arguments_refuse_floats_and_bools(call, bad):
+    with pytest.raises(InputError, match="must be an integer, got"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_integer_arguments_take_numpy_integers(call):
+    got, want = call(np.int64(2)), call(2)
+    assert got == want and type(got) is type(want)
 
 
 def test_build_witness_examples():
