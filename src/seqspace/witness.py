@@ -32,6 +32,7 @@ from pathlib import Path
 
 from .exceptions import CapExceededError, CertificationError, InputError
 from .functionals import (
+    Arithmetic,
     StepSequence,
     Value,
     arithmetic,
@@ -170,31 +171,27 @@ def _check_preconditions(fam: WeightFamily, r: int, slack: float) -> int:
     return r
 
 
-def _check_exact_reach(fam: WeightFamily, k: int, n_prev: int, d_prev: int) -> None:
-    """Give up on d_k at once when no d_k within exact reach satisfies (i) and (ii).
+def _conditions(ar: Arithmetic, k: int, n_prev: int, d_prev: int, window):
+    """Conditions (i) and (ii) for block k as (lhs, rhs) pairs, per candidate d_k.
 
-    Exact prefixes stop at ``EXACT_PREFIX_CAP``, so the exact search reads
-    condition (ii)'s window only for d_k <= top = min(cap, EXACT_PREFIX_CAP)
-    - d_{k-1}.  Both conditions are monotone in d_k, so if they fail at top,
-    they fail at every smaller d_k.  They are checked at top in floats, with
-    right-hand sides loosened by the relative ``_REACH_SLACK``: each sum here
-    adds at most 10**5 weights, each rounded at most three times, so its
-    relative error is below 2**-52 * (10**5 + 3) < 3e-11, and a d_k that
-    satisfies a condition exactly passes its loosened float check.  The
-    bound takes the weights to lie in the normal float range, which only an
-    explicit list with entries below 2**-1022 leaves.
+    W(n_{k-1}) and 2**(1-k) W(d_{k-1}) are read once.  For each d_k the
+    returned generator yields (W(n_{k-1}), W(d_k)/2), then (ii)'s window
+    ``window(d_k + 1, d_k + d_{k-1})`` and 2**(1-k) W(d_{k-1}), 0 and 0 when
+    d_{k-1} = 0; a caller that stops after (i) reads nothing more.
     """
-    reach = min(fam.index_cap, EXACT_PREFIX_CAP)
-    top = reach - d_prev
-    W, loose = fam.prefix_sum, 1 + _REACH_SLACK
-    if top >= 1 and not (
-        W(n_prev) <= W(top) / 2 * loose
-        and fam.window_sum(top + 1, top + d_prev) <= 2.0 ** (1 - k) * W(d_prev) * loose
-    ):
-        raise CapExceededError(
-            f"no feasible d_{k} within exact reach {reach}: "
-            f"(i) or (ii) fails in floats even at d_{k} = {top}"
-        )
+    zero = ar.num(0)
+    lhs_i = ar.prefix(n_prev)
+    rhs_ii = ar.num(2) ** (1 - k) * ar.prefix(d_prev) if d_prev else zero
+
+    def pairs(d_k: int):
+        yield lhs_i, ar.prefix(d_k) / 2
+        yield (window(d_k + 1, d_k + d_prev) if d_prev else zero), rhs_ii
+
+    return pairs
+
+
+def _holds(pairs, factor) -> bool:
+    return all(lhs <= rhs * factor for lhs, rhs in pairs)
 
 
 def find_block_lengths(
@@ -207,14 +204,18 @@ def find_block_lengths(
     """Componentwise-minimal block lengths satisfying conditions (i) and (ii).
 
     ``initial`` may carry the result of a previous, smaller-r search for the
-    same family and slack; the search then only extends it.  Rational mode
-    decides each condition exactly, so it ignores the slack.  No support
-    n_k may pass the family's index cap.
+    same family and slack; the search then only extends it.  No support n_k
+    may pass the family's index cap.  Rational mode decides each condition
+    exactly, ignoring the slack, for d_k up to top = min(cap,
+    EXACT_PREFIX_CAP) - d_{k-1}, the exact prefixes' reach for (ii).  It
+    gives up at once when (i) or (ii) fails at top in floats, right-hand
+    sides loosened by ``_REACH_SLACK``: both are monotone in d_k, and a
+    float sum of at most 10**5 weights in the normal range, each rounded at
+    most three times, is off by less than 2**-52 * (10**5 + 3) < 3e-11 relative.
     """
     r = _check_preconditions(fam, r, slack)
     ar = arithmetic(mode, fam)
-    if ar.exact:
-        slack = 0
+    tighten = 1 if ar.exact else 1 - slack
     cap = fam.index_cap
 
     # None or an empty list or array is no prefix; anything else must be block lengths
@@ -223,35 +224,35 @@ def find_block_lengths(
     if len(d) > r:
         raise InputError("initial block prefix longer than requested r")
     n_prev = sum(d)
-    half, two = ar.num(1) / 2, ar.num(2)
-    tighten = 1 - slack
 
     for k in range(len(d) + 1, r + 1):
         d_prev = d[-1] if d else 0
-
-        def feasible(cand: int) -> bool:
-            if lhs_i > half * ar.prefix(cand) * tighten:
-                return False
-            return rhs_ii is None or ar.window(cand + 1, cand + d_prev) <= rhs_ii * tighten
-
         try:
-            lhs_i = ar.prefix(n_prev)
-            rhs_ii = two ** (1 - k) * ar.prefix(d_prev) if d_prev else None
-            if ar.exact and d_prev:
-                _check_exact_reach(fam, k, n_prev, d_prev)
+            conditions = _conditions(ar, k, n_prev, d_prev, ar.window)
             # the support n_k = n_{k-1} + d_k bounds d_k; since n_{k-1} >= d_{k-1},
             # condition (ii)'s window ends at d_{k-1} + d_k <= n_k, within the
             # cap, and the search gives up only once the limit itself is infeasible
-            limit = cap - n_prev
+            limit, bound = cap - n_prev, f"cap {cap}"
+            if ar.exact:
+                reach = min(cap, EXACT_PREFIX_CAP)
+                top = reach - d_prev
+                at_top = _conditions(arithmetic("float", fam), k, n_prev, d_prev, fam.window_sum)
+                if top >= 1 and not _holds(at_top(top), 1 + _REACH_SLACK):
+                    raise CapExceededError(
+                        f"no feasible d_{k} within exact reach {reach}: "
+                        f"(i) or (ii) fails in floats even at d_{k} = {top}"
+                    )
+                if top < limit:
+                    limit, bound = top, f"exact reach {reach}"
             hi = 1
-            while limit < 1 or not feasible(min(hi, limit)):
+            while limit < 1 or not _holds(conditions(min(hi, limit)), tighten):
                 if hi >= limit:
-                    raise CapExceededError(f"no feasible d_{k} within cap {cap}")
+                    raise CapExceededError(f"no feasible d_{k} within {bound}")
                 hi *= 2
             lo, hi = hi // 2 + 1, min(hi, limit)
             while lo < hi:
                 mid = (lo + hi) // 2
-                if feasible(mid):
+                if _holds(conditions(mid), tighten):
                     hi = mid
                 else:
                     lo = mid + 1
@@ -297,33 +298,31 @@ def verify_certificate(
     r = len(d)
     ar = arithmetic(mode, fam)
     tolerance = 0 if ar.exact else DEFAULT_TOLERANCE
-    prefix = ar.prefix
-    half, two = ar.num(1) / 2, ar.num(2)
+
+    def difference(lo: int, hi: int) -> Value:  # (ii)'s window as the margins record it
+        return ar.prefix(hi) - ar.prefix(lo - 1)
 
     n_parts = [0, *accumulate(d)]
     cond_i: list[Value] = []
     cond_ii: list[Value] = []
-    for k in range(1, r + 1):
-        d_k = d[k - 1]
-        d_km1 = d[k - 2] if k >= 2 else 0
-        rhs_i = half * prefix(d_k)
-        margin_i = rhs_i - prefix(n_parts[k - 1])
-        if margin_i < -tolerance * abs(rhs_i):
+    for k, (n_prev, d_prev, d_k) in enumerate(zip(n_parts, [0, *d], d), start=1):
+        pairs = _conditions(ar, k, n_prev, d_prev, difference)(d_k)
+        lhs, rhs = next(pairs)
+        margin = rhs - lhs
+        if margin < -tolerance * abs(rhs):
             raise CertificationError(
                 f"condition (i) violated at k = {k}: "
-                f"W(n_{k - 1}) exceeds W(d_{k})/2 by {-margin_i}"
+                f"W(n_{k - 1}) exceeds W(d_{k})/2 by {-margin}"
             )
-        cond_i.append(margin_i)
-
-        rhs_ii = two ** (1 - k) * prefix(d_km1)
-        lhs_ii = prefix(d_km1 + d_k) - prefix(d_k)
-        margin_ii = rhs_ii - lhs_ii
-        if margin_ii < -tolerance * max(abs(rhs_ii), abs(lhs_ii)):
+        cond_i.append(margin)
+        lhs, rhs = next(pairs)
+        margin = rhs - lhs
+        if margin < -tolerance * max(abs(rhs), abs(lhs)):
             raise CertificationError(
                 f"condition (ii) violated at k = {k}: window sum exceeds "
-                f"2**(1-{k}) * W(d_{k - 1}) by {-margin_ii}"
+                f"2**(1-{k}) * W(d_{k - 1}) by {-margin}"
             )
-        cond_ii.append(margin_ii)
+        cond_ii.append(margin)
 
     f = build_witness(fam, d, mode=mode)
     rep = ratio(f, fam, mode=mode)  # A and B from one pass over the weights

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqspace import weights, witness
 from seqspace.exceptions import CapExceededError, CertificationError, InputError
 from seqspace.functionals import StepSequence, functional_A, functional_B, functional_B_at
 from seqspace.norms import inclusion_gap, symmetric_defect
@@ -131,6 +132,21 @@ def test_rational_search_checks_its_exact_reach_in_floats():
         match=r"no feasible d_4 within exact reach 6359: \(i\) or \(ii\) fails in floats even at d_4 = 6305$",
     ):
         find_block_lengths(HarmonicWeights(index_cap=6359), 4, mode="rational")
+
+
+def test_rational_search_runs_to_its_exact_reach(monkeypatch):
+    # with 7000 exact prefixes, d_4 = 6306 and its reads (up to W(6360)) fit:
+    # the doubling past 4096 probes the reach 7000 - d_3 = 6946, not 8192
+    monkeypatch.setattr(weights, "EXACT_PREFIX_CAP", 7000)
+    monkeypatch.setattr(witness, "EXACT_PREFIX_CAP", 7000)
+    assert find_block_lengths(HarmonicWeights(), 4, mode="rational") == [1, 4, 54, 6306]
+    # a float check loosened enough to pass at the reach 6359 - d_3 = 6305,
+    # where the exact conditions fail: the exact search stops at that reach
+    monkeypatch.setattr(weights, "EXACT_PREFIX_CAP", 6359)
+    monkeypatch.setattr(witness, "EXACT_PREFIX_CAP", 6359)
+    monkeypatch.setattr(witness, "_REACH_SLACK", 0.1)
+    with pytest.raises(CapExceededError, match="no feasible d_4 within exact reach 6359$"):
+        find_block_lengths(HarmonicWeights(), 4, mode="rational")
 
 
 @pytest.mark.parametrize(
@@ -505,6 +521,33 @@ def test_search_generates_each_weight_about_once():
     count = _count_terms(fam)
     assert find_block_lengths(fam, 6) == [1, 4, 31, 630, 42423, 10916370]
     assert count[0] <= 26_000_000
+
+
+def test_search_reads_per_block():
+    # prefix_sum and window_sum calls of the incremental search for d_k,
+    # counted as bench/layers.py counts its witness.probes.k* and
+    # witness.window_probes.k*: W(n_{k-1}), W(d_{k-1}) and one W(d_k) per
+    # probe, and one window per probe that passes condition (i)
+    fam = PowerWeights(0.5)
+    counts = {"prefix": 0, "window": 0}
+    prefix, window = fam.prefix_sum, fam.window_sum
+
+    def counted_prefix(n):
+        counts["prefix"] += 1
+        return prefix(n)
+
+    def counted_window(lo, hi):
+        counts["window"] += 1
+        return window(lo, hi)
+
+    fam.prefix_sum, fam.window_sum = counted_prefix, counted_window
+    d, reads = [], []
+    for k in range(1, 7):
+        counts.update(prefix=0, window=0)
+        d = find_block_lengths(fam, k, initial=d)
+        reads.append((counts["prefix"], counts["window"]))
+    assert d == [1, 4, 31, 630, 42423, 10916370]
+    assert reads == [(2, 0), (6, 2), (12, 6), (22, 12), (34, 20), (50, 30)]
 
 
 def test_verification_holds_one_term_buffer():
