@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -56,8 +55,6 @@ def _coerce_value(v) -> Value:
         if not math.isfinite(v):
             raise InputError(f"run value {v} is not finite")
         return v
-    if isinstance(v, int):
-        return Fraction(v)
     raise InputError(f"run value {v!r} is not a real number")
 
 
@@ -236,10 +233,15 @@ def arithmetic(
 ) -> Arithmetic:
     """Select float or exact arithmetic, checking that fam (and f) admit it.
 
-    ``mode`` is ``"float"`` or ``"rational"``.  Exact arithmetic needs a
+    ``mode`` is ``"float"`` or ``"rational"``.  A given sequence's support
+    must lie within the family's index cap.  Exact arithmetic needs a
     rational family and, when a sequence is given, rational run values and a
     support within the exact-prefix cap.
     """
+    if f is not None and f.support > fam.index_cap:
+        raise CapExceededError(
+            f"support {f.support} exceeds the family index cap {fam.index_cap}"
+        )
     if mode == "float":
         return Arithmetic(False, float, fam.prefix_sum, fam.window_sum, math.fsum)
     if mode != "rational":
@@ -262,13 +264,6 @@ def arithmetic(
     )
 
 
-def _check_support(f: StepSequence, fam: WeightFamily) -> None:
-    if f.support > fam.index_cap:
-        raise CapExceededError(
-            f"support {f.support} exceeds the family index cap {fam.index_cap}"
-        )
-
-
 def functional_A(f: StepSequence, fam: WeightFamily, mode: str = "float") -> Value:
     """Aligned sum A(f, w) = sum_i a_i w_i, evaluated run by run.
 
@@ -276,7 +271,6 @@ def functional_A(f: StepSequence, fam: WeightFamily, mode: str = "float") -> Val
     windows are summed directly rather than as prefix differences, so small
     runs deep in the sequence do not suffer cancellation.
     """
-    _check_support(f, fam)
     ar = arithmetic(mode, fam, f)
     return ar.total(
         ar.num(value) * ar.window(start, end) for start, end, value in f.bounds()
@@ -304,7 +298,6 @@ def functional_B_at(
     n = as_index(n, "window length")
     if n < 1:
         raise InputError(f"window length must be >= 1, got {n}")
-    _check_support(f, fam)
     return _B_at(f.bounds(), n, arithmetic(mode, fam, f))
 
 
@@ -417,13 +410,13 @@ def _scan(
     # windows from lo on read W(0) and no W(x) below lo + 1 - s_R, s_R the
     # last run's start, in slices of at most _SCAN_BLOCK entries
     keep = runs[-1][0] + _SCAN_BLOCK
-    with closing(PrefixStream(fam, m, keep, _SCAN_BLOCK, windows, sums)) as prefix:
-        for lo, scan in _scan_dense(runs, prefix):
-            k = int(np.argmax(scan))  # the block's first maximum
-            if scan[k] > top:
-                top, first = float(scan[k]), lo + k
-            if ar.exact:
-                blocks.append(scan)
+    prefix = PrefixStream(fam, m, keep, _SCAN_BLOCK, windows, sums)
+    for lo, scan in _scan_dense(runs, prefix):
+        k = int(np.argmax(scan))  # the block's first maximum
+        if scan[k] > top:
+            top, first = float(scan[k]), lo + k
+        if ar.exact:
+            blocks.append(scan)
     if not ar.exact:
         return top, first
     # B(n*) >= B(n) for every n, so scan(n*) >= top - 2E for a true maximiser n*
@@ -453,7 +446,6 @@ def functional_B(
     only the windows in that band below the top are re-evaluated exactly,
     from the cached Fraction prefixes.
     """
-    _check_support(f, fam)
     return _scan(f, fam, arithmetic(mode, fam, f))
 
 
@@ -465,7 +457,6 @@ def ratio(f: StepSequence, fam: WeightFamily, mode: str = "float") -> Functional
     """
     if f.is_zero:
         raise InputError("ratio undefined for the zero sequence (B = 0)")
-    _check_support(f, fam)
     ar = arithmetic(mode, fam, f)
     if ar.exact:
         a = functional_A(f, fam, mode=mode)

@@ -337,9 +337,9 @@ class PrefixStream:
     bit for bit ``window_sum(lo, hi)``, is appended to ``sums`` once the
     block holding hi is in.  A chunk of a window (``_chunks``) is summed in
     place when it lies in one block, and otherwise copied into the family's
-    term buffer, which the stream borrows, sized by the longest such chunk,
-    until ``close``; meanwhile the family has no span, and a concurrent span
-    read allocates its own.
+    term buffer, which the stream takes, sized by the longest such chunk:
+    the family has no span from then on, and its next span read allocates a
+    new buffer.
     """
 
     def __init__(
@@ -403,14 +403,6 @@ class PrefixStream:
     def last(self) -> float:
         """W(top), the last entry streamed in."""
         return float(self.data[1 + (self.top - 1) % self.cap])
-
-    def close(self) -> None:
-        """Give the term buffer back, unless the family has allocated another."""
-        buf, self._buf = self._buf, None
-        if buf is not None:
-            with self._fam._lock:
-                if self._fam._buf is None:
-                    self._fam._buf = buf
 
 
 class PowerWeights(WeightFamily):

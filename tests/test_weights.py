@@ -482,9 +482,9 @@ def test_span_lifetime():
 
 
 def test_span_is_shared_safely_across_threads():
-    # threads re-anchor, fill and read the span, and borrow and give back the
-    # term buffer for windows and for A's pass; with a short switch interval
-    # an unguarded fill, re-anchor or hand-over would give a thread wrong
+    # threads re-anchor, fill and read the span, and take the term buffer
+    # for windows and for A's pass; with a short switch interval an
+    # unguarded fill, re-anchor or hand-over would give a thread wrong
     # terms or fail it
     ops = []
     rng = np.random.default_rng(3)

@@ -552,7 +552,7 @@ def test_search_reads_per_block():
 
 def test_verification_holds_one_term_buffer():
     # the search leaves the span of its last probe, 2**22 terms; verification
-    # streams the weights, borrows that buffer for A's chunks and keeps only
+    # streams the weights, takes that buffer for A's chunks and keeps only
     # the prefixes the scan has yet to read, so no second buffer, prefix
     # array or chunk of fresh terms sits beside it
     fam = PowerWeights(0.5)
