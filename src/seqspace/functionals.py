@@ -420,7 +420,7 @@ def _scan(
     if not ar.exact:
         return top, first
     # B(n*) >= B(n) for every n, so scan(n*) >= top - 2E for a true maximiser n*
-    band = 2 * _scan_error_bound(m, [u for *_, u in runs], prefix.last)
+    band = 2 * _scan_error_bound(m, [u for *_, u in runs], prefix.at(m))
     scan = np.concatenate(blocks)
     candidates = (np.flatnonzero(scan >= top - band) + 1).tolist()
     best, neg_n = max((_B_at(bounds, n, ar), -n) for n in candidates)

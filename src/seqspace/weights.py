@@ -13,16 +13,14 @@ aligned/reversed functional ratio computed in :mod:`seqspace.functionals`;
 the third branch is exactly the regime where that ratio is unbounded and the
 witness construction of :mod:`seqspace.witness` applies.
 
-A prefix sum W(n) is W(q), q the largest power of two below n, plus the
-compensated sum of the 2**22-term chunks of w_{q+1}..w_n, so each value has
-one canonical path.  Every W(n), and the sum of every full chunk of such a
-dyadic interval (q, 2q], is memoized.  A family holds one term buffer of at
-most 2**22 floats (32 MB), the span: the terms of the chunk the latest
-prefix or window read ended in, when that chunk is longer than one
-2**16-term piece.  A block search probing back and forth inside one interval
-therefore generates each weight there about once, and indices up to the
-2**28 index cap stay cheap.  ``prefix_array`` and the window scan of
-:mod:`seqspace.functionals` read W(1..m) from a :class:`PrefixStream`.
+Every float prefix sum comes from one engine, :class:`PrefixStream`:
+W(1..m) in aligned 2**16-entry blocks, each block the ``cumsum`` of its
+fresh terms plus the compensated sum of the blocks before it, so W(n) has
+one value whichever reader produced it.  ``prefix_sum`` memoizes the
+values it returns and resumes one stream per family, ``prefix_array`` is a
+stream kept whole, and the witness search and the window scan of
+:mod:`seqspace.functionals` run streams of their own.  ``window_sum`` sums
+a window directly, in 2**22-term chunks.
 """
 
 from __future__ import annotations
@@ -105,17 +103,16 @@ def _chunks(lo: int, hi: int):
 class WeightFamily:
     """Base class: immutable weight sequence with internal prefix caches.
 
-    Subclasses implement term generation and classification analytics.  All
-    caches are guarded by a lock and every prefix sum is computed along a
-    deterministic path (largest power-of-two checkpoint, then fixed-size
-    chunks), so concurrent readers always observe identical values.  No
-    weight, window or prefix read, exact or float, may pass the family's index cap.
+    Subclasses implement term generation and classification analytics.  The
+    caches are guarded by a lock, and every float prefix is the prefix
+    stream's value, so concurrent readers always observe identical values.
+    No weight, window or prefix read, exact or float, may pass the family's
+    index cap.
 
-    The chunk memo, the term buffer and the prefix stream change no float: a
-    term's value does not depend on the range it is generated in, and the
+    A term's value does not depend on the range it is generated in, and the
     ``np.sum`` of a slice equals that of the same terms generated afresh, so
-    a chunk summed from the buffer or from a streamed block equals the sum
-    of its fresh terms bit for bit.
+    a chunk summed from a stream's blocks equals the sum of its fresh terms
+    bit for bit.
     """
 
     spec: str
@@ -126,12 +123,7 @@ class WeightFamily:
             raise InputError(f"index cap must lie in 1..{DEFAULT_INDEX_CAP}, got {index_cap}")
         self._lock = threading.Lock()
         self._memo: dict[int, float] = {0: 0.0}
-        self._chunk_memo: dict[int, float] = {}
-        # the term buffer; as the span, it holds the terms of the chunk
-        # starting at w_{_span_lo}, of which the first _span_len are filled
-        self._buf: np.ndarray | None = None
-        self._span_lo = 0
-        self._span_len = 0
+        self._stream: PrefixStream | None = None  # the stream prefix_sum resumes
         self._frac_prefix: list[Fraction] = [Fraction(0)]
         self._classification: Classification | None = None
 
@@ -209,89 +201,49 @@ class WeightFamily:
 
     # -- compensated prefix sums -----------------------------------------
 
-    def _block_sum(self, lo: int, hi: int, span: int = 0) -> float:
-        """Compensated sum of w_lo..w_hi over its ``_chunks``; the caller holds the lock.
-
-        numpy's pairwise ``np.sum`` keeps each positive chunk's relative
-        error near machine epsilon; the chunks are combined with compensation.
-        """
-        total = comp = 0.0
-        for a, b in _chunks(lo, hi):
-            total, comp = neumaier_add(total, comp, self._chunk(a, b, span))
-        return total + comp
-
-    def _chunk(self, lo: int, hi: int, span: int = 0) -> float:
-        """``np.sum`` of w_lo..w_hi, one chunk; the caller holds the lock.
-
-        ``span`` > 0 marks a chunk of a prefix's dyadic interval: a full one
-        is memoized by its start, and ``span`` is the span its interval takes
-        (a chunk's start fixes its interval, so a read starting where the span
-        does fits in it).  A window chunk takes a span of its own length.  A
-        span of at most one ``_ARRAY_BLOCK`` piece is not kept: those terms
-        are generated afresh.  A longer one is anchored at lo and filled in
-        pieces as far as the read needs; a read at another anchor re-anchors
-        it, keeping the buffer when it holds the span.
-        """
-        full = span and hi - lo + 1 == _CHUNK
-        if full and lo in self._chunk_memo:
-            return self._chunk_memo[lo]
-        size = span or hi - lo + 1
-        if size <= _ARRAY_BLOCK:
-            total = float(np.sum(self._terms(lo, hi)))
-        else:
-            if self._buf is None or self._buf.size < size:
-                self._buf = None  # dropped before the next one is allocated
-                self._buf, self._span_len = np.empty(size), 0
-            if lo != self._span_lo:
-                self._span_lo, self._span_len = lo, 0
-            while self._span_len <= hi - lo:
-                a = self._span_len
-                b = min(a + _ARRAY_BLOCK, size)
-                self._buf[a:b] = self._terms(lo + a, lo + b - 1)
-                self._span_len = b
-            total = float(np.sum(self._buf[: hi - lo + 1]))
-        if full:
-            self._chunk_memo[lo] = total
-        return total
-
-    def _prefix(self, n: int) -> float:
-        # W(n) = W(q) + w_{q+1} + ... + w_n with q the largest power of two
-        # below n (0 for n = 1), so every value has one canonical path; the
-        # interval (q, 2q] has q terms, so its chunks need a span of no more
-        hit = self._memo.get(n)
-        if hit is None:
-            q = 1 << ((n - 1).bit_length() - 1) if n > 1 else 0
-            span = min(_CHUNK, max(q, 1))
-            hit = self._memo[n] = self._prefix(q) + self._block_sum(q + 1, n, span)
-        return hit
-
     def prefix_sum(self, n: int) -> float:
-        """W(n) = w_1 + ... + w_n, with W(0) = 0.
+        """W(n) = w_1 + ... + w_n, with W(0) = 0: the prefix stream's value.
 
-        Relative error is a few machine epsilons: ``_CHUNK``-term chunks are
-        summed pairwise and combined with Neumaier compensation.  Each value
-        is memoized, as is each full chunk sum of the dyadic interval
-        ``(q, 2q]`` holding n (at most 63 below 2**28); the terms of the
-        chunk n ends in stay in the span (see the module docstring), so a
-        later query in that chunk, a bisection probe say, generates only the
-        terms it adds.  Raises CapExceededError beyond the family's index cap.
+        Relative error is a few machine epsilons: the earlier blocks' pairwise
+        sums are combined with Neumaier compensation, and only the last
+        block's ``cumsum``, of at most 2**16 terms, adds sequentially.  Each
+        value is memoized.  A read ahead of the family's stream resumes it, so
+        rising reads generate each weight once; a read behind the stream's
+        last block starts a new one at w_1.  Raises CapExceededError beyond the
+        family's index cap.
         """
         n = self._length(n, "prefix length")
         self._check_cap(n, "prefix")
         with self._lock:
-            return self._prefix(n)
+            hit = self._memo.get(n)
+            if hit is None:
+                if self._stream is None or n <= self._stream.top - self._stream.cap:
+                    self._stream = PrefixStream(self, self._cap, 0)
+                hit = self._memo[n] = self._stream.at(n)
+            return hit
 
     def window_sum(self, lo: int, hi: int) -> float:
         """w_lo + ... + w_hi by direct summation (empty when hi < lo).
 
         Summing the window directly avoids the cancellation a difference of
         two large prefix sums would suffer when the window total is small.
-        The window's terms are generated afresh; a chunk of more than one
-        ``_ARRAY_BLOCK`` piece is filled into the span, anchored at the chunk.
+        The window is the Neumaier sum of its ``_chunks``' ``np.sum``; a chunk
+        longer than one ``_ARRAY_BLOCK`` piece is generated piece by piece
+        into one buffer of at most ``_CHUNK`` floats, freed on return.
         """
         lo, hi = self._range(lo, hi, "window start", "window end", "window end")
-        with self._lock:
-            return self._block_sum(lo, hi)
+        total = comp = 0.0
+        buf = np.empty(min(_CHUNK, hi - lo + 1)) if hi - lo >= _ARRAY_BLOCK else None
+        for a, b in _chunks(lo, hi):
+            if b - a < _ARRAY_BLOCK:
+                x = np.sum(self._terms(a, b))
+            else:
+                for s in range(a, b + 1, _ARRAY_BLOCK):
+                    e = min(s + _ARRAY_BLOCK - 1, b)
+                    buf[s - a : e - a + 1] = self._terms(s, e)
+                x = np.sum(buf[: b - a + 1])
+            total, comp = neumaier_add(total, comp, float(x))
+        return total + comp
 
     def prefix_array(self, m: int) -> np.ndarray:
         """Array [W(0), W(1), ..., W(m)]: the prefix stream, kept whole."""
@@ -322,48 +274,56 @@ class WeightFamily:
 class PrefixStream:
     """W(0) and a ring of the prefixes W(1..m), streamed in aligned blocks.
 
-    Block j, W(1 + jB), ..., W(min((j + 1)B, m)) with B = ``_ARRAY_BLOCK``,
-    is the ``cumsum`` of its terms, each generated once, plus the Neumaier
-    sum of the earlier blocks' ``np.sum``, written straight into the ring;
-    ``reach(hi)`` streams blocks until W(hi) is in.  W(0) is ``data[0]`` and
-    W(x), x >= 1, is ``data[1 + (x - 1) % cap]``.  The ring holds whole
-    blocks, at least ``keep`` + B entries and at most m, so once W(hi) is in,
-    every W(x) with x > hi - keep is still there: a block overwrites only
-    older entries.  Past a ring that wraps, a guard repeats its first
-    ``read`` entries, so a read of at most ``read`` consecutive entries is
-    one slice.  Kept whole (``keep = m``), the ring is the prefix array.
+    This is the one float prefix engine: ``prefix_sum``, ``prefix_array``,
+    the float block search and the window scan all read a stream.  Block j,
+    W(1 + jB), ..., W(min((j + 1)B, m)) with B = ``block`` =
+    ``_ARRAY_BLOCK``, is the ``cumsum`` of its terms, each generated once,
+    plus the Neumaier sum of the earlier blocks' ``np.sum``, written
+    straight into the ring; ``reach(hi)`` streams blocks until W(hi) is in,
+    and ``at(x)`` reads W(x).  W(0) is ``data[0]`` and W(x), x >= 1, is
+    ``data[1 + (x - 1) % cap]``.  The ring holds whole blocks, at least
+    ``keep`` + B entries and at most m, so once W(hi) is in, every W(x)
+    with x > hi - keep is still there: a block overwrites only older
+    entries.  ``hold`` widens the ring of a running stream.  Past a ring
+    that wraps, a guard repeats its first ``read`` entries, so a read of at
+    most ``read`` consecutive entries is one slice.  Kept whole
+    (``keep = m``), the ring is the prefix array.
 
     ``windows`` are ranges (lo, hi) tiling 1..m in order; the sum of each,
     bit for bit ``window_sum(lo, hi)``, is appended to ``sums`` once the
     block holding hi is in.  A chunk of a window (``_chunks``) is summed in
-    place when it lies in one block, and otherwise copied into the family's
-    term buffer, which the stream takes, sized by the longest such chunk:
-    the family has no span from then on, and its next span read allocates a
-    new buffer.
+    place when it lies in one block, and otherwise copied into the stream's
+    own buffer, sized by the longest such chunk.
     """
 
     def __init__(
         self, fam: WeightFamily, m: int, keep: int, read: int = 0, windows=(), sums=None
     ) -> None:
-        block = _ARRAY_BLOCK
-        self.cap = min(m, -(-(keep + block) // block) * block)
-        self._guard = read if self.cap < m else 0
-        self.data = np.empty(1 + self.cap + self._guard)
-        self.data[0] = 0.0
-        self.top = 0  # the last index streamed in
-        self._fam, self._m, self._sums = fam, m, sums
+        self.block = _ARRAY_BLOCK
+        self.top = self.cap = self._guard = 0  # top: the last index streamed in
+        self.data = np.zeros(1)
+        self._fam, self._m, self._read, self._sums = fam, m, read, sums
         self._base = self._comp = 0.0  # the blocks so far
+        self.hold(keep)
         self._chunks = [(c, e, hi) for lo, hi in windows for c, e in _chunks(lo, hi)]
         self._i = 0  # the next chunk to sum
         self._total = self._part = 0.0  # the current window's chunks so far
-        crossing = [e - c + 1 for c, e, _ in self._chunks if (c - 1) // block != (e - 1) // block]
-        self._buf = None
-        if crossing:
-            with fam._lock:
-                self._buf, fam._buf, fam._span_len = fam._buf, None, 0
-            if self._buf is None or self._buf.size < max(crossing):
-                self._buf = None  # dropped before the next one is allocated
-                self._buf = np.empty(max(crossing))
+        b = self.block
+        crossing = [e - c + 1 for c, e, _ in self._chunks if (c - 1) // b != (e - 1) // b]
+        self._buf = np.empty(max(crossing)) if crossing else None
+
+    def hold(self, keep: int) -> None:
+        """Widen the ring to keep at least ``keep`` entries below the top; it never shrinks."""
+        cap = min(self._m, -(-(keep + self.block) // self.block) * self.block)
+        if cap <= self.cap:
+            return
+        self._guard = self._read if cap < self._m else 0
+        data = np.zeros(1 + cap + self._guard)
+        if self.top:  # move what the ring holds: W(x) for each x - 1 in held
+            held = np.arange(max(self.top - self.cap, 0), self.top)
+            data[1 + held % cap] = self.data[1 + held % self.cap]
+            data[1 + cap :] = data[1 : 1 + self._guard]
+        self.data, self.cap = data, cap
 
     def reach(self, hi: int) -> np.ndarray:
         """The data array, once W(hi) is streamed in."""
@@ -371,9 +331,20 @@ class PrefixStream:
             self._next_block()
         return self.data
 
+    def at(self, x: int) -> float:
+        """W(x), once streamed in; x must not lie more than ``keep`` below the top."""
+        self.reach(x)
+        return float(self.data[1 + (x - 1) % self.cap]) if x else 0.0
+
+    def record(self, *xs: int) -> None:
+        """Put W(x) for each x into the family's memo, which ``prefix_sum`` reads."""
+        values = {x: self.at(x) for x in xs}
+        with self._fam._lock:
+            self._fam._memo.update(values)
+
     def _next_block(self) -> None:
         start = self.top + 1
-        end = min(start + _ARRAY_BLOCK - 1, self._m)
+        end = min(start + self.block - 1, self._m)
         terms = self._fam._terms(start, end)
         i = (start - 1) % self.cap  # blocks start at whole blocks of the ring, so none wraps
         block = np.cumsum(terms, out=self.data[1 + i : 2 + i + end - start])
@@ -399,11 +370,6 @@ class PrefixStream:
                 self._total = self._part = 0.0
             self._i += 1
 
-    @property
-    def last(self) -> float:
-        """W(top), the last entry streamed in."""
-        return float(self.data[1 + (self.top - 1) % self.cap])
-
 
 class PowerWeights(WeightFamily):
     """w_i = i**(-alpha) for alpha > 0; summable exactly when alpha > 1."""
@@ -417,12 +383,11 @@ class PowerWeights(WeightFamily):
 
     def _terms(self, lo: int, hi: int) -> np.ndarray:
         idx = np.arange(lo, hi + 1, dtype=np.float64)
-        return idx ** (-self.alpha)
+        return np.power(idx, -self.alpha, out=idx)  # in place: one array per block
 
     def _classify(self) -> Classification:
         if self.alpha > 1.0:
             n = _SUMMABLE_PARTIAL_TERMS
-            # one chunk of fresh terms, so a verdict leaves no term buffer behind
             partial = float(np.sum(self._terms(1, n)))
             tail = n ** (1.0 - self.alpha) / (self.alpha - 1.0)
             # Nudge upward so the reported constant is a true upper bound.
@@ -446,7 +411,8 @@ class HarmonicWeights(WeightFamily):
         self.spec = "harmonic"
 
     def _terms(self, lo: int, hi: int) -> np.ndarray:
-        return 1.0 / np.arange(lo, hi + 1, dtype=np.float64)
+        idx = np.arange(lo, hi + 1, dtype=np.float64)
+        return np.divide(1.0, idx, out=idx)  # in place: one array per block
 
     supports_exact = True
 

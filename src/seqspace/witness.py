@@ -11,9 +11,15 @@ and builds the step sequence taking the value 1/W(d_k) on the k-th block.
 These two conditions certify the bounds A >= r/2 and B <= 3, hence an
 aligned/reversed ratio of at least r/6 that grows without bound in r.
 
-The search returns the componentwise-minimal block lengths: both conditions
-are monotone in d_k (W is increasing, and the window sum in (ii) slides down
-a non-increasing weight), so each d_k is located by doubling then bisection.
+The search returns the componentwise-minimal block lengths.  Both
+conditions are monotone in d_k: W is increasing, and the window sum in (ii)
+slides down a non-increasing weight.  Condition (i) forces d_k > n_{k-1}, so
+each d_k is located by testing a rising series of candidate ends above
+n_{k-1}, then bisecting inside the first span where both conditions hold.
+A float search reads one forward :class:`~seqspace.weights.PrefixStream`
+for every block: since n_{k-1} >= d_{k-1} + d_{k-2}, each block's reads lie
+ahead of the last block's, and a ring of d_{k-1} plus two stream blocks
+serves the lag of (ii).
 The search bounds each d_k by the family's index cap less n_{k-1}, so every
 support it returns fits within the cap.  A multiplicative slack tightens the
 right-hand sides during the float search so summation error cannot admit a
@@ -44,6 +50,7 @@ from .weights import (
     DEFAULT_INDEX_CAP,
     EXACT_PREFIX_CAP,
     Branch,
+    PrefixStream,
     WeightFamily,
     as_index,
     parse_weight_spec,
@@ -174,14 +181,14 @@ def _check_preconditions(fam: WeightFamily, r: int, slack: float) -> int:
 def _conditions(ar: Arithmetic, k: int, n_prev: int, d_prev: int, window):
     """Conditions (i) and (ii) for block k as (lhs, rhs) pairs, per candidate d_k.
 
-    W(n_{k-1}) and 2**(1-k) W(d_{k-1}) are read once.  For each d_k the
-    returned generator yields (W(n_{k-1}), W(d_k)/2), then (ii)'s window
-    ``window(d_k + 1, d_k + d_{k-1})`` and 2**(1-k) W(d_{k-1}), 0 and 0 when
-    d_{k-1} = 0; a caller that stops after (i) reads nothing more.
+    2**(1-k) W(d_{k-1}) and W(n_{k-1}) are read once, in that rising order.
+    For each d_k the returned generator yields (W(n_{k-1}), W(d_k)/2), then
+    (ii)'s window ``window(d_k + 1, d_k + d_{k-1})`` and 2**(1-k) W(d_{k-1}),
+    0 and 0 when d_{k-1} = 0; a caller that stops after (i) reads nothing more.
     """
     zero = ar.num(0)
-    lhs_i = ar.prefix(n_prev)
     rhs_ii = ar.num(2) ** (1 - k) * ar.prefix(d_prev) if d_prev else zero
+    lhs_i = ar.prefix(n_prev)
 
     def pairs(d_k: int):
         yield lhs_i, ar.prefix(d_k) / 2
@@ -205,13 +212,20 @@ def find_block_lengths(
 
     ``initial`` may carry the result of a previous, smaller-r search for the
     same family and slack; the search then only extends it.  No support n_k
-    may pass the family's index cap.  Rational mode decides each condition
-    exactly, ignoring the slack, for d_k up to top = min(cap,
-    EXACT_PREFIX_CAP) - d_{k-1}, the exact prefixes' reach for (ii).  It
-    gives up at once when (i) or (ii) fails at top in floats, right-hand
-    sides loosened by ``_REACH_SLACK``: both are monotone in d_k, and a
-    float sum of at most 10**5 weights in the normal range, each rounded at
-    most three times, is off by less than 2**-52 * (10**5 + 3) < 3e-11 relative.
+    may pass the family's index cap.  Both arithmetics run one loop: test
+    rising candidate ends above n_{k-1} until both conditions hold, then
+    bisect the span since the last failing end.  A float search reads one
+    forward prefix stream, with (ii) as the prefix difference W(d_{k-1} +
+    d_k) - W(d_k), and its candidate ends are the stream's block ends; it
+    puts W(d_k), W(d_{k-1} + d_k) and W(n_k) into the family's prefix memo,
+    where verification reads them.  Rational mode decides each
+    condition exactly, ignoring the slack, at powers of two, for d_k up to
+    top = min(cap, EXACT_PREFIX_CAP) - d_{k-1}, the exact prefixes' reach
+    for (ii).  It gives up at once when (i) or (ii) fails at top in floats,
+    right-hand sides loosened by ``_REACH_SLACK``: both are monotone in d_k,
+    and a float sum of at most 10**5 weights in the normal range, each
+    rounded at most three times, is off by less than 2**-52 * (10**5 + 3) <
+    3e-11 relative.
     """
     r = _check_preconditions(fam, r, slack)
     ar = arithmetic(mode, fam)
@@ -224,6 +238,20 @@ def find_block_lengths(
     if len(d) > r:
         raise InputError("initial block prefix longer than requested r")
     n_prev = sum(d)
+
+    if not ar.exact:
+        stream = PrefixStream(fam, cap, 0)
+        W, step = stream.at, stream.block
+
+        def window(lo: int, hi: int) -> float:
+            # keep W(lo - 1) while reaching hi, and a block more for the bisection
+            stream.hold(hi - lo + 1 + step)
+            return W(hi) - W(lo - 1)
+
+        ar = Arithmetic(False, float, W, window, math.fsum)
+
+    def after(end: int) -> int:  # the next candidate end: a power of two or a block end
+        return 1 << end.bit_length() if ar.exact else end // step * step + step
 
     for k in range(len(d) + 1, r + 1):
         d_prev = d[-1] if d else 0
@@ -244,12 +272,12 @@ def find_block_lengths(
                     )
                 if top < limit:
                     limit, bound = top, f"exact reach {reach}"
-            hi = 1
-            while limit < 1 or not _holds(conditions(min(hi, limit)), tighten):
+            lo = n_prev + 1  # condition (i) forces d_k > n_{k-1}
+            hi = min(after(n_prev), limit)
+            while lo > limit or not _holds(conditions(hi), tighten):
                 if hi >= limit:
                     raise CapExceededError(f"no feasible d_{k} within {bound}")
-                hi *= 2
-            lo, hi = hi // 2 + 1, min(hi, limit)
+                lo, hi = hi + 1, min(after(hi), limit)
             while lo < hi:
                 mid = (lo + hi) // 2
                 if _holds(conditions(mid), tighten):
@@ -262,6 +290,8 @@ def find_block_lengths(
                 f"{layer} block search stopped at d_{k} of {fam.spec} "
                 f"after blocks {d}: {exc}"
             ) from exc
+        if not ar.exact:  # verification's reads, and W(n_k) for the next block
+            stream.record(hi, hi + d_prev, n_prev + hi)
         d.append(hi)
         n_prev += hi
     return d

@@ -446,10 +446,10 @@ SCAN_GOLDEN = {
         "0.33333333333333331,1.2447880967268761,1.2447880967268761\r\n"
         "3,31,2.5583934079486199,1.4472135954999579,1.7678063665956587,"
         "0.5,1.7678063665956587,1.7678063665956587\r\n"
-        "4,630,3.3695267282964889,1.4472135954999579,2.3282857062522577,"
-        "0.66666666666666663,2.3282857062522577,2.3282857062522577\r\n"
-        "5,42423,4.2551430946167406,1.4472135954999579,2.9402315648829629,"
-        "0.83333333333333337,2.9402315648829629,2.9402315648829629\r\n"
+        "4,630,3.3695267282964898,1.4472135954999579,2.3282857062522586,"
+        "0.66666666666666663,2.3282857062522586,2.3282857062522586\r\n"
+        "5,42423,4.255143094616745,1.4472135954999579,2.940231564882966,"
+        "0.83333333333333337,2.940231564882966,2.940231564882966\r\n"
     ),
     ("harmonic", "4"): (
         "r,d_r,A,B,ratio,certified,symmetric_defect,inclusion_gap\r\n"
@@ -458,8 +458,8 @@ SCAN_GOLDEN = {
         "0.33333333333333331,1.3466666666666665,1.3466666666666665\r\n"
         "3,54,2.1361413218318441,1.2000000000000002,1.7801177681932032,"
         "0.5,1.7801177681932032,1.7801177681932032\r\n"
-        "4,6306,2.637147490683641,1.2000000000000002,2.1976229089030337,"
-        "0.66666666666666663,2.1976229089030337,2.1976229089030337\r\n"
+        "4,6306,2.6371474906836427,1.2000000000000002,2.1976229089030355,"
+        "0.66666666666666663,2.1976229089030355,2.1976229089030355\r\n"
     ),
 }
 
@@ -472,13 +472,13 @@ def test_witness_harmonic_r5_golden(capsys):
     assert out == (
         '{\n  "family": "harmonic",\n  "r": 5,\n'
         '  "d": [\n    1,\n    4,\n    54,\n    6306,\n    72168326\n  ],\n'
-        '  "A": "3.1371522146682391",\n  "B": "1.2000000000000002",\n'
-        '  "ratio": "2.614293512223532",\n  "margins": {\n    "cond_i": [\n'
+        '  "A": "3.1371522146682409",\n  "B": "1.2000000000000002",\n'
+        '  "ratio": "2.6142935122235338",\n  "margins": {\n    "cond_i": [\n'
         '      "0.5",\n      "0.041666666666666519",\n'
-        '      "0.0043818635388008786",\n      "7.2149953139089007e-05",\n'
-        '      "1.2256334613880426e-08"\n    ],\n    "cond_ii": [\n'
+        '      "0.0043818635388004346",\n      "7.2149953123989974e-05",\n'
+        '      "1.2256361259233017e-08"\n    ],\n    "cond_ii": [\n'
         '      "0",\n      "0.29999999999999982",\n      "0.45000913333490389",\n'
-        '      "0.5634026561667278",\n      "0.58282211179446608"\n    ]\n  },\n'
+        '      "0.56340265616672414",\n      "0.58282211179446408"\n    ]\n  },\n'
         '  "mode": "float"\n}\n'
     )
 
@@ -500,20 +500,21 @@ def test_certificate_under_a_cap_that_holds_its_support(capsys, family, r, cap):
 WITNESS_R6_GOLDEN = (
     '{\n  "family": "power:0.5",\n  "r": 6,\n'
     '  "d": [\n    1,\n    4,\n    31,\n    630,\n    42423,\n    10916370\n  ],\n'
-    '  "A": "5.1944953025599032",\n  "B": "1.4472135954999579",\n'
-    '  "ratio": "3.5893079768680591",\n  "margins": {\n    "cond_i": [\n'
+    '  "A": "5.1944953025599077",\n  "B": "1.4472135954999579",\n'
+    '  "ratio": "3.5893079768680618",\n  "margins": {\n    "cond_i": [\n'
     '      "0.5",\n      "0.3922285251880866",\n      "1.6506970934148675",\n'
-    '      "13.756796529947739",\n      "155.06651143074663",\n'
-    '      "2889.5630816122311"\n    ],\n    "cond_ii": [\n'
-    '      "0",\n      "0.052786404500042128",\n      "0.0047304752534966799",\n'
-    '      "0.00082554574513693524",\n      "1.695076766994319e-05",\n'
-    '      "1.2746313871048187e-07"\n    ]\n  },\n'
+    '      "13.756796529947716",\n      "155.066511430746",\n'
+    '      "2889.5630816122325"\n    ],\n    "cond_ii": [\n'
+    '      "0",\n      "0.052786404500042128",\n      "0.0047304752534984562",\n'
+    '      "0.00082554574515114609",\n      "1.695076743946089e-05",\n'
+    '      "1.2746309430156089e-07"\n    ]\n  },\n'
     '  "mode": "float"\n}\n'
 )
 
 
 def test_witness_power_r6_golden(tmp_path, capsys):
-    # d_6 = 10,916,370: its search probes share the span of one partial chunk
+    # d_6 = 10,916,370: the search's one forward stream leaves the margins'
+    # prefixes in the family's memo, and --verify-only streams them afresh
     code, out, err = run(capsys, ["witness", "-w", "power:0.5", "-r", "6"])
     assert (code, out, err) == (0, WITNESS_R6_GOLDEN, "")
     cert = tmp_path / "cert.json"
@@ -589,7 +590,7 @@ def test_rational_scan_defect_is_the_rounded_exact_ratio(capsys):
     assert rows[1][4] == "101/75"  # the ratio column stays exact
     for row in rows:
         assert row[6] == row[7] == format(float(Fraction(row[4])), ".17g")
-    # one ulp above the float scan's 2.1976229089030337
+    # the exact ratio rounded once; the float scan prints 2.1976229089030355
     assert rows[3][6] == "2.1976229089030341"
 
 

@@ -356,7 +356,7 @@ def _float_scan_and_bound(f, fam):
     runs = [(start, end, float(v / first)) for start, end, v in bounds]
     prefix = weights.PrefixStream(fam, f.support, runs[-1][0] + fx._SCAN_BLOCK, fx._SCAN_BLOCK)
     scan = np.concatenate([block for _, block in fx._scan_dense(runs, prefix)])
-    bound = fx._scan_error_bound(f.support, [u for _, _, u in runs], prefix.last)
+    bound = fx._scan_error_bound(f.support, [u for _, _, u in runs], prefix.at(f.support))
     return first, scan, bound
 
 
@@ -500,7 +500,7 @@ def test_streamed_scan_matches_the_whole_prefix_array(fam, f, block, piece):
         got = list(fx._scan_dense(runs, prefix))
     assert [lo for lo, _ in got] == [lo for lo, _ in want]
     assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
-    assert prefix.last == whole[-1]
+    assert prefix.at(m) == whole[-1]
     # W(0), a ring of whole pieces over s_R + block + piece entries, and its guard
     assert prefix.data.size <= 1 + min(m, runs[-1][0] + block + 2 * piece) + block
 
@@ -527,7 +527,7 @@ def test_one_pass_A_is_the_run_window_sum(fam, f, piece, chunk):
 
 def test_one_pass_A_of_the_r6_witness():
     # real chunk and piece sizes: the last run's 2**22-term chunks cross
-    # stream blocks and fill the term buffer
+    # stream blocks and fill the stream's buffer
     fam = PowerWeights(0.5)
     f = StepSequence(tuple((d, 1.0 / fam.prefix_sum(d)) for d in (1, 4, 31, 630, 42423, 10916370)))
     assert ratio(f, fam).A == functional_A(f, fam)

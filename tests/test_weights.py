@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from seqspace import weights
 from seqspace.exceptions import CapExceededError, InputError
-from seqspace.functionals import StepSequence, ratio
 from seqspace.weights import (
     DEFAULT_INDEX_CAP,
     Branch,
@@ -341,19 +340,11 @@ def _reference_sum(fam, lo: int, hi: int, chunk: int) -> float:
     return total + comp
 
 
-def _reference_prefix(fam, n: int, chunk: int) -> float:
-    # W(n) = W(q) + w_{q+1} + ... + w_n, q the largest power of two below n
-    if n == 0:
-        return 0.0
-    q = 1 << ((n - 1).bit_length() - 1) if n > 1 else 0
-    return _reference_prefix(fam, q, chunk) + _reference_sum(fam, q + 1, n, chunk)
-
-
 @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
 def test_terms_do_not_depend_on_where_they_are_generated(kind):
-    # the chunk memo and the span rest on this: a term generated in one
-    # _ARRAY_BLOCK piece equals the same term generated in any other range,
-    # and the np.sum of a slice equals the np.sum of the fresh range
+    # the prefix stream and the window sums rest on this: a term generated in
+    # one _ARRAY_BLOCK piece equals the same term generated in any other
+    # range, and the np.sum of a slice equals the np.sum of the fresh range
     fam = FAMILY_KINDS[kind]()
     rng = np.random.default_rng(7)
     piece = weights._ARRAY_BLOCK
@@ -366,44 +357,7 @@ def test_terms_do_not_depend_on_where_they_are_generated(kind):
             assert float(np.sum(span[i : j + 1])) == float(np.sum(fresh))
 
 
-_CLUSTER = (5121, 5376)  # one 256-term chunk of (4096, 8192] when _CHUNK = 2**8
-
-
-@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
-@given(
-    ops=st.lists(
-        st.one_of(
-            st.tuples(st.just("prefix"), st.integers(0, 2**13) | st.integers(*_CLUSTER)),
-            st.tuples(st.just("window"), st.integers(1, 2**13) | st.integers(*_CLUSTER), st.integers(0, 600)),
-            st.tuples(st.just("array"), st.integers(0, 3000)),
-        ),
-        min_size=1,
-        max_size=30,
-    )
-)
-@settings(max_examples=25, deadline=None)
-def test_cached_sums_match_the_canonical_rule(kind, ops):
-    # small chunks and pieces put many full chunks, spans and refills within
-    # reach; every prefix and window must equal the fresh-term reference bit
-    # for bit, whatever the order of the reads before it
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weights, "_CHUNK", 2**8)
-        mp.setattr(weights, "_ARRAY_BLOCK", 2**5)
-        fam, ref = FAMILY_KINDS[kind](), FAMILY_KINDS[kind]()
-        for op, *args in ops:
-            if op == "prefix":
-                assert fam.prefix_sum(args[0]) == _reference_prefix(ref, args[0], 2**8)
-            elif op == "window":
-                lo, hi = args[0], args[0] + args[1]
-                assert fam.window_sum(lo, hi) == _reference_sum(ref, lo, hi, 2**8)
-            else:
-                assert fam.prefix_array(args[0]).size == args[0] + 1
-
-
-def test_chunk_memo_matches_the_canonical_rule():
-    # at the real chunk size: n - q > 2**22 takes a memoized full chunk and a
-    # partial chunk from the span; later reads regenerate neither
-    fam, ref = PowerWeights(0.5), PowerWeights(0.5)
+def _count_terms(fam) -> list[int]:
     generate, count = fam._terms, [0]
 
     def counted(lo, hi):
@@ -411,17 +365,76 @@ def test_chunk_memo_matches_the_canonical_rule():
         return generate(lo, hi)
 
     fam._terms = counted
-    q = 2**23
-    assert fam.prefix_sum(q + 2**22 + 12345) == _reference_prefix(ref, q + 2**22 + 12345, 2**22)
-    count[0] = 0
-    for n in (q + 2**22 + 99, q + 2**22, q + 777, q + 2**22 + 54321):
-        assert fam.prefix_sum(n) == _reference_prefix(ref, n, 2**22)
-    assert fam.window_sum(q + 2**22 + 1, q + 2**22 + 60000) == _reference_sum(
-        ref, q + 2**22 + 1, q + 2**22 + 60000, 2**22
-    )
-    # one piece for the span at q + 1, one for the span at q + 2**22 + 1,
-    # and the window's own terms
-    assert count[0] == 2 * weights._ARRAY_BLOCK + 60000
+    return count
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+@given(ns=st.lists(st.integers(0, 2000), min_size=1, max_size=40), block=st.integers(2, 64))
+@settings(max_examples=15, deadline=None)
+def test_prefix_sum_is_the_stream_value(kind, threads, ns, block):
+    # every W(n) equals the prefix array's bit for bit, whatever the reads
+    # before it: a read ahead of the family's stream resumes it, a read
+    # behind its last block starts a new one, and threads share the stream
+    # and the memo (a short switch interval interleaves them)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_ARRAY_BLOCK", block)
+        ref, fam = FAMILY_KINDS[kind](), FAMILY_KINDS[kind]()
+        want = {n: ref.prefix_array(n)[n] for n in ns}
+
+        def worker(seed: int) -> bool:
+            order = np.random.default_rng(seed).permutation(len(ns))
+            return all(fam.prefix_sum(ns[i]) == want[ns[i]] for i in order)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as ex:
+                assert all(ex.map(worker, range(threads)))
+        finally:
+            sys.setswitchinterval(switch)
+
+
+def test_prefix_reads_resume_the_family_stream():
+    # rising reads generate each weight once, a read in the last block
+    # streamed generates none, and a read behind it starts again at w_1
+    fam = PowerWeights(0.5)
+    block = weights._ARRAY_BLOCK
+    count = _count_terms(fam)
+    for n, total in ((10 * block + 5, 11 * block), (20 * block, 20 * block), (19 * block + 1, 20 * block),
+                     (10 * block + 5, 20 * block), (5 * block, 25 * block), (5 * block - 1, 25 * block)):
+        assert fam.prefix_sum(n) == PowerWeights(0.5).prefix_array(n)[n]
+        assert count[0] == total
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+@given(lo=st.integers(1, 3000), width=st.integers(0, 1500))
+@settings(max_examples=25, deadline=None)
+def test_window_sum_keeps_the_chunk_rule(kind, lo, width):
+    # small chunks and pieces: a chunk longer than one piece is generated
+    # piece by piece into a buffer, and the window equals the fresh-term
+    # reference bit for bit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_CHUNK", 2**8)
+        mp.setattr(weights, "_ARRAY_BLOCK", 2**5)
+        fam = FAMILY_KINDS[kind]()
+        assert fam.window_sum(lo, lo + width) == _reference_sum(fam, lo, lo + width, 2**8)
+
+
+def test_window_sum_holds_one_chunk_buffer():
+    # a full chunk and a partial one: one buffer of 2**22 floats, filled a
+    # piece at a time and freed on return, and each term generated once
+    fam = PowerWeights(0.5)
+    count = _count_terms(fam)
+    tracemalloc.start()
+    try:
+        got = fam.window_sum(3, 2**22 + 9)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count[0] == 2**22 + 7
+    assert peak < 32 * 2**20 + 4 * 2**20 and current < 2**20
+    assert got == _reference_sum(PowerWeights(0.5), 3, 2**22 + 9, 2**22)
 
 
 @pytest.mark.parametrize(
@@ -445,83 +458,3 @@ def test_cap_errors_name_the_read(read, name):
     # an exact family, so the exact reads are capped like the float ones
     with pytest.raises(CapExceededError, match=f"^{name} exceeds the configured cap 10$"):
         read(HarmonicWeights(index_cap=10))
-
-
-def test_span_lifetime():
-    # the span of a 2**22-term chunk outlives its prefix read.  A window or a
-    # prefix array of one piece leaves it alone; a longer window re-anchors
-    # the same buffer at its chunk instead of allocating beside it, and the
-    # next prefix read in the first chunk refills one piece
-    fam = PowerWeights(0.5)
-    piece = weights._ARRAY_BLOCK
-    generate, count = fam._terms, [0]
-
-    def counted(lo, hi):
-        count[0] += hi - lo + 1
-        return generate(lo, hi)
-
-    fam._terms = counted
-    tracemalloc.start()
-    try:
-        fam.prefix_sum(2**22 + 5)
-        held = tracemalloc.get_traced_memory()[0]
-        assert held >= 32 * 2**20
-        tracemalloc.reset_peak()
-        count[0] = 0
-        fam.prefix_array(piece - 1)
-        fam.window_sum(2, piece + 1)
-        fam.prefix_sum(2**22 + 9)
-        assert count[0] == 2 * piece - 1
-        fam.window_sum(1, 2**22)
-        fam.prefix_sum(2**22 + 11)
-        assert count[0] == 2 * piece - 1 + 2**22 + piece
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held - 2**20 <= current and peak < held + 2 * 2**20
-
-
-def test_span_is_shared_safely_across_threads():
-    # threads re-anchor, fill and read the span, and take the term buffer
-    # for windows and for A's pass; with a short switch interval an
-    # unguarded fill, re-anchor or hand-over would give a thread wrong
-    # terms or fail it
-    ops = []
-    rng = np.random.default_rng(3)
-    for _ in range(2000):
-        lo = int(rng.integers(1, 2**13))
-        ops.append(("prefix", lo) if rng.random() < 0.6 else ("window", lo, lo + int(rng.integers(0, 300))))
-    switch = sys.getswitchinterval()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weights, "_CHUNK", 2**8)
-        mp.setattr(weights, "_ARRAY_BLOCK", 2**5)
-        ref = HarmonicWeights()
-        expected = [
-            _reference_prefix(ref, op[1], 2**8) if op[0] == "prefix" else _reference_sum(ref, op[1], op[2], 2**8)
-            for op in ops
-        ]
-        # A's chunks cross stream blocks, so its pass holds the buffer between them
-        f = StepSequence(((40, 1.0), (300, 0.5), (700, 0.25)))
-        want_A = math.fsum(v * _reference_sum(ref, lo, hi, 2**8) for lo, hi, v in f.bounds())
-        fam = HarmonicWeights()
-
-        def worker(seed: int) -> bool:
-            order = np.random.default_rng(seed).permutation(len(ops))
-            for i in order:
-                op = ops[i]
-                got = fam.prefix_sum(op[1]) if op[0] == "prefix" else fam.window_sum(op[1], op[2])
-                if got != expected[i]:
-                    return False
-                if i % 50 == 0:
-                    fam.prefix_array(100)
-                    if ratio(f, fam).A != want_A:
-                        return False
-            return True
-
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as ex:
-                futures = [ex.submit(worker, seed) for seed in range(8)]
-                assert all(f.result(timeout=120) for f in futures)
-        finally:
-            sys.setswitchinterval(switch)

@@ -14,7 +14,12 @@ from seqspace import weights, witness
 from seqspace.exceptions import CapExceededError, CertificationError, InputError
 from seqspace.functionals import StepSequence, functional_A, functional_B, functional_B_at
 from seqspace.norms import inclusion_gap, symmetric_defect
-from seqspace.weights import HarmonicWeights, PowerWeights, parse_weight_spec
+from seqspace.weights import (
+    ExplicitRationalWeights,
+    HarmonicWeights,
+    PowerWeights,
+    parse_weight_spec,
+)
 from seqspace.witness import (
     DEFAULT_TOLERANCE,
     build_witness,
@@ -104,12 +109,13 @@ def test_search_cap_and_slack_validation():
 
 
 def test_search_probes_stay_within_the_cap():
-    # d_4 = 6306 fits under cap 8200, but the doubling probe 8192 would read
-    # condition (ii)'s window w_8193..w_8246 past it: the probe stops at
-    # cap - n_3 = 8141 instead, and every weight read checks the cap
+    # d_4 = 6306 fits under cap 8200, but condition (ii)'s window at the
+    # first candidate end, the stream block end 65536, would pass it: the
+    # candidate stops at cap - n_3 = 8141 instead, and every weight read
+    # checks the cap
     assert find_block_lengths(HarmonicWeights(index_cap=8200), 4) == [1, 4, 54, 6306]
-    # the doubling stops at 4096 < 6306, so the limit cap - n_3 is probed
-    # itself: a support of exactly the cap is found, one past it is not
+    # the limit cap - n_3 is probed itself: a support of exactly the cap is
+    # found, one past it is not
     assert find_block_lengths(HarmonicWeights(index_cap=6365), 4) == [1, 4, 54, 6306]
     with pytest.raises(CapExceededError, match="no feasible d_4 within cap 6364"):
         find_block_lengths(HarmonicWeights(index_cap=6364), 4)
@@ -406,30 +412,30 @@ def test_lower_bound_growth():
     assert all(v >= r / 6 for r, v in enumerate(h_ratios, start=1))
 
 
-# Full certificates as printed before the float and exact arithmetic were
-# merged into one path; the outputs must not move by a single digit.
+# Full certificates: the rational ones must not move by a single digit, and
+# the float ones move only with the float prefix rule.
 GOLDEN_CERTIFICATES = {
     ("power:0.5", 5, "float"): {
         "family": "power:0.5",
         "r": 5,
         "d": [1, 4, 31, 630, 42423],
-        "A": "4.2551430946167406",
+        "A": "4.255143094616745",
         "B": "1.4472135954999579",
-        "ratio": "2.9402315648829629",
+        "ratio": "2.940231564882966",
         "margins": {
             "cond_i": [
                 "0.5",
                 "0.3922285251880866",
                 "1.6506970934148675",
-                "13.756796529947739",
-                "155.06651143074663",
+                "13.756796529947716",
+                "155.066511430746",
             ],
             "cond_ii": [
                 "0",
                 "0.052786404500042128",
-                "0.0047304752534966799",
-                "0.00082554574513693524",
-                "1.695076766994319e-05",
+                "0.0047304752534984562",
+                "0.00082554574515114609",
+                "1.695076743946089e-05",
             ],
         },
         "mode": "float",
@@ -458,14 +464,14 @@ GOLDEN_CERTIFICATES = {
             "cond_i": [
                 "0.5",
                 "0.125",
-                "0.015814787161283927",
-                "0.00013522638782159646",
+                "0.015814787161282595",
+                "0.00013522638782870189",
             ],
             "cond_ii": [
                 "0",
                 "0.125",
                 "0.40164887794198112",
-                "0.62771596478240921",
+                "0.6277159647824071",
             ],
         },
         "mode": "float",
@@ -523,38 +529,73 @@ def test_search_generates_each_weight_about_once():
     assert count[0] <= 26_000_000
 
 
-def test_search_reads_per_block():
-    # prefix_sum and window_sum calls of the incremental search for d_k,
-    # counted as bench/layers.py counts its witness.probes.k* and
-    # witness.window_probes.k*: W(n_{k-1}), W(d_{k-1}) and one W(d_k) per
-    # probe, and one window per probe that passes condition (i)
+def test_search_streams_once_to_its_last_read():
+    # one forward prefix stream serves every block: the r = 6 search reads
+    # nothing past d_6 + d_5 but the stream blocks holding it
     fam = PowerWeights(0.5)
-    counts = {"prefix": 0, "window": 0}
-    prefix, window = fam.prefix_sum, fam.window_sum
-
-    def counted_prefix(n):
-        counts["prefix"] += 1
-        return prefix(n)
-
-    def counted_window(lo, hi):
-        counts["window"] += 1
-        return window(lo, hi)
-
-    fam.prefix_sum, fam.window_sum = counted_prefix, counted_window
-    d, reads = [], []
-    for k in range(1, 7):
-        counts.update(prefix=0, window=0)
-        d = find_block_lengths(fam, k, initial=d)
-        reads.append((counts["prefix"], counts["window"]))
+    count = _count_terms(fam)
+    d = find_block_lengths(fam, 6)
     assert d == [1, 4, 31, 630, 42423, 10916370]
-    assert reads == [(2, 0), (6, 2), (12, 6), (22, 12), (34, 20), (50, 30)]
+    assert count[0] <= d[5] + d[4] + 2 * weights._ARRAY_BLOCK
+
+
+def _first_blocks(fam, r: int, slack: float, m: int) -> list[int]:
+    # each d_k is the first index where both conditions hold, read from one
+    # whole prefix array, with the search's float operations
+    P = fam.prefix_array(m)
+    factor = 1 - slack
+    d, n_prev = [], 0
+    for k in range(1, r + 1):
+        d_prev = d[-1] if d else 0
+        x = np.arange(1, m - d_prev + 1)
+        ok = (P[n_prev] <= P[x] / 2 * factor) & (
+            P[x + d_prev] - P[x] <= 2.0 ** (1 - k) * P[d_prev] * factor
+        )
+        assert ok.any()
+        d.append(int(np.argmax(ok)) + 1)
+        n_prev += d[-1]
+    return d
+
+
+PATTERN_TAILS = {
+    "3/4,1/2": [Fraction(1), Fraction(3, 4), Fraction(1, 2)],
+    "1,1,1/2": [Fraction(1), Fraction(1), Fraction(1), Fraction(1, 2)],
+    "1/2": [Fraction(1), Fraction(1, 2)],
+    "1/2..1/5,1/7": [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 7)],
+}
+
+
+@pytest.mark.parametrize("slack", [0.0, 1e-9])
+@pytest.mark.parametrize("values", PATTERN_TAILS.values(), ids=PATTERN_TAILS.keys())
+def test_search_finds_the_first_blocks(values, slack):
+    # stream blocks of d_k and d_k - 1 entries put each answer on a block end
+    # and just past one, where the search's candidate ends and the bisection
+    # inside a block meet; the search must find the reference's blocks
+    m, r = 20_000, 4
+
+    def family():
+        return ExplicitRationalWeights(values, "pattern")
+
+    blocks = {None, 2, 7}
+    blocks.update(b for dk in _first_blocks(family(), r, slack, m) for b in (dk, dk - 1) if b >= 2)
+    on_end = past_end = False
+    for block in blocks:
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(weights, "_ARRAY_BLOCK", block)
+            want = _first_blocks(family(), r, slack, m)
+            assert find_block_lengths(family(), r, slack=slack) == want, block
+        block = block or weights._ARRAY_BLOCK
+        on_end |= any(dk % block == 0 for dk in want)
+        past_end |= any(dk % block == 1 and dk > 1 for dk in want)
+    assert on_end and past_end
 
 
 def test_verification_holds_one_term_buffer():
-    # the search leaves the span of its last probe, 2**22 terms; verification
-    # streams the weights, takes that buffer for A's chunks and keeps only
-    # the prefixes the scan has yet to read, so no second buffer, prefix
-    # array or chunk of fresh terms sits beside it
+    # the search leaves no terms behind; verification streams the weights,
+    # copies A's 2**22-term chunks that cross stream blocks into one buffer
+    # and keeps only the prefixes the scan has yet to read, so no second
+    # buffer, prefix array or chunk of fresh terms sits beside it
     fam = PowerWeights(0.5)
     tracemalloc.start()
     try:
