@@ -358,7 +358,7 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
        ``cumsum`` (gamma(m)); the block base is a Neumaier sum of pairwise
        block sums (gamma(m) for the block sums, u for the compensated sum and
        u m gamma(m) <= gamma(m) for its compensation term); one add joins
-       the two (u).  Which entries the ring keeps changes none of them.  So
+       the two (u), and at a whole block's end P is that sum alone.  Which entries the ring keeps changes none of them.  So
        |P(k) - W(k)| <= rho W(k) + 2 k eta, rho = tau + (3 gamma(m) + 4u)(1 + tau).
     3. Per-run prefix difference P(a) - P(b), a, b <= m (b = 0 while the
        window ends inside the run, where P(0) = 0 exactly): the two prefix

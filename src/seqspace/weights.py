@@ -14,13 +14,13 @@ the third branch is exactly the regime where that ratio is unbounded and the
 witness construction of :mod:`seqspace.witness` applies.
 
 Every float prefix sum comes from one engine, :class:`PrefixStream`:
-W(1..m) in aligned 2**16-entry blocks, each block the ``cumsum`` of its
-fresh terms plus the compensated sum of the blocks before it, so W(n) has
-one value whichever reader produced it.  ``prefix_sum`` memoizes the
-values it returns and resumes one stream per family, ``prefix_array`` is a
-stream kept whole, and the witness search and the window scan of
-:mod:`seqspace.functionals` run streams of their own.  ``window_sum`` sums
-a window directly, in 2**22-term chunks.
+W(1..m) in aligned 2**16-entry blocks.  W at a block end is the compensated
+sum of the blocks' ``np.sum``, and inside a block W adds the block's
+``cumsum`` to it, so W(n) has one value whichever reader produced it.
+``prefix_sum`` memoizes the values it returns and resumes one stream per
+family, which the witness search reads too; ``prefix_array`` is a stream
+kept whole, and the window scan of :mod:`seqspace.functionals` runs a stream
+of its own.  ``window_sum`` sums a window directly, in 2**22-term chunks.
 """
 
 from __future__ import annotations
@@ -205,11 +205,12 @@ class WeightFamily:
         """W(n) = w_1 + ... + w_n, with W(0) = 0: the prefix stream's value.
 
         Relative error is a few machine epsilons: the earlier blocks' pairwise
-        sums are combined with Neumaier compensation, and only the last
-        block's ``cumsum``, of at most 2**16 terms, adds sequentially.  Each
-        value is memoized.  A read ahead of the family's stream resumes it, so
-        rising reads generate each weight once; a read behind the stream's
-        last block starts a new one at w_1.  Raises CapExceededError beyond the
+        sums are combined with Neumaier compensation, and only n's own block's
+        ``cumsum``, of at most 2**16 terms, adds sequentially.  Each value is
+        memoized.  A read ahead of the family's stream resumes it, so rising
+        reads generate each weight once, and the blocks before n's add only
+        their ``np.sum``.  A read behind the stream's three-block ring takes a
+        block end's kept value, or generates n's block afresh.  Raises CapExceededError beyond the
         family's index cap.
         """
         n = self._length(n, "prefix length")
@@ -217,10 +218,15 @@ class WeightFamily:
         with self._lock:
             hit = self._memo.get(n)
             if hit is None:
-                if self._stream is None or n <= self._stream.top - self._stream.cap:
-                    self._stream = PrefixStream(self, self._cap, 0)
+                if self._stream is None:
+                    self._stream = PrefixStream(self, self._cap, 2 * _ARRAY_BLOCK)
                 hit = self._memo[n] = self._stream.at(n)
             return hit
+
+    def release_stream(self) -> None:
+        """Drop the stream ``prefix_sum`` resumes and the blocks it holds; the memo stays."""
+        with self._lock:
+            self._stream = None
 
     def window_sum(self, lo: int, hi: int) -> float:
         """w_lo + ... + w_hi by direct summation (empty when hi < lo).
@@ -272,22 +278,26 @@ class WeightFamily:
 
 
 class PrefixStream:
-    """W(0) and a ring of the prefixes W(1..m), streamed in aligned blocks.
+    """W(0), W at each block end and a ring of the prefixes W(1..m), streamed in aligned blocks.
 
-    This is the one float prefix engine: ``prefix_sum``, ``prefix_array``,
-    the float block search and the window scan all read a stream.  Block j,
-    W(1 + jB), ..., W(min((j + 1)B, m)) with B = ``block`` =
-    ``_ARRAY_BLOCK``, is the ``cumsum`` of its terms, each generated once,
-    plus the Neumaier sum of the earlier blocks' ``np.sum``, written
-    straight into the ring; ``reach(hi)`` streams blocks until W(hi) is in,
-    and ``at(x)`` reads W(x).  W(0) is ``data[0]`` and W(x), x >= 1, is
+    This is the one float prefix engine: ``prefix_sum``, which the float
+    block search reads, ``prefix_array`` and the window scan all read a
+    stream.  Block j, W(1 + jB), ..., W(min((j + 1)B, m)) with B = ``block``
+    = ``_ARRAY_BLOCK``, generates its terms once.  W((j + 1)B), the end of a
+    whole block, is the Neumaier sum of the ``np.sum`` of the blocks so far,
+    kept for every block; inside block j, W adds the block's ``cumsum`` to
+    W(jB).  ``reach(hi)`` streams blocks until W(hi) is in, and ``at(x)``
+    reads W(x).  W(0) is ``data[0]`` and W(x), x >= 1, is
     ``data[1 + (x - 1) % cap]``.  The ring holds whole blocks, at least
-    ``keep`` + B entries and at most m, so once W(hi) is in, every W(x)
-    with x > hi - keep is still there: a block overwrites only older
-    entries.  ``hold`` widens the ring of a running stream.  Past a ring
-    that wraps, a guard repeats its first ``read`` entries, so a read of at
-    most ``read`` consecutive entries is one slice.  Kept whole
-    (``keep = m``), the ring is the prefix array.
+    ``keep`` + B entries and at most m, so once W(hi) is in, every W(x) with
+    x > hi - keep is still there: a block overwrites only older entries, and
+    the blocks that ``reach`` passes below hi - cap only add their
+    ``np.sum``.  ``at`` reads a block end from the kept values, a block end
+    ahead without filling the ring, and a point behind the ring from its
+    block, generated afresh.  Past a ring that wraps, a guard repeats its
+    first ``read`` entries, so a read of at most ``read`` consecutive
+    entries is one slice.  Kept whole (``keep = m``), the ring is the prefix
+    array.
 
     ``windows`` are ranges (lo, hi) tiling 1..m in order; the sum of each,
     bit for bit ``window_sum(lo, hi)``, is appended to ``sums`` once the
@@ -299,61 +309,59 @@ class PrefixStream:
     def __init__(
         self, fam: WeightFamily, m: int, keep: int, read: int = 0, windows=(), sums=None
     ) -> None:
-        self.block = _ARRAY_BLOCK
-        self.top = self.cap = self._guard = 0  # top: the last index streamed in
-        self.data = np.zeros(1)
-        self._fam, self._m, self._read, self._sums = fam, m, read, sums
+        self.block = b = _ARRAY_BLOCK
+        self.top = self._low = 0  # the last index streamed in; the ring holds W(low + 1..top)
+        self.cap = min(m, -(-(keep + b) // b) * b)
+        self._guard = read if self.cap < m else 0
+        self.data = np.zeros(1 + self.cap + self._guard)
+        self._fam, self._m, self._sums = fam, m, sums
         self._base = self._comp = 0.0  # the blocks so far
-        self.hold(keep)
+        self._ends = [0.0]  # W(jB) for each block end jB streamed
+        self._fresh: tuple[int, np.ndarray | None] = (-1, None)  # a block generated afresh
         self._chunks = [(c, e, hi) for lo, hi in windows for c, e in _chunks(lo, hi)]
         self._i = 0  # the next chunk to sum
         self._total = self._part = 0.0  # the current window's chunks so far
-        b = self.block
         crossing = [e - c + 1 for c, e, _ in self._chunks if (c - 1) // b != (e - 1) // b]
         self._buf = np.empty(max(crossing)) if crossing else None
-
-    def hold(self, keep: int) -> None:
-        """Widen the ring to keep at least ``keep`` entries below the top; it never shrinks."""
-        cap = min(self._m, -(-(keep + self.block) // self.block) * self.block)
-        if cap <= self.cap:
-            return
-        self._guard = self._read if cap < self._m else 0
-        data = np.zeros(1 + cap + self._guard)
-        if self.top:  # move what the ring holds: W(x) for each x - 1 in held
-            held = np.arange(max(self.top - self.cap, 0), self.top)
-            data[1 + held % cap] = self.data[1 + held % self.cap]
-            data[1 + cap :] = data[1 : 1 + self._guard]
-        self.data, self.cap = data, cap
 
     def reach(self, hi: int) -> np.ndarray:
         """The data array, once W(hi) is streamed in."""
         while self.top < hi:
-            self._next_block()
+            self._next_block(self.top + self.block > hi - self.cap)
         return self.data
 
     def at(self, x: int) -> float:
-        """W(x), once streamed in; x must not lie more than ``keep`` below the top."""
+        """W(x) for any x <= m, streaming ahead as far as x."""
+        j, i = divmod(x, self.block)
+        if not i:
+            while len(self._ends) <= j:
+                self._next_block(False)
+            return self._ends[j]
         self.reach(x)
-        return float(self.data[1 + (x - 1) % self.cap]) if x else 0.0
+        if x > self._low:
+            return float(self.data[1 + (x - 1) % self.cap])
+        if self._fresh[0] != j:
+            terms = self._fam._terms(j * self.block + 1, min((j + 1) * self.block, self._m))
+            self._fresh = (j, np.cumsum(terms) + self._ends[j])
+        return float(self._fresh[1][i - 1])
 
-    def record(self, *xs: int) -> None:
-        """Put W(x) for each x into the family's memo, which ``prefix_sum`` reads."""
-        values = {x: self.at(x) for x in xs}
-        with self._fam._lock:
-            self._fam._memo.update(values)
-
-    def _next_block(self) -> None:
+    def _next_block(self, write: bool) -> None:
         start = self.top + 1
         end = min(start + self.block - 1, self._m)
         terms = self._fam._terms(start, end)
-        i = (start - 1) % self.cap  # blocks start at whole blocks of the ring, so none wraps
-        block = np.cumsum(terms, out=self.data[1 + i : 2 + i + end - start])
-        block += self._base + self._comp
         self._base, self._comp = neumaier_add(self._base, self._comp, float(np.sum(terms)))
-        if i < self._guard:  # the guard repeats ring offsets 0.._guard - 1
-            j = min(self._guard, i + end - start + 1)
-            self.data[1 + self.cap + i : 1 + self.cap + j] = self.data[1 + i : 1 + j]
+        self._ends.append(self._base + self._comp)  # W(end) if the block is whole
         self.top = end
+        self._low = max(self._low, end - self.cap) if write else end
+        if write:
+            i = (start - 1) % self.cap  # blocks start at whole blocks of the ring, so none wraps
+            block = np.cumsum(terms, out=self.data[1 + i : 2 + i + end - start])
+            block += self._ends[-2]
+            if end - start + 1 == self.block:
+                block[-1] = self._ends[-1]
+            if i < self._guard:  # the guard repeats ring offsets 0.._guard - 1
+                j = min(self._guard, i + end - start + 1)
+                self.data[1 + self.cap + i : 1 + self.cap + j] = self.data[1 + i : 1 + j]
         while self._i < len(self._chunks) and self._chunks[self._i][0] <= end:
             c, e, hi = self._chunks[self._i]
             if start <= c and e <= end:

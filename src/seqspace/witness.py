@@ -16,10 +16,12 @@ conditions are monotone in d_k: W is increasing, and the window sum in (ii)
 slides down a non-increasing weight.  Condition (i) forces d_k > n_{k-1}, so
 each d_k is located by testing a rising series of candidate ends above
 n_{k-1}, then bisecting inside the first span where both conditions hold.
-A float search reads one forward :class:`~seqspace.weights.PrefixStream`
-for every block: since n_{k-1} >= d_{k-1} + d_{k-2}, each block's reads lie
-ahead of the last block's, and a ring of d_{k-1} plus two stream blocks
-serves the lag of (ii).
+A float search reads the family's ``prefix_sum``, whose one forward
+:class:`~seqspace.weights.PrefixStream` serves every block: since n_{k-1} >=
+d_{k-1} + d_{k-2}, each block's reads lie ahead of the last block's, but
+for (ii)'s W(d_k), d_{k-1} behind its W(d_{k-1} + d_k).  The stream keeps W
+at every block end, where the candidate ends lie, and holds the last three
+blocks; a bisection further behind generates its one block afresh.
 The search bounds each d_k by the family's index cap less n_{k-1}, so every
 support it returns fits within the cap.  A multiplicative slack tightens the
 right-hand sides during the float search so summation error cannot admit a
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
+from . import weights
 from .exceptions import CapExceededError, CertificationError, InputError
 from .functionals import (
     Arithmetic,
@@ -50,7 +53,6 @@ from .weights import (
     DEFAULT_INDEX_CAP,
     EXACT_PREFIX_CAP,
     Branch,
-    PrefixStream,
     WeightFamily,
     as_index,
     parse_weight_spec,
@@ -197,6 +199,11 @@ def _conditions(ar: Arithmetic, k: int, n_prev: int, d_prev: int, window):
     return pairs
 
 
+def _difference(ar: Arithmetic):
+    """(ii)'s window as the prefix difference W(hi) - W(lo - 1), as the margins record it."""
+    return lambda lo, hi: ar.prefix(hi) - ar.prefix(lo - 1)
+
+
 def _holds(pairs, factor) -> bool:
     return all(lhs <= rhs * factor for lhs, rhs in pairs)
 
@@ -214,11 +221,11 @@ def find_block_lengths(
     same family and slack; the search then only extends it.  No support n_k
     may pass the family's index cap.  Both arithmetics run one loop: test
     rising candidate ends above n_{k-1} until both conditions hold, then
-    bisect the span since the last failing end.  A float search reads one
-    forward prefix stream, with (ii) as the prefix difference W(d_{k-1} +
-    d_k) - W(d_k), and its candidate ends are the stream's block ends; it
-    puts W(d_k), W(d_{k-1} + d_k) and W(n_k) into the family's prefix memo,
-    where verification reads them.  Rational mode decides each
+    bisect the span since the last failing end; (ii) is the prefix
+    difference W(d_{k-1} + d_k) - W(d_k) that verification records.  A
+    float search reads ``prefix_sum``, so the prefixes verification reads
+    are memoized, and its candidate ends are the family stream's block
+    ends; the stream is released on return.  Rational mode decides each
     condition exactly, ignoring the slack, at powers of two, for d_k up to
     top = min(cap, EXACT_PREFIX_CAP) - d_{k-1}, the exact prefixes' reach
     for (ii).  It gives up at once when (i) or (ii) fails at top in floats,
@@ -238,25 +245,15 @@ def find_block_lengths(
     if len(d) > r:
         raise InputError("initial block prefix longer than requested r")
     n_prev = sum(d)
-
-    if not ar.exact:
-        stream = PrefixStream(fam, cap, 0)
-        W, step = stream.at, stream.block
-
-        def window(lo: int, hi: int) -> float:
-            # keep W(lo - 1) while reaching hi, and a block more for the bisection
-            stream.hold(hi - lo + 1 + step)
-            return W(hi) - W(lo - 1)
-
-        ar = Arithmetic(False, float, W, window, math.fsum)
+    step = weights._ARRAY_BLOCK
 
     def after(end: int) -> int:  # the next candidate end: a power of two or a block end
         return 1 << end.bit_length() if ar.exact else end // step * step + step
 
-    for k in range(len(d) + 1, r + 1):
-        d_prev = d[-1] if d else 0
-        try:
-            conditions = _conditions(ar, k, n_prev, d_prev, ar.window)
+    try:
+        for k in range(len(d) + 1, r + 1):
+            d_prev = d[-1] if d else 0
+            conditions = _conditions(ar, k, n_prev, d_prev, _difference(ar))
             # the support n_k = n_{k-1} + d_k bounds d_k; since n_{k-1} >= d_{k-1},
             # condition (ii)'s window ends at d_{k-1} + d_k <= n_k, within the
             # cap, and the search gives up only once the limit itself is infeasible
@@ -284,16 +281,16 @@ def find_block_lengths(
                     hi = mid
                 else:
                     lo = mid + 1
-        except CapExceededError as exc:
-            layer = "exact" if ar.exact else "float"
-            raise CapExceededError(
-                f"{layer} block search stopped at d_{k} of {fam.spec} "
-                f"after blocks {d}: {exc}"
-            ) from exc
-        if not ar.exact:  # verification's reads, and W(n_k) for the next block
-            stream.record(hi, hi + d_prev, n_prev + hi)
-        d.append(hi)
-        n_prev += hi
+            d.append(hi)
+            n_prev += hi
+    except CapExceededError as exc:
+        layer = "exact" if ar.exact else "float"
+        raise CapExceededError(
+            f"{layer} block search stopped at d_{k} of {fam.spec} "
+            f"after blocks {d}: {exc}"
+        ) from exc
+    finally:  # the memo keeps the values read; the stream served this search only
+        fam.release_stream()
     return d
 
 
@@ -328,15 +325,11 @@ def verify_certificate(
     r = len(d)
     ar = arithmetic(mode, fam)
     tolerance = 0 if ar.exact else DEFAULT_TOLERANCE
-
-    def difference(lo: int, hi: int) -> Value:  # (ii)'s window as the margins record it
-        return ar.prefix(hi) - ar.prefix(lo - 1)
-
     n_parts = [0, *accumulate(d)]
     cond_i: list[Value] = []
     cond_ii: list[Value] = []
     for k, (n_prev, d_prev, d_k) in enumerate(zip(n_parts, [0, *d], d), start=1):
-        pairs = _conditions(ar, k, n_prev, d_prev, difference)(d_k)
+        pairs = _conditions(ar, k, n_prev, d_prev, _difference(ar))(d_k)
         lhs, rhs = next(pairs)
         margin = rhs - lhs
         if margin < -tolerance * abs(rhs):
@@ -353,6 +346,7 @@ def verify_certificate(
                 f"2**(1-{k}) * W(d_{k - 1}) by {-margin}"
             )
         cond_ii.append(margin)
+    fam.release_stream()  # the margins' prefixes stay in the memo; A and B stream their own
 
     f = build_witness(fam, d, mode=mode)
     rep = ratio(f, fam, mode=mode)  # A and B from one pass over the weights

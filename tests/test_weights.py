@@ -23,6 +23,7 @@ from seqspace.weights import (
     ExplicitRationalWeights,
     HarmonicWeights,
     PowerWeights,
+    neumaier_add,
     parse_weight_spec,
 )
 
@@ -375,8 +376,9 @@ def _count_terms(fam) -> list[int]:
 def test_prefix_sum_is_the_stream_value(kind, threads, ns, block):
     # every W(n) equals the prefix array's bit for bit, whatever the reads
     # before it: a read ahead of the family's stream resumes it, a read
-    # behind its last block starts a new one, and threads share the stream
-    # and the memo (a short switch interval interleaves them)
+    # behind its ring takes a kept block end or generates its block afresh,
+    # and threads share the stream and the memo (a short switch interval
+    # interleaves them)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "_ARRAY_BLOCK", block)
         ref, fam = FAMILY_KINDS[kind](), FAMILY_KINDS[kind]()
@@ -396,15 +398,44 @@ def test_prefix_sum_is_the_stream_value(kind, threads, ns, block):
 
 
 def test_prefix_reads_resume_the_family_stream():
-    # rising reads generate each weight once, a read in the last block
-    # streamed generates none, and a read behind it starts again at w_1
+    # rising reads generate each weight once; a read behind the stream's
+    # three-block ring takes a block end's kept value or generates its one
+    # block afresh, which later reads in that block share; a released
+    # stream starts again at w_1
     fam = PowerWeights(0.5)
     block = weights._ARRAY_BLOCK
     count = _count_terms(fam)
-    for n, total in ((10 * block + 5, 11 * block), (20 * block, 20 * block), (19 * block + 1, 20 * block),
-                     (10 * block + 5, 20 * block), (5 * block, 25 * block), (5 * block - 1, 25 * block)):
+    reads = (
+        (10 * block + 5, 11), (20 * block, 20), (19 * block + 1, 21), (19 * block + 9, 21),
+        (10 * block + 5, 21), (5 * block, 21), (5 * block - 1, 22), (21 * block + 3, 24),
+        (20 * block + 7, 24), (5 * block - 2, 24), (18 * block + 1, 25),
+    )
+    for n, blocks in reads:
         assert fam.prefix_sum(n) == PowerWeights(0.5).prefix_array(n)[n]
-        assert count[0] == total
+        assert count[0] == blocks * block
+    fam.release_stream()
+    for n in (5 * block - 3, 2 * block + 1):
+        assert fam.prefix_sum(n) == PowerWeights(0.5).prefix_array(n)[n]
+    assert count[0] == 30 * block
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+def test_prefix_array_is_the_stream_rule(kind):
+    # W at a whole block's end is the Neumaier sum of the blocks' np.sum, and
+    # inside block j, W adds the block's cumsum to W at the block before
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_ARRAY_BLOCK", 7)
+        fam, m = FAMILY_KINDS[kind](), 100
+        want, end, total, comp = [0.0], 0.0, 0.0, 0.0
+        for start in range(1, m + 1, 7):
+            terms = fam._terms(start, min(start + 6, m))
+            inside = list(np.cumsum(terms) + end)
+            total, comp = neumaier_add(total, comp, float(np.sum(terms)))
+            end = total + comp
+            if terms.size == 7:
+                inside[-1] = end
+            want += inside
+        assert fam.prefix_array(m).tolist() == want
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))

@@ -531,7 +531,9 @@ def test_search_generates_each_weight_about_once():
 
 def test_search_streams_once_to_its_last_read():
     # one forward prefix stream serves every block: the r = 6 search reads
-    # nothing past d_6 + d_5 but the stream blocks holding it
+    # nothing past d_6 + d_5 but the stream blocks holding it, and generates
+    # one block twice, w_1..w_65536, which k = 2's first candidate end
+    # passes before its bisection reads inside it
     fam = PowerWeights(0.5)
     count = _count_terms(fam)
     d = find_block_lengths(fam, 6)
@@ -565,16 +567,25 @@ PATTERN_TAILS = {
 }
 
 
+SEARCH_FAMILIES = {  # spec, r and the reference's prefix length
+    **{tail: (values, 4, 20_000) for tail, values in PATTERN_TAILS.items()},
+    "power:0.5": (0.5, 5, 45_000),
+    "power:0.7": (0.7, 6, 45_000),
+}
+
+
 @pytest.mark.parametrize("slack", [0.0, 1e-9])
-@pytest.mark.parametrize("values", PATTERN_TAILS.values(), ids=PATTERN_TAILS.keys())
-def test_search_finds_the_first_blocks(values, slack):
+@pytest.mark.parametrize("spec, r, m", SEARCH_FAMILIES.values(), ids=SEARCH_FAMILIES.keys())
+def test_search_finds_the_first_blocks(spec, r, m, slack):
     # stream blocks of d_k and d_k - 1 entries put each answer on a block end
     # and just past one, where the search's candidate ends and the bisection
-    # inside a block meet; the search must find the reference's blocks
-    m, r = 20_000, 4
+    # inside a block meet; blocks of 2 and 7 leave (ii)'s W(d_k) many blocks
+    # behind the stream (d_{k-1} reaches 1396 for power:0.7 and 42423 for
+    # power:0.5), at a kept block end or in a block generated afresh; the
+    # search must find the reference's blocks
 
     def family():
-        return ExplicitRationalWeights(values, "pattern")
+        return PowerWeights(spec) if isinstance(spec, float) else ExplicitRationalWeights(spec, "pattern")
 
     blocks = {None, 2, 7}
     blocks.update(b for dk in _first_blocks(family(), r, slack, m) for b in (dk, dk - 1) if b >= 2)
