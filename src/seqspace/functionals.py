@@ -11,11 +11,16 @@ family w this module computes
 
 Sequences are run-length encoded (:class:`StepSequence`), so A and a single
 window sum cost O(runs) weight-window sums rather than O(support).  The
-supremum takes one float window-scan kernel: O(runs * support) work in one
-pass over a :class:`~seqspace.weights.PrefixStream`, from which ``ratio``
-also sums A's windows.  Exact arithmetic runs the same
-float scan with a proven error band and re-evaluates exactly only the
-windows inside the band, so its O(support) work stays in floats.
+supremum takes one float window-scan kernel in one pass over a
+:class:`~seqspace.weights.PrefixStream`, from which ``ratio`` also sums A's
+windows.  The pass streams every weight once; the scan costs O(runs) per
+window for each block of windows it scans.  In float mode it skips a block
+whose per-run peak bound (:func:`_peak_bound`) lies more than twice its
+error bound below the best sum so far: verifying the largest witness
+certificates scans one or two of their 168 to 2,702 blocks.  Exact
+arithmetic runs the same float scan, every block of it, with a proven error
+band and re-evaluates exactly only the windows inside the band, so its
+O(support) work stays in floats.
 For the supremum it suffices to scan window lengths n up to the support
 size m: for n > m every factor w_{1+n-i} on the support has shifted further
 down the non-increasing weight, so B(f, w, n) <= B(f, w, m).
@@ -302,7 +307,9 @@ def functional_B_at(
 
 
 def _scan_dense(
-    runs: list[tuple[int, int, float]], prefix: PrefixStream
+    runs: list[tuple[int, int, float]],
+    prefix: PrefixStream,
+    skip: Callable[[int, int, np.ndarray], bool] | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """All float window sums against the prefixes W(0..m) that ``prefix`` reaches.
 
@@ -311,12 +318,15 @@ def _scan_dense(
     1..m come in blocks of ``_SCAN_BLOCK``, so temporaries stay O(block)
     beside the retained prefixes.  Each n adds the same run terms in the
     same order whatever the blocking or the retained range, so no sum
-    depends on either.
+    depends on either.  A block [lo, hi] for which ``skip(lo, hi, p)`` is
+    true, p the prefixes once W(hi) is in, is neither scanned nor yielded.
     """
     m, c = runs[-1][1], prefix.cap
     for lo in range(1, m + 1, _SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK - 1, m)
         p = prefix.reach(hi)
+        if skip is not None and skip(lo, hi, p):
+            continue
         scan = np.zeros(hi - lo + 1)
         for start, end, v in runs:
             if start > hi:
@@ -336,44 +346,82 @@ def _scan_dense(
         yield lo, scan
 
 
+def _peak_bound(
+    runs: list[tuple[int, int, float]], p: np.ndarray, c: int, lo: int, hi: int
+) -> float:
+    """A float upper bound on the window sums lo..hi from each run's peak.
+
+    Run k, on positions s..e with value v, adds v c(n) to B(n), where
+    c(n) = W(1+n-s) - W(n-e) and W(x) = 0 for x <= 0.  For n >= s,
+    c(n+1) - c(n) = w_{2+n-s} - w_{n+1-e}, with w_x = 0 for x <= 0.  While
+    n < e the second weight is 0, so c rises; from n = e on,
+    2+n-s > n+1-e >= 1 and the weights do not increase, so c falls; before
+    s, c is 0.  So on lo..hi c peaks at clamp(e, lo, hi), and every window
+    n of the block has B(n) <= sum_k v_k c_k(clamp(e_k, lo, hi)), where a
+    run starting after hi adds nothing.  The sum is formed as a scan value
+    is, one product of a prefix or a prefix difference per run added in
+    run order onto 0.0, from prefixes P(x), x <= hi, that the block's own
+    scan reads in ``p`` (W(x) is p[1 + (x - 1) % c]).
+    """
+    total = 0.0
+    for start, end, v in runs:
+        if start > hi:
+            break
+        n = min(max(end, lo), hi)
+        x = p[1 + (n - start) % c]
+        if n > end:
+            x = x - p[1 + (n - end - 1) % c]
+        total += v * x
+    return total
+
+
 def _gamma(k: int) -> float:
     return k * _UNIT / (1 - k * _UNIT)
 
 
 def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
-    """E with |scan(n) - B(n) / a_1| <= E for every window n = 1..m.
+    """E with |scan(n) - c B(n)| <= E for every window n = 1..M.
 
-    ``scan`` is :func:`_scan_dense` run on the values u_j = a_j / a_1, each
-    in (0, 1] and rounded once to the float in ``values``, against the
-    float prefixes P of a :class:`~seqspace.weights.PrefixStream` over
-    W(1..m); ``top_prefix`` is P(m).  Write
+    ``scan`` is :func:`_scan_dense` run on the non-increasing positive floats
+    v_j in ``values``, each c a_j rounded at most once, against the float
+    prefixes P of a :class:`~seqspace.weights.PrefixStream` over W(1..m);
+    ``top_prefix`` is P(M), 1 <= M <= m.  Exact mode takes c = 1 / a_1, so
+    v_1 = 1 and every v_j lies in (0, 1]; float mode takes c = 1, the raw
+    run values, which are exact and of any size.  The same E bounds the
+    error of any sum formed as a scan value is, from prefixes P(x), x <= M
+    (:func:`_peak_bound`).  Write
     u = 2**-53, gamma(k) = k u / (1 - k u), eta = 2**-1073 for a result
-    that lands below the normal range, R runs, U = sum_j u_j, and
-    V >= W(m) >= w_1 = 1.  The error enters in five steps:
+    that lands below the normal range, R runs, U = sum_j v_j, and
+    V >= W(M) >= w_1 = 1.  The error enters in five steps:
 
     1. Term rounding.  The rational families form each float weight with at
        most three roundings (1/i; max(c, 1/i); a listed p/q; w_L * L / i),
-       so |t_i - w_i| <= tau w_i + eta with tau = gamma(3).
+       so |t_i - w_i| <= tau w_i + eta with tau = gamma(3).  The ``power:``
+       terms of ``np.power`` are assumed within 4 ulps (8u) of i**-a; that
+       raises rho, below, by at most 5u (1 + rho) against rho >= 10u, so E_0
+       by less than a factor 1.6 and E_0 <= E / 2.5.
     2. Prefix stream (``PrefixStream``).  Within a block P is a sequential
        ``cumsum`` (gamma(m)); the block base is a Neumaier sum of pairwise
        block sums (gamma(m) for the block sums, u for the compensated sum and
        u m gamma(m) <= gamma(m) for its compensation term); one add joins
        the two (u), and at a whole block's end P is that sum alone.  Which entries the ring keeps changes none of them.  So
        |P(k) - W(k)| <= rho W(k) + 2 k eta, rho = tau + (3 gamma(m) + 4u)(1 + tau).
-    3. Per-run prefix difference P(a) - P(b), a, b <= m (b = 0 while the
+    3. Per-run prefix difference P(a) - P(b), a, b <= M (b = 0 while the
        window ends inside the run, where P(0) = 0 exactly): the two prefix
        errors and one rounding give eps_D V + 5 m eta, eps_D = 2 rho (1 + u) + u.
-    4. Product with the rounded run value, |fl(u_j) - u_j| <= u u_j + eta,
-       and its own rounding: u_j V eps_p + alpha with eps_p = eps_D + 5u and
-       alpha = 8 (m + 1) eta, the absolute term of run ratios and products
-       that underflow.
+    4. Product with the run value, |v_j - c a_j| <= u c a_j + eta (0 for
+       raw values), and its own rounding: v_j V eps_p + alpha with
+       eps_p = eps_D + 5u.  The factor v_j <= max(1, v_1) scales step 3's
+       absolute part, so alpha = 8 (m + 1) eta max(1, v_1) covers it, the
+       run values and the products that underflow.
     5. Run sum.  The R products are added in run order onto 0.0, which adds
        gamma(R) times the sum of their magnitudes.
 
     So E_0 = U V (eps_p + gamma(R) (1 + eps_p)) + R alpha (1 + gamma(R)),
     with U and V bounded from the floats with upward margins, and E = 4 E_0.
     The factor 4 is a safety margin; it also covers the few roundings made
-    in evaluating E and the candidate threshold.
+    in evaluating E and the candidate threshold.  E is affine in
+    ``top_prefix`` with non-negative coefficients.
     """
     runs = len(values)
     tau = _gamma(3)
@@ -381,7 +429,7 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
     eps_p = 2 * rho * (1 + _UNIT) + 6 * _UNIT
     total_u = math.fsum(values) * (1 + 4 * _UNIT) + 2 * runs * _ETA
     top_w = top_prefix * (1 + 2 * rho) + 4 * m * _ETA
-    alpha = 8 * (m + 1) * _ETA
+    alpha = 8 * (m + 1) * _ETA * max(1.0, values[0])
     e0 = total_u * top_w * (eps_p + _gamma(runs) * (1 + eps_p))
     return 4 * (e0 + runs * alpha * (1 + _gamma(runs)))
 
@@ -392,7 +440,18 @@ def _scan(
     """B and its smallest attaining window from one pass over the prefix stream.
 
     With ``sums`` given, the float window sums of f's runs are appended to
-    it from the same terms.
+    it from the same terms.  Float mode passes over a block [lo, hi] once a
+    block has been scanned and ``_peak_bound`` + 2E < top, E from
+    :func:`_scan_error_bound` for the raw run values with V = P(hi).  Its
+    E_0 <= E / 2.5 bounds the error of a scan value and of the bound alike,
+    so every window n of the block has scan(n) <= B(n) + E_0 <= bound +
+    2 E_0.  The rest of 2E, at least 3 E_0 >= 78u U V (eps_p >= 26u),
+    covers the roundings in forming 2E as 2E(0) + 2E(1) V and in adding it
+    to the bound, which is at most U V + E_0.  So no window of a skipped
+    block reaches top, and the first maximum is the full scan's.  A bound
+    that is inf or NaN compares false, and its block is scanned.
+    ``reach(hi)`` still streams every block, so the ring and ``sums`` do
+    not change.  Exact mode scans every block.
     """
     m = f.support
     if m == 0:
@@ -411,7 +470,18 @@ def _scan(
     # last run's start, in slices of at most _SCAN_BLOCK entries
     keep = runs[-1][0] + _SCAN_BLOCK
     prefix = PrefixStream(fam, m, keep, _SCAN_BLOCK, windows, sums)
-    for lo, scan in _scan_dense(runs, prefix):
+    skip = None
+    if not ar.exact and m > _SCAN_BLOCK:
+        # E is affine in V with non-negative coefficients: 2E(V) <= e0 + e1 V
+        e0, e1 = (2 * _scan_error_bound(m, [v for *_, v in runs], x) for x in (0.0, 1.0))
+
+        def skip(lo: int, hi: int, p: np.ndarray) -> bool:
+            if top == -math.inf:
+                return False
+            margin = e0 + e1 * p[1 + (hi - 1) % prefix.cap]
+            return _peak_bound(runs, p, prefix.cap, lo, hi) + margin < top
+
+    for lo, scan in _scan_dense(runs, prefix, skip):
         k = int(np.argmax(scan))  # the block's first maximum
         if scan[k] > top:
             top, first = float(scan[k]), lo + k
@@ -437,8 +507,10 @@ def functional_B(
     One float scan serves both arithmetics.  It reads the weight prefixes
     from a :class:`~seqspace.weights.PrefixStream` that keeps only the
     entries later windows read; its O(runs * support) work is capped before
-    anything is allocated.  Float mode scans the run values
-    and returns the first maximum.  B is linear in f, so exact mode scans
+    anything is allocated.  Float mode scans the run values and returns the
+    first maximum, skipping each block of windows that its per-run peak
+    bound rules out (:func:`_scan`), so the work is O(runs) per block plus
+    O(runs) per window of the blocks scanned.  B is linear in f, so exact mode scans
     the values divided exactly by the first one, where no float overflows,
     keeping the at most ``EXACT_PREFIX_CAP`` scan values.  With E from
     :func:`_scan_error_bound` and P(m) the stream's last entry, a true

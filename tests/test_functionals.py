@@ -22,12 +22,14 @@ from seqspace.functionals import (
     functional_B_at,
     ratio,
 )
+from seqspace.oracles import functional_B_bruteforce
 from seqspace.weights import (
     ExplicitRationalWeights,
     HarmonicWeights,
     PowerWeights,
     parse_weight_spec,
 )
+from seqspace.witness import build_witness
 
 H = HarmonicWeights()
 P12 = PowerWeights(0.5)
@@ -531,6 +533,110 @@ def test_one_pass_A_of_the_r6_witness():
     fam = PowerWeights(0.5)
     f = StepSequence(tuple((d, 1.0 / fam.prefix_sum(d)) for d in (1, 4, 31, 630, 42423, 10916370)))
     assert ratio(f, fam).A == functional_A(f, fam)
+
+
+# ------------------------------------------------------- pruned window scan
+
+
+def _full_scan(f, fam):
+    # the max and first argmax of every window sum, no block passed over
+    runs = [(start, end, float(v)) for start, end, v in f.bounds()]
+    prefix = weights.PrefixStream(fam, f.support, runs[-1][0] + fx._SCAN_BLOCK, fx._SCAN_BLOCK)
+    scan = np.concatenate([block for _, block in fx._scan_dense(runs, prefix)])
+    k = int(np.argmax(scan))
+    return float(scan[k]), k + 1
+
+
+def _count_scanned_blocks(monkeypatch):
+    # wraps _scan_dense: one entry per scan, the number of blocks it yielded
+    counts = []
+    scan_dense = fx._scan_dense
+
+    def counting(*args):
+        blocks = 0
+        for block in scan_dense(*args):
+            blocks += 1
+            yield block
+        counts.append(blocks)
+
+    monkeypatch.setattr(fx, "_scan_dense", counting)
+    return counts
+
+
+@st.composite
+def raw_step_sequences(draw):
+    # raw run values from subnormal up to 1e300, so the first is rarely 1
+    k = draw(st.integers(1, 12))
+    lengths = draw(st.lists(st.integers(1, 25) | st.integers(100, 300), min_size=k, max_size=k))
+    value = st.floats(2.0**-1074, 1e300) | st.floats(0.5, 2.0)
+    values = draw(st.lists(value, min_size=k, max_size=k, unique=True))
+    return StepSequence(tuple(zip(lengths, sorted(values, reverse=True))))
+
+
+FLAT = ExplicitRationalWeights([Fraction(1), Fraction(1, 2)], "constant")
+
+
+@given(
+    fam=st.sampled_from([*STREAM_FAMILIES, FLAT]),
+    f=raw_step_sequences(),
+    block=st.sampled_from([1, 2, 13]),
+    piece=st.sampled_from([2**3, 2**16]),
+)
+# B(1) = B(4) = 1 exactly: block [3, 4]'s bound equals top, so it is scanned
+# and window 1 stays the first maximum
+@example(fam=FLAT, f=StepSequence(((1, 1.0), (3, 0.25))), block=2, piece=2**3)
+@settings(max_examples=60, deadline=None)
+def test_pruned_scan_matches_the_full_scan(fam, f, block, piece):
+    # B and its first argmax equal the unpruned scan's bit for bit, and the
+    # dense oracle agrees on the value
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fx, "_SCAN_BLOCK", block)
+        mp.setattr(weights, "_ARRAY_BLOCK", piece)
+        want = _full_scan(f, fam)
+        assert functional_B(f, fam) == want
+        rep = ratio(f, fam)
+        assert (rep.B, rep.argmax_n) == want
+    value, n = functional_B_bruteforce(f, fam, f.support)
+    assert want[0] == pytest.approx(value, rel=1e-12, abs=1e-300)
+    assert functional_B_at(f, fam, n) == pytest.approx(want[0], rel=1e-12, abs=1e-300)
+
+
+def test_pruned_scan_past_an_overflowing_block(monkeypatch):
+    # B(2) overflows to inf in the first block, and so does the margin 2E
+    f = StepSequence(((2, 1.5e308), (30, 1e-300)))
+    monkeypatch.setattr(fx, "_SCAN_BLOCK", 2)
+    with np.errstate(over="ignore"):
+        assert functional_B(f, H) == _full_scan(f, H) == (math.inf, 2)
+
+
+@pytest.mark.parametrize(
+    "fam, d, scanned, blocks",
+    [
+        (PowerWeights(0.5), [1, 4, 31, 630, 42423, 10916370], 1, 168),
+        (HarmonicWeights(), [1, 4, 54, 6306, 72168326], 1, 1102),
+        (PowerWeights(0.8), [1, 4, 26, 286, 4774, 107094, 2876170, 174074409], 2, 2702),
+    ],
+)
+def test_witness_scans_only_the_blocks_near_its_top(monkeypatch, fam, d, scanned, blocks):
+    # B is attained at n = 5; the run peaks bound every later block below it
+    f = build_witness(fam, d)
+    assert -(-f.support // fx._SCAN_BLOCK) == blocks
+    counts = _count_scanned_blocks(monkeypatch)
+    assert functional_B(f, fam)[1] == 5
+    assert counts == [scanned]
+
+
+def test_peak_bound_takes_each_run_at_its_end_inside_the_block(monkeypatch):
+    # B(n) = 1/n + 0.295 (H(n) - 1) for 2 <= n <= 14 dips below B(1) = 1 and
+    # passes it only at n = 14, the second run's end: in block [13, 14] the
+    # bound must read that run at 14; read at 13 it would fall below top
+    f = StepSequence(((1, 1.0), (13, 0.295)))
+    monkeypatch.setattr(fx, "_SCAN_BLOCK", 2)
+    want = _full_scan(f, H)
+    assert want[1] == 14 and functional_B_at(f, H, 13) < 1.0
+    counts = _count_scanned_blocks(monkeypatch)
+    assert functional_B(f, H) == want
+    assert counts == [2]  # blocks [1, 2] and [13, 14] of seven
 
 
 def test_scan_caps_trip_before_allocating(monkeypatch):
