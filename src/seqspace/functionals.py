@@ -440,8 +440,8 @@ def _scan(
     """B and its smallest attaining window from one pass over the prefix stream.
 
     With ``sums`` given, the float window sums of f's runs are appended to
-    it from the same terms.  Float mode passes over a block [lo, hi] once a
-    block has been scanned and ``_peak_bound`` + 2E < top, E from
+    it from the same terms.  Float mode passes over a block [lo, hi] when
+    ``_peak_bound`` + 2E < top (never while top is still -inf), E from
     :func:`_scan_error_bound` for the raw run values with V = P(hi).  Its
     E_0 <= E / 2.5 bounds the error of a scan value and of the bound alike,
     so every window n of the block has scan(n) <= B(n) + E_0 <= bound +
@@ -476,8 +476,6 @@ def _scan(
         e0, e1 = (2 * _scan_error_bound(m, [v for *_, v in runs], x) for x in (0.0, 1.0))
 
         def skip(lo: int, hi: int, p: np.ndarray) -> bool:
-            if top == -math.inf:
-                return False
             margin = e0 + e1 * p[1 + (hi - 1) % prefix.cap]
             return _peak_bound(runs, p, prefix.cap, lo, hi) + margin < top
 
