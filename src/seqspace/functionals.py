@@ -16,8 +16,10 @@ supremum takes one float window-scan kernel in one pass over a
 windows.  The pass streams every weight once; the scan costs O(runs) per
 window for each block of windows it scans.  In float mode it skips a block
 whose per-run peak bound (:func:`_peak_bound`) lies more than twice its
-error bound below the best sum so far: verifying the largest witness
-certificates scans one or two of their 168 to 2,702 blocks.  Exact
+error bound below the best sum so far.  The bound reads kept block ends,
+prefixes already filled and single weights, so a skipped block's prefixes
+are never formed: verifying the largest witness certificates scans one or
+two of their 168 to 2,702 blocks and runs ``cumsum`` over two.  Exact
 arithmetic runs the same float scan, every block of it, with a proven error
 band and re-evaluates exactly only the windows inside the band, so its
 O(support) work stays in floats.
@@ -309,7 +311,7 @@ def functional_B_at(
 def _scan_dense(
     runs: list[tuple[int, int, float]],
     prefix: PrefixStream,
-    skip: Callable[[int, int, np.ndarray], bool] | None = None,
+    skip: Callable[[int, int], bool] | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """All float window sums against the prefixes W(0..m) that ``prefix`` reaches.
 
@@ -318,15 +320,17 @@ def _scan_dense(
     1..m come in blocks of ``_SCAN_BLOCK``, so temporaries stay O(block)
     beside the retained prefixes.  Each n adds the same run terms in the
     same order whatever the blocking or the retained range, so no sum
-    depends on either.  A block [lo, hi] for which ``skip(lo, hi, p)`` is
-    true, p the prefixes once W(hi) is in, is neither scanned nor yielded.
+    depends on either.  A block [lo, hi] for which ``skip(lo, hi)`` is true
+    is neither scanned nor yielded, and its prefixes are not filled; a
+    scanned block reads W(0) and W(lo + 1 - s_R..hi), s_R the last run's
+    start, which ``reach(hi)`` fills.
     """
     m, c = runs[-1][1], prefix.cap
     for lo in range(1, m + 1, _SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK - 1, m)
-        p = prefix.reach(hi)
-        if skip is not None and skip(lo, hi, p):
+        if skip is not None and skip(lo, hi):
             continue
+        p = prefix.reach(hi)
         scan = np.zeros(hi - lo + 1)
         for start, end, v in runs:
             if start > hi:
@@ -347,30 +351,46 @@ def _scan_dense(
 
 
 def _peak_bound(
-    runs: list[tuple[int, int, float]], p: np.ndarray, c: int, lo: int, hi: int
+    runs: list[tuple[int, int, float]],
+    prefix: PrefixStream,
+    lo: int,
+    hi: int,
+    peaks: dict[int, float],
 ) -> float:
-    """A float upper bound on the window sums lo..hi from each run's peak.
+    """A float upper bound on the window sums lo..hi from each run's peak, filling no prefix.
 
     Run k, on positions s..e with value v, adds v c(n) to B(n), where
     c(n) = W(1+n-s) - W(n-e) and W(x) = 0 for x <= 0.  For n >= s,
     c(n+1) - c(n) = w_{2+n-s} - w_{n+1-e}, with w_x = 0 for x <= 0.  While
     n < e the second weight is 0, so c rises; from n = e on,
     2+n-s > n+1-e >= 1 and the weights do not increase, so c falls; before
-    s, c is 0.  So on lo..hi c peaks at clamp(e, lo, hi), and every window
-    n of the block has B(n) <= sum_k v_k c_k(clamp(e_k, lo, hi)), where a
-    run starting after hi adds nothing.  The sum is formed as a scan value
-    is, one product of a prefix or a prefix difference per run added in
-    run order onto 0.0, from prefixes P(x), x <= hi, that the block's own
-    scan reads in ``p`` (W(x) is p[1 + (x - 1) % c]).
+    s, c is 0.  So on lo..hi, c <= c(min(e, hi)) = W(1 + min(e, hi) - s).
+    A run that ended before lo has c <= c(lo) = W(1+lo-s) - W(lo-e), the
+    sum of its L = e-s+1 weights from w_{lo-e+1} on, so also c <= L
+    w_{lo-e+1}, and the bound takes the least of the three.  A run starting
+    after hi adds nothing.  Each W(x) read is ``prefix.upper(x)``, or
+    ``prefix.lower(x)`` where it is subtracted: the stream's value where it
+    is kept or filled, and otherwise a bound from x's block ends and weights.
+    The peak W(L) of a run that has ended is formed once, in ``peaks``.  The
+    products with v are added in run order onto 0.0.  The stream must hold
+    W(hi).
     """
     total = 0.0
-    for start, end, v in runs:
+    for k, (start, end, v) in enumerate(runs):
         if start > hi:
             break
-        n = min(max(end, lo), hi)
-        x = p[1 + (n - start) % c]
-        if n > end:
-            x = x - p[1 + (n - end - 1) % c]
+        if end > hi:
+            x = prefix.upper(1 + hi - start)
+        else:
+            if k not in peaks:
+                peaks[k] = prefix.upper(1 + end - start)
+            x = peaks[k]
+            if end < lo:
+                x = min(
+                    x,
+                    (1 + end - start) * prefix.weight(1 + lo - end),
+                    prefix.upper(1 + lo - start) - prefix.lower(lo - end),
+                )
         total += v * x
     return total
 
@@ -404,8 +424,10 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
        ``cumsum`` (gamma(m)); the block base is a Neumaier sum of pairwise
        block sums (gamma(m) for the block sums, u for the compensated sum and
        u m gamma(m) <= gamma(m) for its compensation term); one add joins
-       the two (u), and at a whole block's end P is that sum alone.  Which entries the ring keeps changes none of them.  So
-       |P(k) - W(k)| <= rho W(k) + 2 k eta, rho = tau + (3 gamma(m) + 4u)(1 + tau).
+       the two (u), and at a whole block's end P is that sum alone.  Which
+       entries the ring keeps, and when a block is filled, changes none of
+       them.  So |P(k) - W(k)| <= rho W(k) + 2 k eta, with
+       rho = tau + (3 gamma(m) + 4u)(1 + tau).
     3. Per-run prefix difference P(a) - P(b), a, b <= M (b = 0 while the
        window ends inside the run, where P(0) = 0 exactly): the two prefix
        errors and one rounding give eps_D V + 5 m eta, eps_D = 2 rho (1 + u) + u.
@@ -442,16 +464,24 @@ def _scan(
     With ``sums`` given, the float window sums of f's runs are appended to
     it from the same terms.  Float mode passes over a block [lo, hi] when
     ``_peak_bound`` + 2E < top (never while top is still -inf), E from
-    :func:`_scan_error_bound` for the raw run values with V = P(hi).  Its
-    E_0 <= E / 2.5 bounds the error of a scan value and of the bound alike,
-    so every window n of the block has scan(n) <= B(n) + E_0 <= bound +
-    2 E_0.  The rest of 2E, at least 3 E_0 >= 78u U V (eps_p >= 26u),
-    covers the roundings in forming 2E as 2E(0) + 2E(1) V and in adding it
-    to the bound, which is at most U V + E_0.  So no window of a skipped
+    :func:`_scan_error_bound` for the raw run values with V = P(M), M the
+    end of hi's stream block (m for the last).  Its E_0 <= E / 2.5 bounds the
+    error of a scan value, and of the bound's float T' against the real
+    bound T it evaluates.  Each W(x) bound there, a stream prefix or one plus
+    an integer times a weight, is within (rho + 2u) of its real value, which
+    is at most W(M), so a peak taken as a difference of two has step 3's
+    error with 2 rho + 5u in place of eps_D, inside eps_p.  A product L w_j,
+    within (tau + u) of itself, is the least of a run's three only if it
+    lies below W(L)'s float, so that it too is within (tau + u)(1 + 2 rho)
+    W(M).  So every window n of the block has scan(n) <= B(n) + E_0 <= T +
+    E_0 <= T' + 2 E_0.  The rest of 2E, at least 3 E_0 >= 78u U V (eps_p >=
+    26u), covers the roundings in forming 2E as 2E(0) + 2E(1) V and in
+    adding it to T', which is at most U V + E_0.  So no window of a skipped
     block reaches top, and the first maximum is the full scan's.  A bound
     that is inf or NaN compares false, and its block is scanned.
-    ``reach(hi)`` still streams every block, so the ring and ``sums`` do
-    not change.  Exact mode scans every block.
+    ``stream(hi)`` still streams every block, so ``sums`` do not change, but
+    only the blocks scanned, and the last, are filled.  Exact mode scans,
+    and so fills, every block.
     """
     m = f.support
     if m == 0:
@@ -475,9 +505,12 @@ def _scan(
         # E is affine in V with non-negative coefficients: 2E(V) <= e0 + e1 V
         e0, e1 = (2 * _scan_error_bound(m, [v for *_, v in runs], x) for x in (0.0, 1.0))
 
-        def skip(lo: int, hi: int, p: np.ndarray) -> bool:
-            margin = e0 + e1 * p[1 + (hi - 1) % prefix.cap]
-            return _peak_bound(runs, p, prefix.cap, lo, hi) + margin < top
+        peaks: dict[int, float] = {}
+
+        def skip(lo: int, hi: int) -> bool:
+            prefix.stream(hi)
+            margin = e0 + e1 * prefix.at(min(-(-hi // prefix.block) * prefix.block, m))
+            return _peak_bound(runs, prefix, lo, hi, peaks) + margin < top
 
     for lo, scan in _scan_dense(runs, prefix, skip):
         k = int(np.argmax(scan))  # the block's first maximum
@@ -508,7 +541,8 @@ def functional_B(
     anything is allocated.  Float mode scans the run values and returns the
     first maximum, skipping each block of windows that its per-run peak
     bound rules out (:func:`_scan`), so the work is O(runs) per block plus
-    O(runs) per window of the blocks scanned.  B is linear in f, so exact mode scans
+    O(runs) per window of the blocks scanned, and the stream forms the
+    prefixes of the blocks scanned only.  B is linear in f, so exact mode scans
     the values divided exactly by the first one, where no float overflows,
     keeping the at most ``EXACT_PREFIX_CAP`` scan values.  With E from
     :func:`_scan_error_bound` and P(m) the stream's last entry, a true

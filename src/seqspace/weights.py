@@ -16,11 +16,13 @@ witness construction of :mod:`seqspace.witness` applies.
 Every float prefix sum comes from one engine, :class:`PrefixStream`:
 W(1..m) in aligned 2**16-entry blocks.  W at a block end is the compensated
 sum of the blocks' ``np.sum``, and inside a block W adds the block's
-``cumsum`` to it, so W(n) has one value whichever reader produced it.
-``prefix_sum`` memoizes the values it returns and resumes one stream per
-family, which the witness search reads too; ``prefix_array`` is a stream
-kept whole, and the window scan of :mod:`seqspace.functionals` runs a stream
-of its own.  ``window_sum`` sums a window directly, in 2**22-term chunks.
+``cumsum`` to it, so W(n) has one value whichever reader produced it.  A
+stream holds its blocks' terms raw and runs a block's ``cumsum`` only when
+a read needs a prefix inside it.  ``prefix_sum`` memoizes the values it
+returns and resumes one stream per family, which the witness search reads
+too, raw weights included; ``prefix_array`` is a stream kept whole, and the
+window scan of :mod:`seqspace.functionals` runs a stream of its own.
+``window_sum`` sums a window directly, in 2**22-term chunks.
 """
 
 from __future__ import annotations
@@ -210,18 +212,29 @@ class WeightFamily:
         memoized.  A read ahead of the family's stream resumes it, so rising
         reads generate each weight once, and the blocks before n's add only
         their ``np.sum``.  A read behind the stream's three-block ring takes a
-        block end's kept value, or generates n's block afresh.  Raises CapExceededError beyond the
-        family's index cap.
+        block end's kept value, or generates n's block afresh.  Raises
+        CapExceededError beyond the family's index cap.
         """
         n = self._length(n, "prefix length")
         self._check_cap(n, "prefix")
         with self._lock:
             hit = self._memo.get(n)
             if hit is None:
-                if self._stream is None:
-                    self._stream = PrefixStream(self, self._cap, 2 * _ARRAY_BLOCK)
-                hit = self._memo[n] = self._stream.at(n)
+                hit = self._memo[n] = self._family_stream().at(n)
             return hit
+
+    def streamed_weight(self, i: int) -> float:
+        """w_i read from the stream ``prefix_sum`` resumes, streamed as far as i."""
+        i, _ = self._range(i, i, "weight index", "weight index")
+        with self._lock:
+            stream = self._family_stream()
+            stream.stream(i)
+            return stream.weight(i)
+
+    def _family_stream(self) -> PrefixStream:
+        if self._stream is None:
+            self._stream = PrefixStream(self, self._cap, 2 * _ARRAY_BLOCK)
+        return self._stream
 
     def release_stream(self) -> None:
         """Drop the stream ``prefix_sum`` resumes and the blocks it holds; the memo stays."""
@@ -278,7 +291,7 @@ class WeightFamily:
 
 
 class PrefixStream:
-    """W(0), W at each block end and a ring of the prefixes W(1..m), streamed in aligned blocks.
+    """W(0), W at each block end and a ring of the blocks of W(1..m), streamed in aligned blocks.
 
     This is the one float prefix engine: ``prefix_sum``, which the float
     block search reads, ``prefix_array`` and the window scan all read a
@@ -286,18 +299,24 @@ class PrefixStream:
     = ``_ARRAY_BLOCK``, generates its terms once.  W((j + 1)B), the end of a
     whole block, is the Neumaier sum of the ``np.sum`` of the blocks so far,
     kept for every block; inside block j, W adds the block's ``cumsum`` to
-    W(jB).  ``reach(hi)`` streams blocks until W(hi) is in, and ``at(x)``
-    reads W(x).  W(0) is ``data[0]`` and W(x), x >= 1, is
-    ``data[1 + (x - 1) % cap]``.  The ring holds whole blocks, at least
-    ``keep`` + B entries and at most m, so once W(hi) is in, every W(x) with
-    x > hi - keep is still there: a block overwrites only older entries, and
-    the blocks that ``reach`` passes below hi - cap only add their
-    ``np.sum``.  ``at`` reads a block end from the kept values, a block end
-    ahead without filling the ring, and a point behind the ring from its
-    block, generated afresh.  Past a ring that wraps, a guard repeats its
-    first ``read`` entries, so a read of at most ``read`` consecutive
-    entries is one slice.  Kept whole (``keep = m``), the ring is the prefix
-    array.
+    W(jB).  ``stream(hi)`` streams blocks until W(hi) is in, writing each
+    block's terms into the ring raw; a block becomes its prefixes in place,
+    once, only when a read needs them: ``at(x)`` reading inside it, or
+    ``reach(hi)``, which fills every block holding an x > hi - keep.  So a
+    block that no reader enters costs its terms and its ``np.sum``, and no
+    ``cumsum``.  W(0) is ``data[0]`` and the entry of x >= 1, W(x) or w_x,
+    is ``data[1 + (x - 1) % cap]``.  The ring holds whole blocks, at least
+    ``keep`` + B entries and at most m, so once W(hi) is in, the block of
+    every x > hi - keep is still there: a block overwrites only an older
+    block, and the blocks that ``stream`` passes below hi - cap only add
+    their ``np.sum``.  ``at`` reads a block end from the kept values, a block
+    end ahead without writing the ring, and a point behind the ring from its
+    block, generated afresh.  ``upper(x)`` and ``lower(x)`` bound W(x)
+    without filling, and ``weight(i)`` reads w_i raw from the ring where it
+    can.  Past a ring that wraps, a guard repeats its first ``read`` entries
+    once they are filled, so a read of at most ``read`` consecutive filled
+    entries is one slice.  Kept whole (``keep = m``), the ring reached to m
+    is the prefix array.
 
     ``windows`` are ranges (lo, hi) tiling 1..m in order; the sum of each,
     bit for bit ``window_sum(lo, hi)``, is appended to ``sums`` once the
@@ -310,11 +329,13 @@ class PrefixStream:
         self, fam: WeightFamily, m: int, keep: int, read: int = 0, windows=(), sums=None
     ) -> None:
         self.block = b = _ARRAY_BLOCK
-        self.top = self._low = 0  # the last index streamed in; the ring holds W(low + 1..top)
+        self.top = self._low = 0  # the last index streamed in; the ring holds blocks low + 1..top
         self.cap = min(m, -(-(keep + b) // b) * b)
         self._guard = read if self.cap < m else 0
         self.data = np.zeros(1 + self.cap + self._guard)
-        self._fam, self._m, self._sums = fam, m, sums
+        self._filled = [False] * -(-self.cap // b)  # per ring block: prefixes, not raw terms
+        self._fam, self._m, self._keep, self._sums = fam, m, keep, sums
+        self._reached = 0  # reach filled every block holding an x in (reached - keep, reached]
         self._base = self._comp = 0.0  # the blocks so far
         self._ends = [0.0]  # W(jB) for each block end jB streamed
         self._fresh: tuple[int, np.ndarray | None] = (-1, None)  # a block generated afresh
@@ -324,10 +345,18 @@ class PrefixStream:
         crossing = [e - c + 1 for c, e, _ in self._chunks if (c - 1) // b != (e - 1) // b]
         self._buf = np.empty(max(crossing)) if crossing else None
 
-    def reach(self, hi: int) -> np.ndarray:
-        """The data array, once W(hi) is streamed in."""
+    def stream(self, hi: int) -> None:
+        """Stream blocks until W(hi) is in, filling none."""
         while self.top < hi:
             self._next_block(self.top + self.block > hi - self.cap)
+
+    def reach(self, hi: int) -> np.ndarray:
+        """The data array, once W(hi) is in and W(x) filled for every x > hi - keep."""
+        self.stream(hi)
+        start = max(self._low, hi - self._keep, self._reached)
+        for j in range(start // self.block, (hi - 1) // self.block + 1):
+            self._fill(j)
+        self._reached = max(self._reached, hi)
         return self.data
 
     def at(self, x: int) -> float:
@@ -337,13 +366,63 @@ class PrefixStream:
             while len(self._ends) <= j:
                 self._next_block(False)
             return self._ends[j]
-        self.reach(x)
+        self.stream(x)
         if x > self._low:
+            self._fill(j)
             return float(self.data[1 + (x - 1) % self.cap])
         if self._fresh[0] != j:
             terms = self._fam._terms(j * self.block + 1, min((j + 1) * self.block, self._m))
             self._fresh = (j, np.cumsum(terms) + self._ends[j])
         return float(self._fresh[1][i - 1])
+
+    def weight(self, i: int) -> float:
+        """w_i for 1 <= i <= top: the ring's raw term, or the term generated afresh."""
+        if i > self._low and not self._filled[(i - 1) % self.cap // self.block]:
+            return float(self.data[1 + (i - 1) % self.cap])
+        return float(self._fam._terms(i, i)[0])
+
+    def upper(self, x: int) -> float:
+        """W(x) for 0 <= x <= top where it is kept or filled, and otherwise a bound above it.
+
+        Inside block j the weights do not increase, so W(jB + i) is at most
+        W(jB) + i w_{jB+1} and at most the kept value at the block's end (for
+        the last block, the compensated sum of all of them).  ``lower`` is the
+        bound below, W(jB) + i w_{jB+i}.  Neither streams or fills a block.
+        """
+        known = self._known(x)
+        if known is not None:
+            return known
+        j, i = divmod(x, self.block)
+        return min(self._ends[j] + i * self.weight(x - i + 1), self._ends[j + 1])
+
+    def lower(self, x: int) -> float:
+        """W(x) for 0 <= x <= top where it is kept or filled, and otherwise a bound below it."""
+        known = self._known(x)
+        if known is not None:
+            return known
+        return self._ends[x // self.block] + x % self.block * self.weight(x)
+
+    def _known(self, x: int) -> float | None:
+        if not x % self.block:
+            return self._ends[x // self.block]
+        if x > self._low and self._filled[(x - 1) % self.cap // self.block]:
+            return float(self.data[1 + (x - 1) % self.cap])
+        return None
+
+    def _fill(self, j: int) -> None:
+        """Turn block j, in the ring, into its prefixes in place, unless it already is."""
+        b, i = self.block, j * self.block % self.cap
+        if self._filled[i // b]:
+            return
+        self._filled[i // b] = True
+        n = min(b, self._m - j * b)
+        block = np.cumsum(self.data[1 + i : 1 + i + n], out=self.data[1 + i : 1 + i + n])
+        block += self._ends[j]
+        if n == b:
+            block[-1] = self._ends[j + 1]
+        if i < self._guard:  # the guard repeats ring offsets 0.._guard - 1
+            k = min(self._guard, i + n)
+            self.data[1 + self.cap + i : 1 + self.cap + k] = self.data[1 + i : 1 + k]
 
     def _next_block(self, write: bool) -> None:
         start = self.top + 1
@@ -352,16 +431,14 @@ class PrefixStream:
         self._base, self._comp = neumaier_add(self._base, self._comp, float(np.sum(terms)))
         self._ends.append(self._base + self._comp)  # W(end) if the block is whole
         self.top = end
-        self._low = max(self._low, end - self.cap) if write else end
         if write:
             i = (start - 1) % self.cap  # blocks start at whole blocks of the ring, so none wraps
-            block = np.cumsum(terms, out=self.data[1 + i : 2 + i + end - start])
-            block += self._ends[-2]
-            if end - start + 1 == self.block:
-                block[-1] = self._ends[-1]
-            if i < self._guard:  # the guard repeats ring offsets 0.._guard - 1
-                j = min(self._guard, i + end - start + 1)
-                self.data[1 + self.cap + i : 1 + self.cap + j] = self.data[1 + i : 1 + j]
+            self.data[1 + i : 2 + i + end - start] = terms
+            self._filled[i // self.block] = False
+            if start > self.cap:  # the block overwrites the one a ring before it
+                self._low = max(self._low, start - self.cap + self.block - 1)
+        else:
+            self._low = end
         while self._i < len(self._chunks) and self._chunks[self._i][0] <= end:
             c, e, hi = self._chunks[self._i]
             if start <= c and e <= end:

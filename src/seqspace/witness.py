@@ -21,7 +21,10 @@ A float search reads the family's ``prefix_sum``, whose one forward
 d_{k-1} + d_{k-2}, each block's reads lie ahead of the last block's, but
 for (ii)'s W(d_k), d_{k-1} behind its W(d_{k-1} + d_k).  The stream keeps W
 at every block end, where the candidate ends lie, and holds the last three
-blocks; a bisection further behind generates its one block afresh.
+blocks; a bisection further behind generates its one block afresh.  Before
+reading (ii)'s W(d_{k-1} + d_k), the float search checks d_{k-1} times the
+window's least weight against (ii)'s bound, so the stream forms the
+prefixes of a block only near the boundary.
 The search bounds each d_k by the family's index cap less n_{k-1}, so every
 support it returns fits within the cap.  A multiplicative slack tightens the
 right-hand sides during the float search so summation error cannot admit a
@@ -204,6 +207,32 @@ def _difference(ar: Arithmetic):
     return lambda lo, hi: ar.prefix(hi) - ar.prefix(lo - 1)
 
 
+def _screened(fam: WeightFamily, difference, d_prev: int, limit: float):
+    """(ii)'s float window, or inf where d_{k-1} times its least weight rules it out.
+
+    The float search rejects d_k = e when P(e + d_{k-1}) - P(e), in floats,
+    exceeds ``limit``, the float 2**(1-k) W(d_{k-1}) (1 - slack).  The window
+    holds d_{k-1} weights of at least w = w_{e+d_{k-1}}, so it is at least
+    d_{k-1} w.  Stream prefixes within the 2**28 index cap are within
+    rho W + 2x eta of W with rho < 1e-7 (``functionals._scan_error_bound``,
+    steps 1 and 2), so the float difference is at least (1 - 2e-7) d_{k-1} w
+    - 3e-7 P(e) - 2**-1040, P(e) being about W(e) >= w_1 = 1.  The screen
+    tests d_{k-1} w - 1e-6 (d_{k-1} w + P(e)) > limit instead, whose
+    roundings the larger constant covers, so where it holds the exact test
+    rejects e too, and the ``difference`` is not read.  Else it is; P(e) is
+    the value (i) read just before, and w is read raw from the family's
+    stream, which then holds the blocks a read of the difference needs.
+    """
+
+    def window(lo: int, hi: int) -> float:
+        least = d_prev * fam.streamed_weight(hi)
+        if least - 1e-6 * (least + fam.prefix_sum(lo - 1)) > limit:
+            return math.inf
+        return difference(lo, hi)
+
+    return window
+
+
 def _holds(pairs, factor) -> bool:
     return all(lhs <= rhs * factor for lhs, rhs in pairs)
 
@@ -225,14 +254,15 @@ def find_block_lengths(
     difference W(d_{k-1} + d_k) - W(d_k) that verification records.  A
     float search reads ``prefix_sum``, so the prefixes verification reads
     are memoized, and its candidate ends are the family stream's block
-    ends; the stream is released on return.  Rational mode decides each
-    condition exactly, ignoring the slack, at powers of two, for d_k up to
-    top = min(cap, EXACT_PREFIX_CAP) - d_{k-1}, the exact prefixes' reach
-    for (ii).  It gives up at once when (i) or (ii) fails at top in floats,
-    right-hand sides loosened by ``_REACH_SLACK``: both are monotone in d_k,
-    and a float sum of at most 10**5 weights in the normal range, each
-    rounded at most three times, is off by less than 2**-52 * (10**5 + 3) <
-    3e-11 relative.
+    ends; ``_screened`` reads the difference only where the window's least
+    weight leaves (ii) in doubt.  The stream is released on return.
+    Rational mode decides each condition exactly, ignoring the slack, at
+    powers of two, for d_k up to top = min(cap, EXACT_PREFIX_CAP) - d_{k-1},
+    the exact prefixes' reach for (ii).  It gives up at once when (i) or
+    (ii) fails at top in floats, right-hand sides loosened by
+    ``_REACH_SLACK``: both are monotone in d_k, and a float sum of at most
+    10**5 weights in the normal range, each rounded at most three times, is
+    off by less than 2**-52 * (10**5 + 3) < 3e-11 relative.
     """
     r = _check_preconditions(fam, r, slack)
     ar = arithmetic(mode, fam)
@@ -253,7 +283,11 @@ def find_block_lengths(
     try:
         for k in range(len(d) + 1, r + 1):
             d_prev = d[-1] if d else 0
-            conditions = _conditions(ar, k, n_prev, d_prev, _difference(ar))
+            window = _difference(ar)
+            if d_prev and not ar.exact:  # most candidates fail (ii) by far: screen them
+                limit = 2.0 ** (1 - k) * fam.prefix_sum(d_prev) * tighten
+                window = _screened(fam, window, d_prev, limit)
+            conditions = _conditions(ar, k, n_prev, d_prev, window)
             # the support n_k = n_{k-1} + d_k bounds d_k; since n_{k-1} >= d_{k-1},
             # condition (ii)'s window ends at d_{k-1} + d_k <= n_k, within the
             # cap, and the search gives up only once the limit itself is infeasible

@@ -639,6 +639,20 @@ def test_peak_bound_takes_each_run_at_its_end_inside_the_block(monkeypatch):
     assert counts == [2]  # blocks [1, 2] and [13, 14] of seven
 
 
+def test_peak_bound_takes_an_ended_run_at_the_block_start(monkeypatch):
+    # B(n) = 1/n + 0.292619 H(n-1) passes B(1) = 1 only at n = 14, the last
+    # window, by less than 1/14 - 1/15: in block [14, 14] the first run,
+    # ended at 1, must be bounded by its weight at 14 - 1 + 1 = 14; bounded
+    # one weight further on, the block would fall below top
+    f = StepSequence(((1, 1.0), (13, 0.292619)))
+    monkeypatch.setattr(fx, "_SCAN_BLOCK", 1)
+    want = _full_scan(f, H)
+    assert want[1] == 14 and want[0] - 1.0 < 1 / 14 - 1 / 15
+    counts = _count_scanned_blocks(monkeypatch)
+    assert functional_B(f, H) == want
+    assert counts == [2]  # windows 1 and 14 of fourteen
+
+
 def test_scan_caps_trip_before_allocating(monkeypatch):
     fam = PowerWeights(0.5)
     monkeypatch.setattr(weights.PrefixStream, "__init__", lambda *a, **k: pytest.fail("prefix stream started"))

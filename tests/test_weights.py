@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqspace import weights
@@ -417,6 +417,48 @@ def test_prefix_reads_resume_the_family_stream():
     for n in (5 * block - 3, 2 * block + 1):
         assert fam.prefix_sum(n) == PowerWeights(0.5).prefix_array(n)[n]
     assert count[0] == 30 * block
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+@given(
+    m=st.integers(1, 300),
+    keep=st.integers(0, 300),
+    reads=st.lists(st.integers(0, 300), min_size=1, max_size=50),
+    block=st.sampled_from([2**3, 2**5]),
+)
+# a one-block ring: the last block, [17, 20], overwrites half of [9, 16],
+# so W(14) must come from its block generated afresh
+@example(m=20, keep=0, reads=[20, 14], block=2**3)
+@settings(max_examples=20, deadline=None)
+def test_stream_reads_in_any_order_are_the_prefix_array(kind, m, keep, reads, block):
+    # a stream writes its blocks raw and fills one only where a read needs
+    # it: at(x) ahead of the ring, inside it and behind it equals the prefix
+    # array bit for bit, whatever was read before; upper and lower bound W
+    # up to rounding without filling anything
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_ARRAY_BLOCK", block)
+        fam = FAMILY_KINDS[kind]()
+        want = fam.prefix_array(m)
+        stream = weights.PrefixStream(fam, m, min(keep, m))
+        for x in reads:
+            x %= m + 1
+            y = x % (stream.top + 1)
+            assert stream.upper(y) >= want[y] * (1 - 1e-12)
+            assert stream.lower(y) <= want[y] * (1 + 1e-12)
+            assert stream.at(x) == want[x]
+        # streamed whole and read in any order, each block is filled once
+        cumsum, entries = np.cumsum, [0]
+
+        def counted(a, *args, **kwargs):
+            entries[0] += np.size(a)
+            return cumsum(a, *args, **kwargs)
+
+        mp.setattr(np, "cumsum", counted)
+        whole = weights.PrefixStream(fam, m, m)
+        whole.stream(m)
+        assert [whole.at(x % (m + 1)) for x in reads] == [want[x % (m + 1)] for x in reads]
+        assert whole.reach(m).tolist() == want.tolist()
+        assert entries[0] == m
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))

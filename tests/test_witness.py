@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqspace import weights, witness
 from seqspace.exceptions import CapExceededError, CertificationError, InputError
@@ -520,9 +522,10 @@ def _count_terms(fam) -> list[int]:
 
 
 def test_search_generates_each_weight_about_once():
-    # every bisection probe for d_6 ends in (2**23, 2**24]; the memoized
-    # chunk sums and the span keep the search from regenerating that
-    # interval's terms per probe (78.1M terms before, for a 10.96M support)
+    # one forward stream serves every probe: the bisection for d_6 reads
+    # inside one or two stream blocks, held in the family stream's ring or
+    # generated afresh, so no probe sums its prefix from w_1 again (78.1M
+    # terms for a 10.96M support when each probe did)
     fam = PowerWeights(0.5)
     count = _count_terms(fam)
     assert find_block_lengths(fam, 6) == [1, 4, 31, 630, 42423, 10916370]
@@ -602,6 +605,68 @@ def test_search_finds_the_first_blocks(spec, r, m, slack):
     assert on_end and past_end
 
 
+@st.composite
+def screened_families(draw):
+    # a vanishing power, harmonic, or explicit weights with flat stretches
+    # (levels from 1/2 to 1, each held for up to three indices) and a pattern tail
+    kind = draw(st.sampled_from(["power", "harmonic", "flat"]))
+    if kind == "power":
+        alpha = draw(st.floats(0.5, 0.95))
+        return f"power:{alpha}", lambda: PowerWeights(alpha)
+    if kind == "harmonic":
+        return "harmonic", HarmonicWeights
+    level = st.fractions(Fraction(1, 2), 1, max_denominator=16)
+    levels = draw(st.lists(level, min_size=1, max_size=3))
+    values = [Fraction(1)]
+    for level in sorted(set(levels), reverse=True):
+        values += [level] * draw(st.integers(1, 3))
+    return f"flat:{values}", lambda: ExplicitRationalWeights(values, "pattern")
+
+
+# w_3 = 1/2 + 2**-53 exceeds (ii)'s bound W(1)/2 at d_2 = 2, but W(3) rounds
+# to 2.5, so the float search, like the reference, takes d_2 = 2: the
+# screen's error term must keep it from rejecting that candidate
+BOUNDARY = [Fraction(1), Fraction(1), Fraction(1, 2) + Fraction(1, 2**53)]
+
+
+BOUNDARY_FAMILY = ("boundary", lambda: ExplicitRationalWeights(BOUNDARY, "pattern"))
+
+
+@given(
+    family=screened_families(),
+    slack=st.sampled_from([0.0, 1e-9]),
+    block=st.sampled_from([7, 64, 2**16]),
+)
+@example(family=BOUNDARY_FAMILY, slack=0.0, block=2**16)
+@example(family=BOUNDARY_FAMILY, slack=0.0, block=7)
+@settings(max_examples=30, deadline=None)
+def test_screened_search_finds_the_first_blocks(family, slack, block):
+    # the search reads (ii)'s prefixes only where d_{k-1} times the window's
+    # least weight, less its error bound, leaves (ii) in doubt; it must find
+    # the blocks of the whole-array reference, which reads every candidate
+    _, make = family
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_ARRAY_BLOCK", block)
+        assert find_block_lengths(make(), 4, slack=slack) == _first_blocks(make(), 4, slack, 30_000)
+
+
+def test_search_and_verification_fill_a_few_stream_blocks(monkeypatch):
+    # stream blocks become prefixes only where a read needs them: the r = 6
+    # search and verification cumsum 342,627 entries, 5.2 blocks of 2**16,
+    # against 335 blocks when every streamed block became prefixes
+    cumsum, entries = np.cumsum, [0]
+
+    def counted(a, *args, **kwargs):
+        entries[0] += np.size(a)
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    fam = PowerWeights(0.5)
+    d = find_block_lengths(fam, 6)
+    assert verify_certificate(fam, d).d == (1, 4, 31, 630, 42423, 10916370)
+    assert entries[0] <= 8 * 2**16
+
+
 def test_verification_holds_one_term_buffer():
     # the search leaves no terms behind; verification streams the weights,
     # copies A's 2**22-term chunks that cross stream blocks into one buffer
@@ -621,8 +686,9 @@ def test_verification_holds_one_term_buffer():
 
 def test_verification_generates_each_weight_about_once():
     # after the search, A and B share one pass over the support of
-    # 10,959,459 weights; the margins read memoized prefixes and the span
-    # (24.57M terms when A and B each generated the support)
+    # 10,959,459 weights; the margins and block values read the prefixes
+    # the search memoized (24.57M terms when A and B each generated the
+    # support)
     fam = PowerWeights(0.5)
     d = find_block_lengths(fam, 6)
     count = _count_terms(fam)
