@@ -13,13 +13,13 @@ Sequences are run-length encoded (:class:`StepSequence`), so A and a single
 window sum cost O(runs) weight-window sums rather than O(support).  The
 supremum takes one float window-scan kernel in one pass over a
 :class:`~seqspace.weights.PrefixStream`, from which ``ratio`` also sums A's
-windows.  The pass streams every weight once; the scan costs O(runs) per
-window for each block of windows it scans.  In float mode it skips a block
-whose per-run peak bound (:func:`_peak_bound`) lies more than twice its
-error bound below the best sum so far.  The bound reads kept block ends,
-prefixes already filled and single weights, so a skipped block's prefixes
-are never formed: verifying the largest witness certificates scans one or
-two of their 168 to 2,702 blocks and runs ``cumsum`` over two.  Exact
+windows.  The pass streams every weight once; the scan walks the stream's
+own blocks and costs O(runs) per window for each block it scans.  In float
+mode it skips a block whose per-run peak bound (:func:`_peak_bound`) lies
+more than twice its error bound below the best sum so far.  The bound
+reads kept block ends and single weights only, so a skipped block's
+prefixes are never formed: verifying the largest witness certificates
+scans one to seven of their 168 to 2,702 blocks.  Exact
 arithmetic runs the same float scan, every block of it, with a proven error
 band and re-evaluates exactly only the windows inside the band, so its
 O(support) work stays in floats.
@@ -40,12 +40,12 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import weights
 from .exceptions import CapExceededError, InputError
 from .weights import EXACT_PREFIX_CAP, PrefixStream, WeightFamily, as_index
 
 SCAN_WORK_CAP = 2**34
 EXPAND_CAP = 2**24
-_SCAN_BLOCK = 2**16
 _UNIT = 2.0**-53  # unit roundoff of float64
 _ETA = 2.0**-1073  # rounding error bound of a result below the normal range
 
@@ -317,17 +317,17 @@ def _scan_dense(
 
     ``runs`` holds (start, end, value) per run, tiling 1..m.  Yields (lo,
     scan), where scan[i] is the sum for window length lo + i; window lengths
-    1..m come in blocks of ``_SCAN_BLOCK``, so temporaries stay O(block)
-    beside the retained prefixes.  Each n adds the same run terms in the
-    same order whatever the blocking or the retained range, so no sum
-    depends on either.  A block [lo, hi] for which ``skip(lo, hi)`` is true
-    is neither scanned nor yielded, and its prefixes are not filled; a
-    scanned block reads W(0) and W(lo + 1 - s_R..hi), s_R the last run's
-    start, which ``reach(hi)`` fills.
+    1..m come in the stream's blocks, so temporaries stay O(block) beside
+    the retained prefixes.  Each n adds the same run terms in the same order
+    whatever the blocking or the retained range, so no sum depends on
+    either.  A block [lo, hi] for which ``skip(lo, hi)`` is true is neither
+    scanned nor yielded, and its prefixes are not filled; a scanned block
+    reads W(0) and W(lo + 1 - s_R..hi), s_R the last run's start, which
+    ``reach(hi)`` fills.
     """
     m, c = runs[-1][1], prefix.cap
-    for lo in range(1, m + 1, _SCAN_BLOCK):
-        hi = min(lo + _SCAN_BLOCK - 1, m)
+    for lo in range(1, m + 1, prefix.block):
+        hi = min(lo + prefix.block - 1, m)
         if skip is not None and skip(lo, hi):
             continue
         p = prefix.reach(hi)
@@ -351,11 +351,7 @@ def _scan_dense(
 
 
 def _peak_bound(
-    runs: list[tuple[int, int, float]],
-    prefix: PrefixStream,
-    lo: int,
-    hi: int,
-    peaks: dict[int, float],
+    runs: list[tuple[int, int, float]], prefix: PrefixStream, lo: int, hi: int
 ) -> float:
     """A float upper bound on the window sums lo..hi from each run's peak, filling no prefix.
 
@@ -364,33 +360,22 @@ def _peak_bound(
     c(n+1) - c(n) = w_{2+n-s} - w_{n+1-e}, with w_x = 0 for x <= 0.  While
     n < e the second weight is 0, so c rises; from n = e on,
     2+n-s > n+1-e >= 1 and the weights do not increase, so c falls; before
-    s, c is 0.  So on lo..hi, c <= c(min(e, hi)) = W(1 + min(e, hi) - s).
-    A run that ended before lo has c <= c(lo) = W(1+lo-s) - W(lo-e), the
-    sum of its L = e-s+1 weights from w_{lo-e+1} on, so also c <= L
-    w_{lo-e+1}, and the bound takes the least of the three.  A run starting
-    after hi adds nothing.  Each W(x) read is ``prefix.upper(x)``, or
-    ``prefix.lower(x)`` where it is subtracted: the stream's value where it
-    is kept or filled, and otherwise a bound from x's block ends and weights.
-    The peak W(L) of a run that has ended is formed once, in ``peaks``.  The
+    s, c is 0.  So on lo..hi, c <= c(min(e, hi)) = W(1 + min(e, hi) - s),
+    and W, non-decreasing, is at most its value at the first block end at
+    or past that index (at m in the last block): ``prefix.end``.  A run
+    that ended before lo also has c <= c(lo), the sum of its L = e-s+1
+    weights from w_{lo-e+1} on, so c <= L w_{lo-e+1}, and the bound takes
+    the lesser of the two.  A run starting after hi adds nothing.  The
     products with v are added in run order onto 0.0.  The stream must hold
     W(hi).
     """
     total = 0.0
-    for k, (start, end, v) in enumerate(runs):
+    for start, end, v in runs:
         if start > hi:
             break
-        if end > hi:
-            x = prefix.upper(1 + hi - start)
-        else:
-            if k not in peaks:
-                peaks[k] = prefix.upper(1 + end - start)
-            x = peaks[k]
-            if end < lo:
-                x = min(
-                    x,
-                    (1 + end - start) * prefix.weight(1 + lo - end),
-                    prefix.upper(1 + lo - start) - prefix.lower(lo - end),
-                )
+        x = prefix.end(1 + min(end, hi) - start)
+        if end < lo:
+            x = min(x, (1 + end - start) * prefix.weight(1 + lo - end))
         total += v * x
     return total
 
@@ -462,23 +447,23 @@ def _scan(
     """B and its smallest attaining window from one pass over the prefix stream.
 
     With ``sums`` given, the float window sums of f's runs are appended to
-    it from the same terms.  Float mode passes over a block [lo, hi] when
-    ``_peak_bound`` + 2E < top (never while top is still -inf), E from
-    :func:`_scan_error_bound` for the raw run values with V = P(M), M the
-    end of hi's stream block (m for the last).  Its E_0 <= E / 2.5 bounds the
-    error of a scan value, and of the bound's float T' against the real
-    bound T it evaluates.  Each W(x) bound there, a stream prefix or one plus
-    an integer times a weight, is within (rho + 2u) of its real value, which
-    is at most W(M), so a peak taken as a difference of two has step 3's
-    error with 2 rho + 5u in place of eps_D, inside eps_p.  A product L w_j,
-    within (tau + u) of itself, is the least of a run's three only if it
-    lies below W(L)'s float, so that it too is within (tau + u)(1 + 2 rho)
-    W(M).  So every window n of the block has scan(n) <= B(n) + E_0 <= T +
-    E_0 <= T' + 2 E_0.  The rest of 2E, at least 3 E_0 >= 78u U V (eps_p >=
-    26u), covers the roundings in forming 2E as 2E(0) + 2E(1) V and in
-    adding it to T', which is at most U V + E_0.  So no window of a skipped
-    block reaches top, and the first maximum is the full scan's.  A bound
-    that is inf or NaN compares false, and its block is scanned.
+    it from the same terms.  Float mode passes over a stream block [lo, hi]
+    when ``_peak_bound`` + 2E < top (never while top is still -inf), E from
+    :func:`_scan_error_bound` for the raw run values with V = P(hi), the
+    kept W(hi) (for the last block, the filled P(m)).  Its E_0 <= E / 2.5
+    bounds the error of a scan value, and of the bound's float T' against
+    the real bound T it evaluates.  Each kept end there is W at a block end
+    x <= hi, or at m in the last block, the Neumaier sum of the block sums
+    alone, so within rho W(x) + 2x eta of W(x) <= W(hi): step 3's error
+    without its subtraction.  A product L w_j, within (tau + u) of itself,
+    is the lesser of a run's two only if it lies below a kept end's float,
+    so that it too is within (tau + u)(1 + 2 rho) W(hi), inside eps_p W(hi).
+    So every window n of the block has scan(n) <= B(n) + E_0 <= T + E_0 <=
+    T' + 2 E_0.  The rest of 2E, at least 3 E_0 >= 78u U V (eps_p >= 26u),
+    covers the roundings in forming 2E as 2E(0) + 2E(1) V and in adding it
+    to T', which is at most U V + E_0.  So no window of a skipped block
+    reaches top, and the first maximum is the full scan's.  A bound that is
+    inf or NaN compares false, and its block is scanned.
     ``stream(hi)`` still streams every block, so ``sums`` do not change, but
     only the blocks scanned, and the last, are filled.  Exact mode scans,
     and so fills, every block.
@@ -497,20 +482,17 @@ def _scan(
     windows = [(start, end) for start, end, _ in bounds] if sums is not None else ()
     top, first, blocks = -math.inf, 0, []
     # windows from lo on read W(0) and no W(x) below lo + 1 - s_R, s_R the
-    # last run's start, in slices of at most _SCAN_BLOCK entries
-    keep = runs[-1][0] + _SCAN_BLOCK
-    prefix = PrefixStream(fam, m, keep, _SCAN_BLOCK, windows, sums)
+    # last run's start, in slices of at most one stream block
+    prefix = PrefixStream(fam, m, runs[-1][0] + weights._ARRAY_BLOCK, windows, sums)
     skip = None
-    if not ar.exact and m > _SCAN_BLOCK:
+    if not ar.exact and m > prefix.block:
         # E is affine in V with non-negative coefficients: 2E(V) <= e0 + e1 V
         e0, e1 = (2 * _scan_error_bound(m, [v for *_, v in runs], x) for x in (0.0, 1.0))
 
-        peaks: dict[int, float] = {}
-
         def skip(lo: int, hi: int) -> bool:
             prefix.stream(hi)
-            margin = e0 + e1 * prefix.at(min(-(-hi // prefix.block) * prefix.block, m))
-            return _peak_bound(runs, prefix, lo, hi, peaks) + margin < top
+            margin = e0 + e1 * prefix.at(hi)
+            return _peak_bound(runs, prefix, lo, hi) + margin < top
 
     for lo, scan in _scan_dense(runs, prefix, skip):
         k = int(np.argmax(scan))  # the block's first maximum
@@ -539,10 +521,11 @@ def functional_B(
     from a :class:`~seqspace.weights.PrefixStream` that keeps only the
     entries later windows read; its O(runs * support) work is capped before
     anything is allocated.  Float mode scans the run values and returns the
-    first maximum, skipping each block of windows that its per-run peak
-    bound rules out (:func:`_scan`), so the work is O(runs) per block plus
-    O(runs) per window of the blocks scanned, and the stream forms the
-    prefixes of the blocks scanned only.  B is linear in f, so exact mode scans
+    first maximum, skipping each stream block of windows that its per-run
+    peak bound, read from kept block ends and single weights, rules out
+    (:func:`_scan`).  So the work is O(runs) per block plus O(runs) per
+    window of the blocks scanned, and the stream forms the prefixes of the
+    blocks scanned and the last only.  B is linear in f, so exact mode scans
     the values divided exactly by the first one, where no float overflows,
     keeping the at most ``EXACT_PREFIX_CAP`` scan values.  With E from
     :func:`_scan_error_bound` and P(m) the stream's last entry, a true

@@ -306,17 +306,18 @@ class PrefixStream:
     block that no reader enters costs its terms and its ``np.sum``, and no
     ``cumsum``.  W(0) is ``data[0]`` and the entry of x >= 1, W(x) or w_x,
     is ``data[1 + (x - 1) % cap]``.  The ring holds whole blocks, at least
-    ``keep`` + B entries and at most m, so once W(hi) is in, the block of
-    every x > hi - keep is still there: a block overwrites only an older
-    block, and the blocks that ``stream`` passes below hi - cap only add
-    their ``np.sum``.  ``at`` reads a block end from the kept values, a block
-    end ahead without writing the ring, and a point behind the ring from its
-    block, generated afresh.  ``upper(x)`` and ``lower(x)`` bound W(x)
-    without filling, and ``weight(i)`` reads w_i raw from the ring where it
-    can.  Past a ring that wraps, a guard repeats its first ``read`` entries
-    once they are filled, so a read of at most ``read`` consecutive filled
-    entries is one slice.  Kept whole (``keep = m``), the ring reached to m
-    is the prefix array.
+    ``keep`` + B entries and at most m, so once ``stream(hi)`` has run, the
+    block of every x > hi - keep is still there: a block overwrites only an
+    older block, and the blocks that ``stream`` passes below hi - cap only
+    add their ``np.sum``.  ``at`` reads a block end from the kept values, a
+    block end ahead without writing the ring, and a point behind the ring
+    from its block, generated afresh; ``reach`` raises if such a read left
+    a block it must fill out of the ring.  ``end(x)`` is the kept W at the
+    first block end at or past x, and ``weight(i)`` reads w_i raw from the
+    ring where it can; neither fills a block.  Past a ring that wraps, a
+    guard repeats its first block once it is filled, so a read of at most B
+    consecutive filled entries is one slice.  Kept whole (``keep = m``), the
+    ring reached to m is the prefix array.
 
     ``windows`` are ranges (lo, hi) tiling 1..m in order; the sum of each,
     bit for bit ``window_sum(lo, hi)``, is appended to ``sums`` once the
@@ -325,19 +326,16 @@ class PrefixStream:
     own buffer, sized by the longest such chunk.
     """
 
-    def __init__(
-        self, fam: WeightFamily, m: int, keep: int, read: int = 0, windows=(), sums=None
-    ) -> None:
+    def __init__(self, fam: WeightFamily, m: int, keep: int, windows=(), sums=None) -> None:
         self.block = b = _ARRAY_BLOCK
         self.top = self._low = 0  # the last index streamed in; the ring holds blocks low + 1..top
         self.cap = min(m, -(-(keep + b) // b) * b)
-        self._guard = read if self.cap < m else 0
+        self._guard = b if self.cap < m else 0
         self.data = np.zeros(1 + self.cap + self._guard)
         self._filled = [False] * -(-self.cap // b)  # per ring block: prefixes, not raw terms
         self._fam, self._m, self._keep, self._sums = fam, m, keep, sums
-        self._reached = 0  # reach filled every block holding an x in (reached - keep, reached]
         self._base = self._comp = 0.0  # the blocks so far
-        self._ends = [0.0]  # W(jB) for each block end jB streamed
+        self._ends = [0.0]  # W(jB) for each block end jB streamed, and W(m)
         self._fresh: tuple[int, np.ndarray | None] = (-1, None)  # a block generated afresh
         self._chunks = [(c, e, hi) for lo, hi in windows for c, e in _chunks(lo, hi)]
         self._i = 0  # the next chunk to sum
@@ -353,10 +351,15 @@ class PrefixStream:
     def reach(self, hi: int) -> np.ndarray:
         """The data array, once W(hi) is in and W(x) filled for every x > hi - keep."""
         self.stream(hi)
-        start = max(self._low, hi - self._keep, self._reached)
-        for j in range(start // self.block, (hi - 1) // self.block + 1):
-            self._fill(j)
-        self._reached = max(self._reached, hi)
+        start = max(0, hi - self._keep)
+        if self._low > start:
+            raise RuntimeError(
+                f"prefix stream: W({start + 1}) is needed at {hi} but its block has left the ring"
+            )
+        b, filled = self.block, self._filled
+        for j in range(start // b, (hi - 1) // b + 1):
+            if not filled[j * b % self.cap // b]:  # a scan reaches keep / b blocks, most filled
+                self._fill(j)
         return self.data
 
     def at(self, x: int) -> float:
@@ -375,39 +378,15 @@ class PrefixStream:
             self._fresh = (j, np.cumsum(terms) + self._ends[j])
         return float(self._fresh[1][i - 1])
 
+    def end(self, x: int) -> float:
+        """The kept W at the first block end at or past x <= top (W(m) in the last block)."""
+        return self._ends[-(-x // self.block)]
+
     def weight(self, i: int) -> float:
         """w_i for 1 <= i <= top: the ring's raw term, or the term generated afresh."""
         if i > self._low and not self._filled[(i - 1) % self.cap // self.block]:
             return float(self.data[1 + (i - 1) % self.cap])
         return float(self._fam._terms(i, i)[0])
-
-    def upper(self, x: int) -> float:
-        """W(x) for 0 <= x <= top where it is kept or filled, and otherwise a bound above it.
-
-        Inside block j the weights do not increase, so W(jB + i) is at most
-        W(jB) + i w_{jB+1} and at most the kept value at the block's end (for
-        the last block, the compensated sum of all of them).  ``lower`` is the
-        bound below, W(jB) + i w_{jB+i}.  Neither streams or fills a block.
-        """
-        known = self._known(x)
-        if known is not None:
-            return known
-        j, i = divmod(x, self.block)
-        return min(self._ends[j] + i * self.weight(x - i + 1), self._ends[j + 1])
-
-    def lower(self, x: int) -> float:
-        """W(x) for 0 <= x <= top where it is kept or filled, and otherwise a bound below it."""
-        known = self._known(x)
-        if known is not None:
-            return known
-        return self._ends[x // self.block] + x % self.block * self.weight(x)
-
-    def _known(self, x: int) -> float | None:
-        if not x % self.block:
-            return self._ends[x // self.block]
-        if x > self._low and self._filled[(x - 1) % self.cap // self.block]:
-            return float(self.data[1 + (x - 1) % self.cap])
-        return None
 
     def _fill(self, j: int) -> None:
         """Turn block j, in the ring, into its prefixes in place, unless it already is."""
@@ -420,9 +399,8 @@ class PrefixStream:
         block += self._ends[j]
         if n == b:
             block[-1] = self._ends[j + 1]
-        if i < self._guard:  # the guard repeats ring offsets 0.._guard - 1
-            k = min(self._guard, i + n)
-            self.data[1 + self.cap + i : 1 + self.cap + k] = self.data[1 + i : 1 + k]
+        if self._guard and not i:  # the guard repeats the ring's first block
+            self.data[1 + self.cap : 1 + self.cap + n] = self.data[1 : 1 + n]
 
     def _next_block(self, write: bool) -> None:
         start = self.top + 1

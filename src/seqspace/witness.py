@@ -437,12 +437,12 @@ def reverify_certificate_dict(data: dict, cap: int = DEFAULT_INDEX_CAP) -> Witne
         ("B", data["B"], cert.B_value, None),
         ("ratio", data["ratio"], cert.ratio, None),
     ]
-    W = fam.prefix_sum
-    for i, (d_prev, d_k) in enumerate(zip((0,) + cert.d, cert.d)):
+    ar = arithmetic(cert.mode, fam)
+    for i, (n_prev, d_prev, d_k) in enumerate(zip((0, *cert.n), (0, *cert.d), cert.d)):
+        (_, rhs_i), (_, rhs_ii) = _conditions(ar, i + 1, n_prev, d_prev, _difference(ar))(d_k)
         checks += [
-            (f"margins.cond_i[{i}]", margins["cond_i"][i], cert.cond_i_margins[i], W(d_k) / 2),
-            (f"margins.cond_ii[{i}]", margins["cond_ii"][i], cert.cond_ii_margins[i],
-             W(d_prev) / 2**i),
+            (f"margins.cond_i[{i}]", margins["cond_i"][i], cert.cond_i_margins[i], rhs_i),
+            (f"margins.cond_ii[{i}]", margins["cond_ii"][i], cert.cond_ii_margins[i], rhs_ii),
         ]
     for name, claimed_s, actual, rhs in checks:
         claimed = _value_from_string(str(claimed_s))

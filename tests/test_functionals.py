@@ -356,7 +356,7 @@ def _float_scan_and_bound(f, fam):
     bounds = f.bounds()
     first = bounds[0][2]
     runs = [(start, end, float(v / first)) for start, end, v in bounds]
-    prefix = weights.PrefixStream(fam, f.support, runs[-1][0] + fx._SCAN_BLOCK, fx._SCAN_BLOCK)
+    prefix = weights.PrefixStream(fam, f.support, runs[-1][0] + weights._ARRAY_BLOCK)
     scan = np.concatenate([block for _, block in fx._scan_dense(runs, prefix)])
     bound = fx._scan_error_bound(f.support, [u for _, _, u in runs], prefix.at(f.support))
     return first, scan, bound
@@ -425,10 +425,32 @@ def test_float_plateau_keeps_one_candidate_per_block():
     assert peak < 32 * 2**20  # the 8 MB prefix array and one block of temporaries
 
 
+class _Whole:
+    """A whole prefix array [W(0), ..., W(m)], read as the scan read it before the stream."""
+
+    def __init__(self, prefix, block):
+        self.prefix, self.cap, self.block = prefix, prefix.size - 1, block
+
+    def reach(self, hi):
+        return self.prefix
+
+
+def _full_scan(f, fam):
+    # the max and first argmax of every window sum, read from the whole
+    # prefix array in one block, so no block is passed over
+    runs = [(start, end, float(v)) for start, end, v in f.bounds()]
+    m = f.support
+    ((_, scan),) = fx._scan_dense(runs, _Whole(fam.prefix_array(m), m))
+    k = int(np.argmax(scan))
+    return float(scan[k]), k + 1
+
+
 @pytest.mark.parametrize("block", [1, 2, 13])
 def test_scan_does_not_depend_on_its_block_size(monkeypatch, block):
     # every window adds the same run terms in the same order whatever the
-    # blocking, and the first block maximum wins ties across blocks
+    # blocking, and the first block maximum wins ties across blocks: at each
+    # block size float B is the first maximum of the whole prefix array's
+    # scan, and exact B does not move
     cases = [
         # B(1) = B(2) = 1 exactly; block size 1 puts them in different blocks
         (StepSequence(((1, 1.0), (1, 0.5))), H, "float"),
@@ -444,21 +466,13 @@ def test_scan_does_not_depend_on_its_block_size(monkeypatch, block):
         for fam in EXACT_FAMILIES:
             cases.append((StepSequence(tuple((n, Fraction(v, 7)) for n, v in runs)), fam, "rational"))
     expected = [functional_B(f, fam, mode=mode) for f, fam, mode in cases]
-    monkeypatch.setattr(fx, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(weights, "_ARRAY_BLOCK", block)
     for (f, fam, mode), want in zip(cases, expected):
+        if mode == "float":
+            want = _full_scan(f, fam)
         got = functional_B(f, fam, mode=mode)
         assert got == want and type(got[0]) is type(want[0]), (f, fam, mode)
-    assert expected[0][1] == expected[1][1] == 1
-
-
-class _Whole:
-    """A whole prefix array [W(0), ..., W(m)], read as the scan read it before the stream."""
-
-    def __init__(self, prefix):
-        self.prefix, self.cap = prefix, prefix.size - 1
-
-    def reach(self, hi):
-        return self.prefix
+    assert functional_B(*cases[0][:2]) == (1.0, 1) and expected[1][1] == 1
 
 
 STREAM_FAMILIES = [
@@ -482,29 +496,27 @@ def float_step_sequences(draw):
 @given(
     fam=st.sampled_from(STREAM_FAMILIES),
     f=float_step_sequences(),
-    block=st.sampled_from([1, 2, 13]),
-    piece=st.sampled_from([2**3, 2**5, 2**16]),
+    block=st.sampled_from([1, 2, 13, 2**5, 2**16]),
 )
-@example(fam=STREAM_FAMILIES[0], f=StepSequence(((3, 2.0), (40, 1.0), (2000, 0.5))), block=13, piece=2**3)
-@example(fam=STREAM_FAMILIES[1], f=StepSequence(tuple((7, 1.0 / i) for i in range(1, 41))), block=2, piece=2**3)
+@example(fam=STREAM_FAMILIES[0], f=StepSequence(((3, 2.0), (40, 1.0), (2000, 0.5))), block=13)
+@example(fam=STREAM_FAMILIES[1], f=StepSequence(tuple((7, 1.0 / i) for i in range(1, 41))), block=2)
 @settings(max_examples=60, deadline=None)
-def test_streamed_scan_matches_the_whole_prefix_array(fam, f, block, piece):
+def test_streamed_scan_matches_the_whole_prefix_array(fam, f, block):
     # the retained prefixes hold W(0) and the range later windows read; every
     # scan block equals the one read from the whole array, bit for bit
     runs = [(start, end, float(v)) for start, end, v in f.bounds()]
     m = f.support
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fx, "_SCAN_BLOCK", block)
-        mp.setattr(weights, "_ARRAY_BLOCK", piece)
+        mp.setattr(weights, "_ARRAY_BLOCK", block)
         whole = fam.prefix_array(m)
-        want = list(fx._scan_dense(runs, _Whole(whole)))
-        prefix = weights.PrefixStream(fam, m, runs[-1][0] + block, block)
+        want = list(fx._scan_dense(runs, _Whole(whole, block)))
+        prefix = weights.PrefixStream(fam, m, runs[-1][0] + block)
         got = list(fx._scan_dense(runs, prefix))
     assert [lo for lo, _ in got] == [lo for lo, _ in want]
     assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
     assert prefix.at(m) == whole[-1]
-    # W(0), a ring of whole pieces over s_R + block + piece entries, and its guard
-    assert prefix.data.size <= 1 + min(m, runs[-1][0] + block + 2 * piece) + block
+    # W(0), a ring of whole blocks over s_R + 2 blocks, and a one-block guard
+    assert prefix.data.size <= 1 + min(m, runs[-1][0] + 3 * block) + block
 
 
 @given(
@@ -536,15 +548,6 @@ def test_one_pass_A_of_the_r6_witness():
 
 
 # ------------------------------------------------------- pruned window scan
-
-
-def _full_scan(f, fam):
-    # the max and first argmax of every window sum, no block passed over
-    runs = [(start, end, float(v)) for start, end, v in f.bounds()]
-    prefix = weights.PrefixStream(fam, f.support, runs[-1][0] + fx._SCAN_BLOCK, fx._SCAN_BLOCK)
-    scan = np.concatenate([block for _, block in fx._scan_dense(runs, prefix)])
-    k = int(np.argmax(scan))
-    return float(scan[k]), k + 1
 
 
 def _count_scanned_blocks(monkeypatch):
@@ -579,19 +582,17 @@ FLAT = ExplicitRationalWeights([Fraction(1), Fraction(1, 2)], "constant")
 @given(
     fam=st.sampled_from([*STREAM_FAMILIES, FLAT]),
     f=raw_step_sequences(),
-    block=st.sampled_from([1, 2, 13]),
-    piece=st.sampled_from([2**3, 2**16]),
+    block=st.sampled_from([1, 2, 13, 2**16]),
 )
 # B(1) = B(4) = 1 exactly: block [3, 4]'s bound equals top, so it is scanned
 # and window 1 stays the first maximum
-@example(fam=FLAT, f=StepSequence(((1, 1.0), (3, 0.25))), block=2, piece=2**3)
+@example(fam=FLAT, f=StepSequence(((1, 1.0), (3, 0.25))), block=2)
 @settings(max_examples=60, deadline=None)
-def test_pruned_scan_matches_the_full_scan(fam, f, block, piece):
+def test_pruned_scan_matches_the_full_scan(fam, f, block):
     # B and its first argmax equal the unpruned scan's bit for bit, and the
     # dense oracle agrees on the value
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fx, "_SCAN_BLOCK", block)
-        mp.setattr(weights, "_ARRAY_BLOCK", piece)
+        mp.setattr(weights, "_ARRAY_BLOCK", block)
         want = _full_scan(f, fam)
         assert functional_B(f, fam) == want
         rep = ratio(f, fam)
@@ -604,7 +605,7 @@ def test_pruned_scan_matches_the_full_scan(fam, f, block, piece):
 def test_pruned_scan_past_an_overflowing_block(monkeypatch):
     # B(2) overflows to inf in the first block, and so does the margin 2E
     f = StepSequence(((2, 1.5e308), (30, 1e-300)))
-    monkeypatch.setattr(fx, "_SCAN_BLOCK", 2)
+    monkeypatch.setattr(weights, "_ARRAY_BLOCK", 2)
     with np.errstate(over="ignore"):
         assert functional_B(f, H) == _full_scan(f, H) == (math.inf, 2)
 
@@ -614,13 +615,13 @@ def test_pruned_scan_past_an_overflowing_block(monkeypatch):
     [
         (PowerWeights(0.5), [1, 4, 31, 630, 42423, 10916370], 1, 168),
         (HarmonicWeights(), [1, 4, 54, 6306, 72168326], 1, 1102),
-        (PowerWeights(0.8), [1, 4, 26, 286, 4774, 107094, 2876170, 174074409], 2, 2702),
+        (PowerWeights(0.8), [1, 4, 26, 286, 4774, 107094, 2876170, 174074409], 7, 2702),
     ],
 )
 def test_witness_scans_only_the_blocks_near_its_top(monkeypatch, fam, d, scanned, blocks):
     # B is attained at n = 5; the run peaks bound every later block below it
     f = build_witness(fam, d)
-    assert -(-f.support // fx._SCAN_BLOCK) == blocks
+    assert -(-f.support // weights._ARRAY_BLOCK) == blocks
     counts = _count_scanned_blocks(monkeypatch)
     assert functional_B(f, fam)[1] == 5
     assert counts == [scanned]
@@ -628,15 +629,16 @@ def test_witness_scans_only_the_blocks_near_its_top(monkeypatch, fam, d, scanned
 
 def test_peak_bound_takes_each_run_at_its_end_inside_the_block(monkeypatch):
     # B(n) = 1/n + 0.295 (H(n) - 1) for 2 <= n <= 14 dips below B(1) = 1 and
-    # passes it only at n = 14, the second run's end: in block [13, 14] the
-    # bound must read that run at 14; read at 13 it would fall below top
+    # passes it only at n = 14, the second run's end: with one-entry blocks,
+    # whose kept ends are exact, the bound must read that run at 14 in window
+    # 14; read at 13 it would fall below top
     f = StepSequence(((1, 1.0), (13, 0.295)))
-    monkeypatch.setattr(fx, "_SCAN_BLOCK", 2)
+    monkeypatch.setattr(weights, "_ARRAY_BLOCK", 1)
     want = _full_scan(f, H)
     assert want[1] == 14 and functional_B_at(f, H, 13) < 1.0
     counts = _count_scanned_blocks(monkeypatch)
     assert functional_B(f, H) == want
-    assert counts == [2]  # blocks [1, 2] and [13, 14] of seven
+    assert counts == [2]  # windows 1 and 14 of fourteen
 
 
 def test_peak_bound_takes_an_ended_run_at_the_block_start(monkeypatch):
@@ -645,7 +647,7 @@ def test_peak_bound_takes_an_ended_run_at_the_block_start(monkeypatch):
     # ended at 1, must be bounded by its weight at 14 - 1 + 1 = 14; bounded
     # one weight further on, the block would fall below top
     f = StepSequence(((1, 1.0), (13, 0.292619)))
-    monkeypatch.setattr(fx, "_SCAN_BLOCK", 1)
+    monkeypatch.setattr(weights, "_ARRAY_BLOCK", 1)
     want = _full_scan(f, H)
     assert want[1] == 14 and want[0] - 1.0 < 1 / 14 - 1 / 15
     counts = _count_scanned_blocks(monkeypatch)

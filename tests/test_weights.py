@@ -433,8 +433,8 @@ def test_prefix_reads_resume_the_family_stream():
 def test_stream_reads_in_any_order_are_the_prefix_array(kind, m, keep, reads, block):
     # a stream writes its blocks raw and fills one only where a read needs
     # it: at(x) ahead of the ring, inside it and behind it equals the prefix
-    # array bit for bit, whatever was read before; upper and lower bound W
-    # up to rounding without filling anything
+    # array bit for bit, whatever was read before; the kept end at or past x
+    # bounds W(x) from above up to rounding without filling anything
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "_ARRAY_BLOCK", block)
         fam = FAMILY_KINDS[kind]()
@@ -443,8 +443,7 @@ def test_stream_reads_in_any_order_are_the_prefix_array(kind, m, keep, reads, bl
         for x in reads:
             x %= m + 1
             y = x % (stream.top + 1)
-            assert stream.upper(y) >= want[y] * (1 - 1e-12)
-            assert stream.lower(y) <= want[y] * (1 + 1e-12)
+            assert stream.end(y) >= want[y] * (1 - 1e-12)
             assert stream.at(x) == want[x]
         # streamed whole and read in any order, each block is filled once
         cumsum, entries = np.cumsum, [0]
@@ -459,6 +458,18 @@ def test_stream_reads_in_any_order_are_the_prefix_array(kind, m, keep, reads, bl
         assert [whole.at(x % (m + 1)) for x in reads] == [want[x % (m + 1)] for x in reads]
         assert whole.reach(m).tolist() == want.tolist()
         assert entries[0] == m
+
+
+def test_reach_refuses_a_block_that_left_the_ring(monkeypatch):
+    # a block-end at() ahead of the stream passes blocks without writing the
+    # ring; a reach that must then fill one of them raises instead of
+    # returning the ring's zeros as W(1..8)
+    monkeypatch.setattr(weights, "_ARRAY_BLOCK", 8)
+    fam = HarmonicWeights()
+    stream = weights.PrefixStream(fam, 8, 8)
+    assert stream.at(8) == fam.prefix_array(8)[8]
+    with pytest.raises(RuntimeError, match=r"W\(1\) is needed at 8 but its block has left the ring"):
+        stream.reach(8)
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
