@@ -495,7 +495,7 @@ def _scan(
             return _peak_bound(runs, prefix, lo, hi) + margin < top
 
     for lo, scan in _scan_dense(runs, prefix, skip):
-        k = int(np.argmax(scan))  # the block's first maximum
+        k = int(scan.argmax())  # the block's first maximum
         if scan[k] > top:
             top, first = float(scan[k]), lo + k
         if ar.exact:

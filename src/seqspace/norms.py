@@ -18,9 +18,10 @@ nonzero prefix is optimal (aligned sorted-with-sorted pairing).  Non-
 decreasing |b|: an optimal selection is a suffix, and the best suffix value
 is exactly the largest reversed window sum of the reversed vector, so the
 run-length scan from :mod:`seqspace.functionals` answers it without the
-quadratic DP.  Anything else runs an O(m^2) dynamic program over
-(position, selected-count).  Reported selectors are canonical: fewest
-indices first, then lexicographically smallest.
+quadratic DP.  Anything else runs an O(m^2)-time dynamic program over
+(position, selected-count) that holds at most 4 MiB of its backward rows at
+once, plus one checkpoint row per 4 MiB segment.  Reported selectors are
+canonical: fewest indices first, then lexicographically smallest.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .witness import DEFAULT_SLACK, build_witness, find_block_lengths
 
 GARLING_DP_CAP = 4096
 _SELECTOR_TOL = 1e-12
+_DP_ROW_BYTES = 2**22  # the DP's backward rows held at once, beside its checkpoint rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +83,7 @@ def _as_vector(b) -> np.ndarray:
         raise InputError("vector input must be one-dimensional")
     if arr.size == 0:
         raise InputError("vector input must have at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError("vector entries must be finite")
     return arr
 
@@ -96,7 +98,7 @@ def _check_p(p: float) -> float:
 def _powers(c: np.ndarray, p: float) -> np.ndarray:
     """Entrywise c**p, rejecting powers that overflow (callers silence the warning)."""
     cp = c**p
-    if not np.all(np.isfinite(cp)):
+    if not np.isfinite(cp).all():
         raise InputError(
             f"the entries' p-th powers (p = {p}) are not finite: they overflow double precision"
         )
@@ -105,7 +107,7 @@ def _powers(c: np.ndarray, p: float) -> np.ndarray:
 
 def _aligned(cp: np.ndarray, t: int, fam: WeightFamily, p: float, selector) -> NormResult:
     """Norm of the first t p-th powers paired with the top t weights."""
-    total = float(np.sum(cp[:t] * fam.weights_head(t)))
+    total = float(np.add.reduce(cp[:t] * fam.weights_head(t)))
     return NormResult(total ** (1.0 / p), p, selector)
 
 
@@ -133,10 +135,28 @@ def _garling_dp(cp: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
     """General dynamic program over (position, selected-count).
 
     Forward pass: M[j] = best score selecting exactly j entries, updated as
-    M[j] = max(M[j], M[j-1] + c_i^p w_j) with the previous row on the right.
-    Backward pass builds exact-completion scores so a forward prefer-take
-    walk emits the lexicographically smallest selector among those with the
-    fewest indices.
+    M[j] = max(M[j], M[j-1] + c_i^p w_j) with the previous row on the right;
+    item i (from 0) reaches only M[1..i+1], and the rest stays -inf.  With j*
+    the first maximizer of M, the backward pass builds the exact-completion
+    scores S_i[j], the best score of items i..m adding exactly j* - j more
+    entries at ranks j+1..j*, so a forward prefer-take walk emits the
+    lexicographically smallest selector among those with the fewest indices.
+
+    The walk reads S_{i+1}[j+1] with j <= i - 1 and j* - j <= m - i + 1,
+    so row i is computed only on its band max(0, j* - (m - i + 1)) <= j <
+    min(i, j*), where it is finite; S_i[j*] = 0.0, and the entry just left
+    of the band is -inf, which row i - 1 reads.  Rows 2..m+1 are held in
+    segments of at most ``_DP_ROW_BYTES``.  One backward pass computes every
+    row, leaves the first segment in place and keeps a checkpoint, the row
+    past the end of every other segment; the walk recomputes a segment from
+    its checkpoint when it reaches it, on the columns it can still read:
+    from j + 1 at the segment's first row, one more per row.  So the rows
+    take at most 4 MiB plus one checkpoint row per segment, and until the
+    rows outgrow one segment nothing is recomputed.  Every value keeps its
+    bits: each band entry takes the operands and operations of the full
+    table, and the walk adds Python floats, which round as numpy float64
+    scalars do.  It skips a completion of +inf, as the full table's
+    finiteness test did, and -inf fails the comparison itself.
     """
     m = cp.size
     if m > GARLING_DP_CAP:
@@ -145,41 +165,64 @@ def _garling_dp(cp: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
             "monotone inputs of any size use the direct rules"
         )
     w = fam.weights_head(m)
+    cpl, wl = cp.tolist(), w.tolist()
 
     M = np.full(m + 1, -np.inf)
     M[0] = 0.0
     for i in range(m):
-        cand = M[:-1] + cp[i] * w
-        np.maximum(M[1:], cand, out=M[1:])
-    jstar = int(np.argmax(M))
+        reach = M[1 : i + 2]
+        np.maximum(reach, M[: i + 1] + cpl[i] * w[: i + 1], out=reach)
+    jstar = int(M.argmax())
     opt = float(M[jstar])
     if jstar == 0:
         return NormResult(0.0, p, np.empty(0, dtype=np.int64))
 
-    suffix = np.full((m + 2, jstar + 1), -np.inf)
-    suffix[m + 1, jstar] = 0.0
-    w_rank = w[:jstar]
-    for i in range(m, 0, -1):
-        nxt = suffix[i + 1]
-        suffix[i, :jstar] = np.maximum(nxt[:jstar], cp[i - 1] * w_rank + nxt[1:])
-        suffix[i, jstar] = nxt[jstar]
+    per = max(1, _DP_ROW_BYTES // (8 * (jstar + 1)))  # rows per segment
+    rows = np.empty((min(per, m), jstar + 1))
+    rows[:, jstar] = 0.0
+
+    def fill(seg: int, nxt, left: int = 0, width: int = m) -> None:
+        """Rows of segment seg, last first, from nxt, the row past its end (None past m + 1).
+
+        Row base + t is computed on columns left .. left + width + t - 1 of its band.
+        """
+        base = 2 + seg * per
+        for i in range(min(m + 1, base + per - 1), base - 1, -1):
+            row = rows[i - base]
+            lo = max(left, jstar - (m - i + 1))
+            hi = min(i, jstar, left + width + i - base)
+            if lo > left:
+                row[lo - 1] = -np.inf
+            if lo < hi:
+                np.maximum(nxt[lo:hi], cpl[i - 1] * w[lo:hi] + nxt[lo + 1 : hi + 1], out=row[lo:hi])
+            nxt = row
+
+    nseg = -(-m // per)
+    checkpoints = [None] * nseg  # row 2 + (k + 1) per, which segment k is computed from
+    for seg in range(nseg - 1, -1, -1):
+        fill(seg, checkpoints[seg])
+        if seg:
+            checkpoints[seg - 1] = rows[0].copy()
 
     tol = _SELECTOR_TOL * max(1.0, abs(opt))
     selector = np.empty(jstar, dtype=np.int64)
     acc = 0.0
-    j = 0
+    j = seg = k = 0  # row i + 1 is rows[k] of segment seg
     for i in range(1, m + 1):
         if j == jstar:
             break
-        gain = cp[i - 1] * w[j]
-        completion = suffix[i + 1, j + 1]
-        forced = (m - i) < (jstar - j)
-        if forced or (
-            np.isfinite(completion) and acc + gain + completion >= opt - tol
+        if k == per:
+            seg, k = seg + 1, 0
+            # the walk reads row base + t at columns j + 1 .. j + 1 + t
+            fill(seg, checkpoints[seg], j + 1, 1)
+        gain = cpl[i - 1] * wl[j]
+        if m - i < jstar - j or (
+            (c := rows.item(k, j + 1)) < math.inf and acc + gain + c >= opt - tol
         ):
             selector[j] = i
             acc += gain
             j += 1
+        k += 1
     return NormResult(opt ** (1.0 / p), p, selector)
 
 
@@ -200,12 +243,12 @@ def garling_norm(b, fam: WeightFamily, p: float, method: str = "auto") -> NormRe
     if m_pos == 0:
         return NormResult(0.0, p, np.empty(0, dtype=np.int64))
     if method == "auto":
-        diffs = np.diff(c)
-        if np.all(diffs <= 0):
+        diffs = c[1:] - c[:-1]
+        if (diffs <= 0).all():
             # Non-increasing: the full nonzero prefix aligned with the top
             # weights is optimal and is the unique fewest-index optimum.
             return _aligned(cp, m_pos, fam, p, np.arange(1, m_pos + 1, dtype=np.int64))
-        if np.all(diffs >= 0):
+        if (diffs >= 0).all():
             # The best selection is a suffix: length t scores the reversed
             # window sum of the reversed p-th powers at n = t.
             g = StepSequence.from_values(cp[::-1])

@@ -22,7 +22,9 @@ a read needs a prefix inside it.  ``prefix_sum`` memoizes the values it
 returns and resumes one stream per family, which the witness search reads
 too, raw weights included; ``prefix_array`` is a stream kept whole, and the
 window scan of :mod:`seqspace.functionals` runs a stream of its own.
-``window_sum`` sums a window directly, in 2**22-term chunks.
+``window_sum`` sums a window directly, in 2**22-term chunks.  The code
+calls each ``np.sum`` of a float64 array as ``np.add.reduce``, the same
+pairwise sum bit for bit, without ``np.sum``'s dispatch.
 """
 
 from __future__ import annotations
@@ -255,12 +257,12 @@ class WeightFamily:
         buf = np.empty(min(_CHUNK, hi - lo + 1)) if hi - lo >= _ARRAY_BLOCK else None
         for a, b in _chunks(lo, hi):
             if b - a < _ARRAY_BLOCK:
-                x = np.sum(self._terms(a, b))
+                x = np.add.reduce(self._terms(a, b))
             else:
                 for s in range(a, b + 1, _ARRAY_BLOCK):
                     e = min(s + _ARRAY_BLOCK - 1, b)
                     buf[s - a : e - a + 1] = self._terms(s, e)
-                x = np.sum(buf[: b - a + 1])
+                x = np.add.reduce(buf[: b - a + 1])
             total, comp = neumaier_add(total, comp, float(x))
         return total + comp
 
@@ -406,7 +408,7 @@ class PrefixStream:
         start = self.top + 1
         end = min(start + self.block - 1, self._m)
         terms = self._fam._terms(start, end)
-        self._base, self._comp = neumaier_add(self._base, self._comp, float(np.sum(terms)))
+        self._base, self._comp = neumaier_add(self._base, self._comp, float(np.add.reduce(terms)))
         self._ends.append(self._base + self._comp)  # W(end) if the block is whole
         self.top = end
         if write:
@@ -420,13 +422,13 @@ class PrefixStream:
         while self._i < len(self._chunks) and self._chunks[self._i][0] <= end:
             c, e, hi = self._chunks[self._i]
             if start <= c and e <= end:
-                x = np.sum(terms[c - start : e - start + 1])
+                x = np.add.reduce(terms[c - start : e - start + 1])
             else:
                 a, b = max(c, start), min(e, end)
                 self._buf[a - c : b - c + 1] = terms[a - start : b - start + 1]
                 if e > end:
                     break
-                x = np.sum(self._buf[: e - c + 1])
+                x = np.add.reduce(self._buf[: e - c + 1])
             self._total, self._part = neumaier_add(self._total, self._part, float(x))
             if e == hi:
                 self._sums.append(self._total + self._part)

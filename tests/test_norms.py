@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqspace import functionals, norms
@@ -28,6 +30,7 @@ from seqspace.weights import (
     ExplicitRationalWeights,
     HarmonicWeights,
     PowerWeights,
+    parse_weight_spec,
 )
 from seqspace.witness import build_witness, find_block_lengths
 
@@ -295,6 +298,67 @@ def test_dp_cap():
     # monotone vectors of the same size avoid the DP entirely
     big = np.linspace(1.0, 2.0, norms.GARLING_DP_CAP + 1)
     assert garling_norm(big, H, 1.0).value > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0, 2.0]),
+            st.floats(-4.0, 4.0, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=300,
+    ),
+    st.sampled_from([1.0, 1.5, 2.0, 3.7]),
+    st.sampled_from(["harmonic", "power:0.5", "ctail:0.25", "power:1.5"]),
+)
+@example(  # in three-row segments, entries stale from the segment before would take index 10
+    [0.18717370608519945, 1.1990489461065543, 0.5207284446962173, 0.528679458264651,
+     0.5766559772957311, 0.1954313151687801, 1.4818889064763179, 1.3013448591993002,
+     1.2130161812825249, 0.06809116455555086, 0.858928289277755, 1.3704071797996853,
+     0.31269329980717275, 0.7713156893151016, 0.039668290939873785],
+    2.0,
+    "harmonic",
+)
+def test_dp_segments_do_not_change_the_norm(values, p, spec):
+    # one-row and three-row segments recompute every segment but the first
+    # from its checkpoint row; the value and selector keep their bits
+    fam = parse_weight_spec(spec)
+    ref = garling_norm(values, fam, p, method="dp")
+    row = 8 * (ref.selector.size + 1)
+    for budget in (row, 3 * row):
+        with mock.patch.object(norms, "_DP_ROW_BYTES", budget):
+            got = garling_norm(values, fam, p, method="dp")
+        assert got.value.hex() == ref.value.hex()
+        assert got.selector.tolist() == ref.selector.tolist()
+
+
+def test_dp_skips_a_completion_that_overflows():
+    # weights that round to 1.0 and entries just below DBL_MAX: the best
+    # completion of items 2..7 rounds to +inf while the optimum stays finite,
+    # so the walk must not take item 1 on that completion
+    u = 2.0**971  # the spacing of doubles just below DBL_MAX
+    top = np.finfo(float).max
+    b = [0.41 * u, 0.51 * u, 0.47 * u, 0.55 * u, 0.59 * u, 0.58 * u, top - 3 * u]
+    res = garling_norm(b, PowerWeights(1e-17), 1.0)
+    assert res.value == top
+    assert res.selector.tolist() == [2, 3, 4, 5, 6, 7]
+
+
+def test_dp_memory_is_bounded_at_the_cap():
+    # j* = 3,012 of 4,096: the full backward table would take 94 MiB
+    b = np.tile([1.0, 0.5], norms.GARLING_DP_CAP // 2)
+    fam = PowerWeights(0.5)
+    tracemalloc.start()
+    try:
+        res = garling_norm(b, fam, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.selector.size == 3012
+    assert res.value == 9.583764470514158
+    assert peak < 8 * 2**20
 
 
 def test_norm_result_serialization():
