@@ -19,7 +19,7 @@ mode it skips a block whose per-run peak bound (:func:`_peak_bound`) lies
 more than twice its error bound below the best sum so far.  The bound
 reads kept block ends and single weights only, so a skipped block's
 prefixes are never formed: verifying the largest witness certificates
-scans one to seven of their 168 to 2,702 blocks.  Exact
+scans one to three of their 168 to 2,702 blocks.  Exact
 arithmetic runs the same float scan, every block of it, with a proven error
 band and re-evaluates exactly only the windows inside the band, so its
 O(support) work stays in floats.
@@ -364,10 +364,14 @@ def _peak_bound(
     and W, non-decreasing, is at most its value at the first block end at
     or past that index (at m in the last block): ``prefix.end``.  A run
     that ended before lo also has c <= c(lo), the sum of its L = e-s+1
-    weights from w_{lo-e+1} on, so c <= L w_{lo-e+1}, and the bound takes
-    the lesser of the two.  A run starting after hi adds nothing.  The
-    products with v are added in run order onto 0.0.  The stream must hold
-    W(hi).
+    weights from w_{lo-e+1} on, so c <= L w_{lo-e+1}.  And c(lo) =
+    W(1+lo-s) - W(lo-e), where W(1+lo-s) is at most W at the first block
+    end at or past 1+lo-s and W(lo-e) at least W at the last block end at
+    or before lo-e (``prefix.floor_end``), so c is at most their
+    difference, the least form for a long run that ended well before lo.
+    The bound takes the least of the three.  A run starting after hi adds
+    nothing.  The products with v are added in run order onto 0.0.  The
+    stream must hold W(hi).
     """
     total = 0.0
     for start, end, v in runs:
@@ -375,7 +379,8 @@ def _peak_bound(
             break
         x = prefix.end(1 + min(end, hi) - start)
         if end < lo:
-            x = min(x, (1 + end - start) * prefix.weight(1 + lo - end))
+            length_bound = (1 + end - start) * prefix.weight(1 + lo - end)
+            x = min(x, length_bound, prefix.end(1 + lo - start) - prefix.floor_end(lo - end))
         total += v * x
     return total
 
@@ -455,18 +460,20 @@ def _scan(
     the real bound T it evaluates.  Each kept end there is W at a block end
     x <= hi, or at m in the last block, the Neumaier sum of the block sums
     alone, so within rho W(x) + 2x eta of W(x) <= W(hi): step 3's error
-    without its subtraction.  A product L w_j, within (tau + u) of itself,
-    is the lesser of a run's two only if it lies below a kept end's float,
-    so that it too is within (tau + u)(1 + 2 rho) W(hi), inside eps_p W(hi).
-    So every window n of the block has scan(n) <= B(n) + E_0 <= T + E_0 <=
-    T' + 2 E_0.  The rest of 2E, at least 3 E_0 >= 78u U V (eps_p >= 26u),
-    covers the roundings in forming 2E as 2E(0) + 2E(1) V and in adding it
-    to T', which is at most U V + E_0.  So no window of a skipped block
-    reaches top, and the first maximum is the full scan's.  A bound that is
-    inf or NaN compares false, and its block is scanned.
-    ``stream(hi)`` still streams every block, so ``sums`` do not change, but
-    only the blocks scanned, and the last, are filled.  Exact mode scans,
-    and so fills, every block.
+    without its subtraction.  A difference of two such kept ends is a
+    prefix difference P(a) - P(b), a, b <= hi, with step 3's error.  A
+    product L w_j, within (tau + u) of itself, is the least of a run's
+    three forms only if it lies below a kept end's float, so that it too is
+    within (tau + u)(1 + 2 rho) W(hi), inside eps_p W(hi).  So T' is
+    within E_0 of T whichever form is least, and every window n of the
+    block has scan(n) <= B(n) + E_0 <= T + E_0 <= T' + 2 E_0.  The rest of
+    2E, at least 3 E_0 >= 78u U V (eps_p >= 26u), covers the roundings in
+    forming 2E as 2E(0) + 2E(1) V and in adding it to T', which is at most
+    U V + E_0.  So no window of a skipped block reaches top, and the first
+    maximum is the full scan's.  A bound that is inf or NaN compares false,
+    and its block is scanned.  ``stream(hi)`` still streams every block, so
+    ``sums`` do not change, but only the blocks scanned, and the last, are
+    filled.  Exact mode scans, and so fills, every block.
     """
     m = f.support
     if m == 0:

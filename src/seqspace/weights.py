@@ -22,9 +22,10 @@ a read needs a prefix inside it.  ``prefix_sum`` memoizes the values it
 returns and resumes one stream per family, which the witness search reads
 too, raw weights included; ``prefix_array`` is a stream kept whole, and the
 window scan of :mod:`seqspace.functionals` runs a stream of its own.
-``window_sum`` sums a window directly, in 2**22-term chunks.  The code
-calls each ``np.sum`` of a float64 array as ``np.add.reduce``, the same
-pairwise sum bit for bit, without ``np.sum``'s dispatch.
+``window_sum`` sums a window directly, piece by piece: its part in each
+aligned block, the same pieces a stream sums.  The code calls each
+``np.sum`` of a float64 array as ``np.add.reduce``, the same pairwise sum
+bit for bit, without ``np.sum``'s dispatch.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .exceptions import CapExceededError, InputError
 DEFAULT_INDEX_CAP = 2**28  # the largest support a window scan takes
 EXACT_PREFIX_CAP = 100_000
 
-_CHUNK = 2**22
 _ARRAY_BLOCK = 2**16
 _SUMMABLE_PARTIAL_TERMS = 10**6
 
@@ -95,13 +95,16 @@ def neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
 
 
 def _chunks(lo: int, hi: int):
-    """The chunks (start, end) of w_lo..w_hi: ``_CHUNK`` terms each, anchored at lo.
+    """The pieces (start, end) of w_lo..w_hi: its parts in each aligned ``_ARRAY_BLOCK`` block.
 
-    A window sum is the compensated sum of its chunks' ``np.sum``, whichever
-    path reads them.
+    A window sum is the compensated sum of its pieces' ``np.sum``, whichever
+    path reads them, and no piece crosses a stream block.
     """
-    for start in range(lo, hi + 1, _CHUNK):
-        yield start, min(start + _CHUNK - 1, hi)
+    b = _ARRAY_BLOCK
+    while lo <= hi:
+        end = min(hi, (lo - 1) // b * b + b)  # the end of lo's block
+        yield lo, end
+        lo = end + 1
 
 
 class WeightFamily:
@@ -115,7 +118,7 @@ class WeightFamily:
 
     A term's value does not depend on the range it is generated in, and the
     ``np.sum`` of a slice equals that of the same terms generated afresh, so
-    a chunk summed from a stream's blocks equals the sum of its fresh terms
+    a piece summed from a stream's block equals the sum of its fresh terms
     bit for bit.
     """
 
@@ -248,22 +251,13 @@ class WeightFamily:
 
         Summing the window directly avoids the cancellation a difference of
         two large prefix sums would suffer when the window total is small.
-        The window is the Neumaier sum of its ``_chunks``' ``np.sum``; a chunk
-        longer than one ``_ARRAY_BLOCK`` piece is generated piece by piece
-        into one buffer of at most ``_CHUNK`` floats, freed on return.
+        The window is the Neumaier sum of its pieces' ``np.sum`` (``_chunks``),
+        each piece generated on its own, so at most one block of terms is held.
         """
         lo, hi = self._range(lo, hi, "window start", "window end", "window end")
         total = comp = 0.0
-        buf = np.empty(min(_CHUNK, hi - lo + 1)) if hi - lo >= _ARRAY_BLOCK else None
         for a, b in _chunks(lo, hi):
-            if b - a < _ARRAY_BLOCK:
-                x = np.add.reduce(self._terms(a, b))
-            else:
-                for s in range(a, b + 1, _ARRAY_BLOCK):
-                    e = min(s + _ARRAY_BLOCK - 1, b)
-                    buf[s - a : e - a + 1] = self._terms(s, e)
-                x = np.add.reduce(buf[: b - a + 1])
-            total, comp = neumaier_add(total, comp, float(x))
+            total, comp = neumaier_add(total, comp, float(np.add.reduce(self._terms(a, b))))
         return total + comp
 
     def prefix_array(self, m: int) -> np.ndarray:
@@ -314,18 +308,18 @@ class PrefixStream:
     add their ``np.sum``.  ``at`` reads a block end from the kept values, a
     block end ahead without writing the ring, and a point behind the ring
     from its block, generated afresh; ``reach`` raises if such a read left
-    a block it must fill out of the ring.  ``end(x)`` is the kept W at the
-    first block end at or past x, and ``weight(i)`` reads w_i raw from the
-    ring where it can; neither fills a block.  Past a ring that wraps, a
+    a block it must fill out of the ring.  ``end(x)`` and ``floor_end(x)``
+    are the kept W at the first block end at or past x and at the last at
+    or before it, and ``weight(i)`` reads w_i raw from the ring where it
+    can; none of them fills a block.  Past a ring that wraps, a
     guard repeats its first block once it is filled, so a read of at most B
     consecutive filled entries is one slice.  Kept whole (``keep = m``), the
     ring reached to m is the prefix array.
 
     ``windows`` are ranges (lo, hi) tiling 1..m in order; the sum of each,
     bit for bit ``window_sum(lo, hi)``, is appended to ``sums`` once the
-    block holding hi is in.  A chunk of a window (``_chunks``) is summed in
-    place when it lies in one block, and otherwise copied into the stream's
-    own buffer, sized by the longest such chunk.
+    block holding hi is in.  Each piece of a window (``_chunks``) lies in one
+    block and is summed in place, from a slice of that block's terms.
     """
 
     def __init__(self, fam: WeightFamily, m: int, keep: int, windows=(), sums=None) -> None:
@@ -340,10 +334,8 @@ class PrefixStream:
         self._ends = [0.0]  # W(jB) for each block end jB streamed, and W(m)
         self._fresh: tuple[int, np.ndarray | None] = (-1, None)  # a block generated afresh
         self._chunks = [(c, e, hi) for lo, hi in windows for c, e in _chunks(lo, hi)]
-        self._i = 0  # the next chunk to sum
-        self._total = self._part = 0.0  # the current window's chunks so far
-        crossing = [e - c + 1 for c, e, _ in self._chunks if (c - 1) // b != (e - 1) // b]
-        self._buf = np.empty(max(crossing)) if crossing else None
+        self._i = 0  # the next piece to sum
+        self._total = self._part = 0.0  # the current window's pieces so far
 
     def stream(self, hi: int) -> None:
         """Stream blocks until W(hi) is in, filling none."""
@@ -384,6 +376,10 @@ class PrefixStream:
         """The kept W at the first block end at or past x <= top (W(m) in the last block)."""
         return self._ends[-(-x // self.block)]
 
+    def floor_end(self, x: int) -> float:
+        """The kept W at the last block end at or before x, 0 <= x < m and x <= top."""
+        return self._ends[x // self.block]
+
     def weight(self, i: int) -> float:
         """w_i for 1 <= i <= top: the ring's raw term, or the term generated afresh."""
         if i > self._low and not self._filled[(i - 1) % self.cap // self.block]:
@@ -421,14 +417,7 @@ class PrefixStream:
             self._low = end
         while self._i < len(self._chunks) and self._chunks[self._i][0] <= end:
             c, e, hi = self._chunks[self._i]
-            if start <= c and e <= end:
-                x = np.add.reduce(terms[c - start : e - start + 1])
-            else:
-                a, b = max(c, start), min(e, end)
-                self._buf[a - c : b - c + 1] = terms[a - start : b - start + 1]
-                if e > end:
-                    break
-                x = np.add.reduce(self._buf[: e - c + 1])
+            x = np.add.reduce(terms[c - start : e - start + 1])
             self._total, self._part = neumaier_add(self._total, self._part, float(x))
             if e == hi:
                 self._sums.append(self._total + self._part)

@@ -522,17 +522,15 @@ def test_streamed_scan_matches_the_whole_prefix_array(fam, f, block):
 @given(
     fam=st.sampled_from(STREAM_FAMILIES),
     f=float_step_sequences(),
-    piece=st.sampled_from([2**3, 2**5]),
-    chunk=st.sampled_from([2**2, 2**6, 2**9]),
+    block=st.sampled_from([2**3, 2**5]),
 )
 @settings(max_examples=60, deadline=None)
-def test_one_pass_A_is_the_run_window_sum(fam, f, piece, chunk):
-    # small pieces and chunks put chunks inside one streamed block, across
+def test_one_pass_A_is_the_run_window_sum(fam, f, block):
+    # small blocks put run windows inside one streamed block, across two
     # blocks and across several; A from B's pass is math.fsum of the run
     # values times window_sum, bit for bit
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weights, "_ARRAY_BLOCK", piece)
-        mp.setattr(weights, "_CHUNK", chunk)
+        mp.setattr(weights, "_ARRAY_BLOCK", block)
         rep = ratio(f, fam)
         want = math.fsum(float(v) * fam.window_sum(s, e) for s, e, v in f.bounds())
         assert rep.A == want == functional_A(f, fam)
@@ -540,8 +538,8 @@ def test_one_pass_A_is_the_run_window_sum(fam, f, piece, chunk):
 
 
 def test_one_pass_A_of_the_r6_witness():
-    # real chunk and piece sizes: the last run's 2**22-term chunks cross
-    # stream blocks and fill the stream's buffer
+    # the real block size: the last run's window spans all 168 stream blocks,
+    # each piece summed in place from its block's terms
     fam = PowerWeights(0.5)
     f = StepSequence(tuple((d, 1.0 / fam.prefix_sum(d)) for d in (1, 4, 31, 630, 42423, 10916370)))
     assert ratio(f, fam).A == functional_A(f, fam)
@@ -615,7 +613,7 @@ def test_pruned_scan_past_an_overflowing_block(monkeypatch):
     [
         (PowerWeights(0.5), [1, 4, 31, 630, 42423, 10916370], 1, 168),
         (HarmonicWeights(), [1, 4, 54, 6306, 72168326], 1, 1102),
-        (PowerWeights(0.8), [1, 4, 26, 286, 4774, 107094, 2876170, 174074409], 7, 2702),
+        (PowerWeights(0.8), [1, 4, 26, 286, 4774, 107094, 2876170, 174074409], 3, 2702),
     ],
 )
 def test_witness_scans_only_the_blocks_near_its_top(monkeypatch, fam, d, scanned, blocks):
@@ -653,6 +651,23 @@ def test_peak_bound_takes_an_ended_run_at_the_block_start(monkeypatch):
     counts = _count_scanned_blocks(monkeypatch)
     assert functional_B(f, H) == want
     assert counts == [2]  # windows 1 and 14 of fourteen
+
+
+def test_peak_bound_takes_a_long_ended_run_by_its_kept_ends(monkeypatch):
+    # B(n) = W(n) rises to its maximum at n = 4,096, the first run's end.
+    # Past it, bounding that run by its whole peak W(4,096) or by its length
+    # times w_{lo-e+1} keeps every block's bound above top; its c(lo) =
+    # W(lo) - W(lo - e), read from kept block ends, rules out every block
+    # after the one past the top: 257 of 512 blocks are scanned, where the
+    # two other forms alone scan all 512
+    f = StepSequence(((2**12, 1.0), (2**12, 0.5)))
+    fam = PowerWeights(0.5)
+    monkeypatch.setattr(weights, "_ARRAY_BLOCK", 2**4)
+    want = _full_scan(f, fam)
+    assert want[1] == 2**12
+    counts = _count_scanned_blocks(monkeypatch)
+    assert functional_B(f, fam) == want
+    assert counts == [257]
 
 
 def test_scan_caps_trip_before_allocating(monkeypatch):

@@ -329,12 +329,14 @@ FAMILY_KINDS = {
 }
 
 
-def _reference_sum(fam, lo: int, hi: int, chunk: int) -> float:
-    # the canonical rule, from fresh terms: np.sum of each chunk anchored at
-    # lo, the chunk sums added with Neumaier's compensation
+def _reference_sum(fam, lo: int, hi: int, block: int) -> float:
+    # the canonical rule, from fresh terms: np.sum of the window's part in
+    # each aligned block (block j holds jB + 1..(j + 1)B), the part sums added
+    # with Neumaier's compensation
     total = comp = 0.0
-    for start in range(lo, hi + 1, chunk):
-        x = float(np.sum(fam._terms(start, min(start + chunk - 1, hi))))
+    cuts = [lo, *range(lo - (lo - 1) % block + block, hi + 1, block), hi + 1]
+    for start, stop in zip(cuts, cuts[1:]):
+        x = float(np.sum(fam._terms(start, stop - 1)))
         t = total + x
         comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
         total = t
@@ -495,19 +497,18 @@ def test_prefix_array_is_the_stream_rule(kind):
 @given(lo=st.integers(1, 3000), width=st.integers(0, 1500))
 @settings(max_examples=25, deadline=None)
 def test_window_sum_keeps_the_chunk_rule(kind, lo, width):
-    # small chunks and pieces: a chunk longer than one piece is generated
-    # piece by piece into a buffer, and the window equals the fresh-term
-    # reference bit for bit
+    # small blocks: a window is cut at the aligned blocks, inside one block or
+    # across several, and equals the fresh-term reference bit for bit
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weights, "_CHUNK", 2**8)
         mp.setattr(weights, "_ARRAY_BLOCK", 2**5)
         fam = FAMILY_KINDS[kind]()
-        assert fam.window_sum(lo, lo + width) == _reference_sum(fam, lo, lo + width, 2**8)
+        assert fam.window_sum(lo, lo + width) == _reference_sum(fam, lo, lo + width, 2**5)
 
 
-def test_window_sum_holds_one_chunk_buffer():
-    # a full chunk and a partial one: one buffer of 2**22 floats, filled a
-    # piece at a time and freed on return, and each term generated once
+def test_window_sum_holds_one_block_of_terms():
+    # a window over 65 blocks, starting and ending inside one: each piece is
+    # generated on its own and freed, so no buffer of the window is held, and
+    # each term is generated once
     fam = PowerWeights(0.5)
     count = _count_terms(fam)
     tracemalloc.start()
@@ -517,8 +518,8 @@ def test_window_sum_holds_one_chunk_buffer():
     finally:
         tracemalloc.stop()
     assert count[0] == 2**22 + 7
-    assert peak < 32 * 2**20 + 4 * 2**20 and current < 2**20
-    assert got == _reference_sum(PowerWeights(0.5), 3, 2**22 + 9, 2**22)
+    assert peak < 2 * 2**20 and current < 2**20
+    assert got == _reference_sum(PowerWeights(0.5), 3, 2**22 + 9, 2**16)
 
 
 @pytest.mark.parametrize(

@@ -669,9 +669,9 @@ def test_search_and_verification_fill_a_few_stream_blocks(monkeypatch):
 
 def test_verification_holds_one_term_buffer():
     # the search leaves no terms behind; verification streams the weights,
-    # copies A's 2**22-term chunks that cross stream blocks into one buffer
-    # and keeps only the prefixes the scan has yet to read, so no second
-    # buffer, prefix array or chunk of fresh terms sits beside it
+    # sums A's window pieces in place from each stream block and keeps only
+    # the prefixes the scan has yet to read, so no buffer, prefix array or
+    # window of fresh terms sits beside it
     fam = PowerWeights(0.5)
     tracemalloc.start()
     try:
@@ -682,6 +682,21 @@ def test_verification_holds_one_term_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**22 + 4 * 2**20
+
+
+def test_fresh_verification_peaks_below_8_mib():
+    # a fresh r = 6 verification streams its support of 10,959,459 weights in
+    # 2**16-entry blocks and sums each piece of A's windows in place, so only
+    # a few blocks are held (36.7 MB when A's 2**22-term chunks that crossed
+    # stream blocks were copied into a buffer)
+    fam = PowerWeights(0.5)
+    tracemalloc.start()
+    try:
+        verify_certificate(fam, [1, 4, 31, 630, 42423, 10916370])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_verification_generates_each_weight_about_once():
