@@ -11,15 +11,15 @@ family w this module computes
 
 Sequences are run-length encoded (:class:`StepSequence`), so A and a single
 window sum cost O(runs) weight-window sums rather than O(support).  The
-supremum takes one float window-scan kernel in one pass over a
-:class:`~seqspace.weights.PrefixStream`, from which ``ratio`` also sums A's
-windows.  The pass streams every weight once; the scan walks the stream's
-own blocks and costs O(runs) per window for each block it scans.  In float
-mode it skips a block whose per-run peak bound (:func:`_peak_bound`) lies
-more than twice its error bound below the best sum so far.  The bound
+supremum takes one float window-scan kernel over the blocks of the family's
+:class:`~seqspace.weights.Ledger`, which ``ratio``'s A then reads as kept
+block sums.  The scan costs O(runs) per window for each block it scans.  In
+float mode it skips a block whose per-run peak bound (:func:`_peak_bound`)
+lies more than twice its error bound below the best sum so far.  The bound
 reads kept block ends and single weights only, so a skipped block's
 prefixes are never formed: verifying the largest witness certificates
-scans one to three of their 168 to 2,702 blocks.  Exact
+scans one to three of their 168 to 2,702 blocks.  A scanned block reads
+two slices of W per run from the ledger's cached blocks.  Exact
 arithmetic runs the same float scan, every block of it, with a proven error
 band and re-evaluates exactly only the windows inside the band, so its
 O(support) work stays in floats.
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import weights
 from .exceptions import CapExceededError, InputError
-from .weights import EXACT_PREFIX_CAP, PrefixStream, WeightFamily, as_index
+from .weights import EXACT_PREFIX_CAP, WeightFamily, as_index
 
 SCAN_WORK_CAP = 2**34
 EXPAND_CAP = 2**24
@@ -310,27 +310,44 @@ def functional_B_at(
 
 def _scan_dense(
     runs: list[tuple[int, int, float]],
-    prefix: PrefixStream,
+    prefixes: Callable[[int], np.ndarray],
+    block: int,
     skip: Callable[[int, int], bool] | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """All float window sums against the prefixes W(0..m) that ``prefix`` reaches.
+    """All float window sums against the prefixes W(0..m), read block by block.
 
-    ``runs`` holds (start, end, value) per run, tiling 1..m.  Yields (lo,
-    scan), where scan[i] is the sum for window length lo + i; window lengths
-    1..m come in the stream's blocks, so temporaries stay O(block) beside
-    the retained prefixes.  Each n adds the same run terms in the same order
-    whatever the blocking or the retained range, so no sum depends on
-    either.  A block [lo, hi] for which ``skip(lo, hi)`` is true is neither
-    scanned nor yielded, and its prefixes are not filled; a scanned block
-    reads W(0) and W(lo + 1 - s_R..hi), s_R the last run's start, which
-    ``reach(hi)`` fills.
+    ``runs`` holds (start, end, value) per run, tiling 1..m, and
+    ``prefixes(j)`` is [W(jB), ..., W(jB + B)], B = ``block``, cut at m or
+    later.  Yields (lo, scan), where scan[i] is the sum for window length
+    lo + i; window lengths 1..m come in blocks of B, so temporaries stay
+    O(block).  Each n adds the same run terms in the same order whatever the
+    blocking, so no sum depends on it.  A block [lo, hi] for which
+    ``skip(lo, hi)`` is true is neither scanned nor yielded, and reads no
+    prefix.  A scanned block reads two slices of W per run, W(1+n-s) and
+    W(n-e) over its windows n, each a view of one block's prefixes or two
+    joined.  It holds the blocks it reads and passes those the next scanned
+    block reads again on to it, so a scan holds O(min(runs, m/B)) blocks.
     """
-    m, c = runs[-1][1], prefix.cap
-    for lo in range(1, m + 1, prefix.block):
-        hi = min(lo + prefix.block - 1, m)
+    m = runs[-1][1]
+    held: dict[int, np.ndarray] = {}
+    for lo in range(1, m + 1, block):
+        hi = min(lo + block - 1, m)
         if skip is not None and skip(lo, hi):
             continue
-        p = prefix.reach(hi)
+        held, last = {}, held
+
+        def W(x: int, k: int) -> np.ndarray:  # W(x..x+k-1), k <= B
+            j, i = divmod(x, block)
+            p = held[j] if j in held else fetch(j)
+            if i + k <= p.size:
+                return p[i : i + k]
+            q = held[j + 1] if j + 1 in held else fetch(j + 1)
+            return np.concatenate((p[i:], q[1 : i + k - block]))
+
+        def fetch(j: int) -> np.ndarray:
+            p = held[j] = last[j] if j in last else prefixes(j)
+            return p
+
         scan = np.zeros(hi - lo + 1)
         for start, end, v in runs:
             if start > hi:
@@ -338,22 +355,20 @@ def _scan_dense(
             # Window n >= start sees the run's first min(end, n) - start + 1 terms:
             # v * W(1+n-start) while n < end, then v * (W(1+n-start) - W(n-end)),
             # the difference taken before scaling so that v * W cannot overflow.
-            # W(x) is p[1 + (x - 1) % c] for x >= 1, and W(0) is p[0].
             a, b = max(start, lo), min(end, hi + 1)
             if a < b:
-                i = 1 + (a - start) % c
-                scan[a - lo : b - lo] += v * p[i : i + b - a]
+                scan[a - lo : b - lo] += v * W(1 + a - start, b - a)
             if end <= hi:
                 a = max(end, lo)
-                i, j, k = 1 + (a - start) % c, 1 + (a - end - 1) % c if a > end else 0, 1 + hi - a
-                scan[a - lo :] += v * (p[i : i + k] - p[j : j + k])
+                k = 1 + hi - a
+                scan[a - lo :] += v * (W(1 + a - start, k) - W(a - end, k))
         yield lo, scan
 
 
 def _peak_bound(
-    runs: list[tuple[int, int, float]], prefix: PrefixStream, lo: int, hi: int
+    runs: list[tuple[int, int, float]], fam: WeightFamily, lo: int, hi: int, top_w: float
 ) -> float:
-    """A float upper bound on the window sums lo..hi from each run's peak, filling no prefix.
+    """A float upper bound on the window sums lo..hi from each run's peak, forming no prefix.
 
     Run k, on positions s..e with value v, adds v c(n) to B(n), where
     c(n) = W(1+n-s) - W(n-e) and W(x) = 0 for x <= 0.  For n >= s,
@@ -362,25 +377,31 @@ def _peak_bound(
     2+n-s > n+1-e >= 1 and the weights do not increase, so c falls; before
     s, c is 0.  So on lo..hi, c <= c(min(e, hi)) = W(1 + min(e, hi) - s),
     and W, non-decreasing, is at most its value at the first block end at
-    or past that index (at m in the last block): ``prefix.end``.  A run
-    that ended before lo also has c <= c(lo), the sum of its L = e-s+1
-    weights from w_{lo-e+1} on, so c <= L w_{lo-e+1}.  And c(lo) =
-    W(1+lo-s) - W(lo-e), where W(1+lo-s) is at most W at the first block
-    end at or past 1+lo-s and W(lo-e) at least W at the last block end at
-    or before lo-e (``prefix.floor_end``), so c is at most their
-    difference, the least form for a long run that ended well before lo.
+    or past that index, kept in the family's ledger, or ``top_w`` = P(hi)
+    where that block end lies past hi, in the last block.  A run that ended
+    before lo also has c <= c(lo), the sum of its L = e-s+1 weights from
+    w_{lo-e+1} on, so c <= L w_{lo-e+1}.  And c(lo) = W(1+lo-s) - W(lo-e),
+    where W(1+lo-s) is at most W at the first block end at or past 1+lo-s
+    and W(lo-e) at least W at the last block end at or before lo-e, so c is
+    at most their difference, the least form for a long run that ended well
+    before lo.
     The bound takes the least of the three.  A run starting after hi adds
-    nothing.  The products with v are added in run order onto 0.0.  The
-    stream must hold W(hi).
+    nothing.  The products with v are added in run order onto 0.0.
     """
+    b = weights._ARRAY_BLOCK
+
+    def end(x: int) -> float:  # a kept block end is a prefix_sum that forms no prefix
+        x = -(-x // b) * b
+        return fam.prefix_sum(x) if x <= hi else top_w
+
     total = 0.0
-    for start, end, v in runs:
+    for start, e, v in runs:
         if start > hi:
             break
-        x = prefix.end(1 + min(end, hi) - start)
-        if end < lo:
-            length_bound = (1 + end - start) * prefix.weight(1 + lo - end)
-            x = min(x, length_bound, prefix.end(1 + lo - start) - prefix.floor_end(lo - end))
+        x = end(1 + min(e, hi) - start)
+        if e < lo:
+            length_bound = (1 + e - start) * fam.weight_at(1 + lo - e)
+            x = min(x, length_bound, end(1 + lo - start) - fam.prefix_sum((lo - e) // b * b))
         total += v * x
     return total
 
@@ -394,7 +415,7 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
 
     ``scan`` is :func:`_scan_dense` run on the non-increasing positive floats
     v_j in ``values``, each c a_j rounded at most once, against the float
-    prefixes P of a :class:`~seqspace.weights.PrefixStream` over W(1..m);
+    prefixes P of a :class:`~seqspace.weights.Ledger` over W(1..m);
     ``top_prefix`` is P(M), 1 <= M <= m.  Exact mode takes c = 1 / a_1, so
     v_1 = 1 and every v_j lies in (0, 1]; float mode takes c = 1, the raw
     run values, which are exact and of any size.  The same E bounds the
@@ -410,13 +431,13 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
        terms of ``np.power`` are assumed within 4 ulps (8u) of i**-a; that
        raises rho, below, by at most 5u (1 + rho) against rho >= 10u, so E_0
        by less than a factor 1.6 and E_0 <= E / 2.5.
-    2. Prefix stream (``PrefixStream``).  Within a block P is a sequential
+    2. Prefixes (``Ledger``).  Within a block P is a sequential
        ``cumsum`` (gamma(m)); the block base is a Neumaier sum of pairwise
        block sums (gamma(m) for the block sums, u for the compensated sum and
        u m gamma(m) <= gamma(m) for its compensation term); one add joins
        the two (u), and at a whole block's end P is that sum alone.  Which
-       entries the ring keeps, and when a block is filled, changes none of
-       them.  So |P(k) - W(k)| <= rho W(k) + 2 k eta, with
+       blocks the ledger caches, and when a block is generated again,
+       changes none of them.  So |P(k) - W(k)| <= rho W(k) + 2 k eta, with
        rho = tau + (3 gamma(m) + 4u)(1 + tau).
     3. Per-run prefix difference P(a) - P(b), a, b <= M (b = 0 while the
        window ends inside the run, where P(0) = 0 exactly): the two prefix
@@ -446,20 +467,17 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
     return 4 * (e0 + runs * alpha * (1 + _gamma(runs)))
 
 
-def _scan(
-    f: StepSequence, fam: WeightFamily, ar: Arithmetic, sums: list[float] | None = None
-) -> tuple[Value, int]:
-    """B and its smallest attaining window from one pass over the prefix stream.
+def _scan(f: StepSequence, fam: WeightFamily, ar: Arithmetic) -> tuple[Value, int]:
+    """B and its smallest attaining window from the family ledger's blocks.
 
-    With ``sums`` given, the float window sums of f's runs are appended to
-    it from the same terms.  Float mode passes over a stream block [lo, hi]
-    when ``_peak_bound`` + 2E < top (never while top is still -inf), E from
+    Float mode passes over a block of windows [lo, hi] when ``_peak_bound``
+    + 2E < top (never while top is still -inf), E from
     :func:`_scan_error_bound` for the raw run values with V = P(hi), the
-    kept W(hi) (for the last block, the filled P(m)).  Its E_0 <= E / 2.5
+    kept W(hi) (for the last block, P(m)).  Its E_0 <= E / 2.5
     bounds the error of a scan value, and of the bound's float T' against
     the real bound T it evaluates.  Each kept end there is W at a block end
-    x <= hi, or at m in the last block, the Neumaier sum of the block sums
-    alone, so within rho W(x) + 2x eta of W(x) <= W(hi): step 3's error
+    x <= hi, the Neumaier sum of the block sums alone, or P(m) in the last
+    block, so within rho W(x) + 2x eta of W(x) <= W(hi): step 3's error
     without its subtraction.  A difference of two such kept ends is a
     prefix difference P(a) - P(b), a, b <= hi, with step 3's error.  A
     product L w_j, within (tau + u) of itself, is the least of a run's
@@ -471,9 +489,9 @@ def _scan(
     forming 2E as 2E(0) + 2E(1) V and in adding it to T', which is at most
     U V + E_0.  So no window of a skipped block reaches top, and the first
     maximum is the full scan's.  A bound that is inf or NaN compares false,
-    and its block is scanned.  ``stream(hi)`` still streams every block, so
-    ``sums`` do not change, but only the blocks scanned, and the last, are
-    filled.  Exact mode scans, and so fills, every block.
+    and its block is scanned.  Reading P(hi) grows the ledger through hi,
+    but prefixes are formed only in the blocks the scanned windows read and
+    in the last.  Exact mode scans every block.
     """
     m = f.support
     if m == 0:
@@ -486,22 +504,18 @@ def _scan(
     bounds = f.bounds()
     scale = bounds[0][2] if ar.exact else 1.0
     runs = [(start, end, float(value / scale)) for start, end, value in bounds]
-    windows = [(start, end) for start, end, _ in bounds] if sums is not None else ()
     top, first, blocks = -math.inf, 0, []
-    # windows from lo on read W(0) and no W(x) below lo + 1 - s_R, s_R the
-    # last run's start, in slices of at most one stream block
-    prefix = PrefixStream(fam, m, runs[-1][0] + weights._ARRAY_BLOCK, windows, sums)
-    skip = None
-    if not ar.exact and m > prefix.block:
+    block, skip = weights._ARRAY_BLOCK, None
+    if not ar.exact and m > block:
         # E is affine in V with non-negative coefficients: 2E(V) <= e0 + e1 V
         e0, e1 = (2 * _scan_error_bound(m, [v for *_, v in runs], x) for x in (0.0, 1.0))
 
         def skip(lo: int, hi: int) -> bool:
-            prefix.stream(hi)
-            margin = e0 + e1 * prefix.at(hi)
-            return _peak_bound(runs, prefix, lo, hi) + margin < top
+            top_w = fam.prefix_sum(hi)
+            margin = e0 + e1 * top_w
+            return _peak_bound(runs, fam, lo, hi, top_w) + margin < top
 
-    for lo, scan in _scan_dense(runs, prefix, skip):
+    for lo, scan in _scan_dense(runs, fam._prefixes, block, skip):
         k = int(scan.argmax())  # the block's first maximum
         if scan[k] > top:
             top, first = float(scan[k]), lo + k
@@ -510,7 +524,7 @@ def _scan(
     if not ar.exact:
         return top, first
     # B(n*) >= B(n) for every n, so scan(n*) >= top - 2E for a true maximiser n*
-    band = 2 * _scan_error_bound(m, [u for *_, u in runs], prefix.at(m))
+    band = 2 * _scan_error_bound(m, [u for *_, u in runs], fam.prefix_sum(m))
     scan = np.concatenate(blocks)
     candidates = (np.flatnonzero(scan >= top - band) + 1).tolist()
     best, neg_n = max((_B_at(bounds, n, ar), -n) for n in candidates)
@@ -525,17 +539,17 @@ def functional_B(
     Scans n = 1..support; windows beyond the support only shift the support
     onto smaller weights, so they never exceed the value at n = support.
     One float scan serves both arithmetics.  It reads the weight prefixes
-    from a :class:`~seqspace.weights.PrefixStream` that keeps only the
-    entries later windows read; its O(runs * support) work is capped before
-    anything is allocated.  Float mode scans the run values and returns the
-    first maximum, skipping each stream block of windows that its per-run
-    peak bound, read from kept block ends and single weights, rules out
-    (:func:`_scan`).  So the work is O(runs) per block plus O(runs) per
-    window of the blocks scanned, and the stream forms the prefixes of the
-    blocks scanned and the last only.  B is linear in f, so exact mode scans
-    the values divided exactly by the first one, where no float overflows,
-    keeping the at most ``EXACT_PREFIX_CAP`` scan values.  With E from
-    :func:`_scan_error_bound` and P(m) the stream's last entry, a true
+    from the family's :class:`~seqspace.weights.Ledger`, holding only the
+    blocks the windows of one block read; its O(runs * support) work is
+    capped before anything is allocated.  Float mode scans the run values
+    and returns the first maximum, skipping each block of windows that its
+    per-run peak bound, read from kept block ends and single weights, rules
+    out (:func:`_scan`).  So the work is O(runs) per block plus O(runs) per
+    window of the blocks scanned, and the ledger forms prefixes only in the
+    blocks the scanned windows read and in the last.  B is linear in f, so
+    exact mode scans the values divided exactly by the first one, where no
+    float overflows, keeping the at most ``EXACT_PREFIX_CAP`` scan values.
+    With E from :func:`_scan_error_bound` and P(m) the ledger's W(m), a true
     maximiser n* has scan(n*) >= B(n*) - E >= B(n_top) - E >= top - 2E, so
     only the windows in that band below the top are re-evaluated exactly,
     from the cached Fraction prefixes.
@@ -546,17 +560,11 @@ def functional_B(
 def ratio(f: StepSequence, fam: WeightFamily, mode: str = "float") -> FunctionalReport:
     """Full report: A, B, argmax window, and the quotient A / B.
 
-    In float mode A's run windows are summed in B's pass, from the same
-    terms, equal bit for bit to :func:`functional_A`.
+    B's scan grows the family ledger over the support first, so A's run
+    windows then read its kept block sums and cached blocks.
     """
     if f.is_zero:
         raise InputError("ratio undefined for the zero sequence (B = 0)")
-    ar = arithmetic(mode, fam, f)
-    if ar.exact:
-        a = functional_A(f, fam, mode=mode)
-        b, argmax_n = _scan(f, fam, ar)
-    else:
-        sums: list[float] = []
-        b, argmax_n = _scan(f, fam, ar, sums)
-        a = math.fsum(float(value) * s for (_, value), s in zip(f.runs, sums))
+    b, argmax_n = _scan(f, fam, arithmetic(mode, fam, f))
+    a = functional_A(f, fam, mode=mode)
     return FunctionalReport(A=a, B=b, argmax_n=argmax_n, ratio=a / b)

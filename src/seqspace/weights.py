@@ -13,19 +13,20 @@ aligned/reversed functional ratio computed in :mod:`seqspace.functionals`;
 the third branch is exactly the regime where that ratio is unbounded and the
 witness construction of :mod:`seqspace.witness` applies.
 
-Every float prefix sum comes from one engine, :class:`PrefixStream`:
-W(1..m) in aligned 2**16-entry blocks.  W at a block end is the compensated
-sum of the blocks' ``np.sum``, and inside a block W adds the block's
-``cumsum`` to it, so W(n) has one value whichever reader produced it.  A
-stream holds its blocks' terms raw and runs a block's ``cumsum`` only when
-a read needs a prefix inside it.  ``prefix_sum`` memoizes the values it
-returns and resumes one stream per family, which the witness search reads
-too, raw weights included; ``prefix_array`` is a stream kept whole, and the
-window scan of :mod:`seqspace.functionals` runs a stream of its own.
-``window_sum`` sums a window directly, piece by piece: its part in each
-aligned block, the same pieces a stream sums.  The code calls each
-``np.sum`` of a float64 array as ``np.add.reduce``, the same pairwise sum
-bit for bit, without ``np.sum``'s dispatch.
+Every float prefix sum comes from one engine, the family's :class:`Ledger`:
+W(1..n) in aligned 2**16-entry blocks.  The ledger grows forward only as
+far as a read needs, keeping W at every block end, the compensated sum of
+the blocks' ``np.sum``, and each block's ``np.sum``.  Inside a block W adds
+the block's ``cumsum`` to the kept W before it, so W(n) has one value
+whichever reader produced it.  A few blocks of terms, and their prefixes
+once a read needs them, stay in a cache; any other block is generated
+again.  ``prefix_sum``, which the witness search reads, ``window_sum``,
+``prefix_array`` and the window scan of :mod:`seqspace.functionals` all
+read the one ledger.  ``window_sum`` sums a window piece by piece: its part
+in each aligned block, a whole block's kept sum or the ``np.sum`` of the
+piece's terms.  The code calls each ``np.sum`` of a float64 array as
+``np.add.reduce``, the same pairwise sum bit for bit, without ``np.sum``'s
+dispatch.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ DEFAULT_INDEX_CAP = 2**28  # the largest support a window scan takes
 EXACT_PREFIX_CAP = 100_000
 
 _ARRAY_BLOCK = 2**16
+_CACHED_TERMS = 2**18  # four blocks
 _SUMMABLE_PARTIAL_TERMS = 10**6
 
 
@@ -98,7 +100,7 @@ def _chunks(lo: int, hi: int):
     """The pieces (start, end) of w_lo..w_hi: its parts in each aligned ``_ARRAY_BLOCK`` block.
 
     A window sum is the compensated sum of its pieces' ``np.sum``, whichever
-    path reads them, and no piece crosses a stream block.
+    path reads them, and no piece crosses a ledger block.
     """
     b = _ARRAY_BLOCK
     while lo <= hi:
@@ -111,14 +113,14 @@ class WeightFamily:
     """Base class: immutable weight sequence with internal prefix caches.
 
     Subclasses implement term generation and classification analytics.  The
-    caches are guarded by a lock, and every float prefix is the prefix
-    stream's value, so concurrent readers always observe identical values.
+    caches are guarded by a lock, and every float prefix is the ledger's
+    value, so concurrent readers always observe identical values.
     No weight, window or prefix read, exact or float, may pass the family's
     index cap.
 
     A term's value does not depend on the range it is generated in, and the
     ``np.sum`` of a slice equals that of the same terms generated afresh, so
-    a piece summed from a stream's block equals the sum of its fresh terms
+    a piece summed from a cached block equals the sum of its fresh terms
     bit for bit.
     """
 
@@ -129,8 +131,7 @@ class WeightFamily:
         if not 1 <= self._cap <= DEFAULT_INDEX_CAP:
             raise InputError(f"index cap must lie in 1..{DEFAULT_INDEX_CAP}, got {index_cap}")
         self._lock = threading.Lock()
-        self._memo: dict[int, float] = {0: 0.0}
-        self._stream: PrefixStream | None = None  # the stream prefix_sum resumes
+        self._ledger: Ledger | None = None
         self._frac_prefix: list[Fraction] = [Fraction(0)]
         self._classification: Classification | None = None
 
@@ -209,62 +210,62 @@ class WeightFamily:
     # -- compensated prefix sums -----------------------------------------
 
     def prefix_sum(self, n: int) -> float:
-        """W(n) = w_1 + ... + w_n, with W(0) = 0: the prefix stream's value.
+        """W(n) = w_1 + ... + w_n, with W(0) = 0: the family ledger's value.
 
         Relative error is a few machine epsilons: the earlier blocks' pairwise
         sums are combined with Neumaier compensation, and only n's own block's
-        ``cumsum``, of at most 2**16 terms, adds sequentially.  Each value is
-        memoized.  A read ahead of the family's stream resumes it, so rising
-        reads generate each weight once, and the blocks before n's add only
-        their ``np.sum``.  A read behind the stream's three-block ring takes a
-        block end's kept value, or generates n's block afresh.  Raises
-        CapExceededError beyond the family's index cap.
+        ``cumsum``, of at most 2**16 terms, adds sequentially.  A read ahead of
+        the ledger extends it, so rising reads generate each weight once, and
+        the blocks before n's add only their ``np.sum``.  A block end is a
+        kept value; a read inside a block takes the block's prefixes from the
+        block cache, or generates the block again.  Raises CapExceededError
+        beyond the family's index cap.
         """
         n = self._length(n, "prefix length")
         self._check_cap(n, "prefix")
         with self._lock:
-            hit = self._memo.get(n)
-            if hit is None:
-                hit = self._memo[n] = self._family_stream().at(n)
-            return hit
+            ledger = self._blocks()
+            j, i = divmod(n, ledger.block)
+            return float(ledger.prefixes(j)[i]) if i else ledger.end(j)
 
-    def streamed_weight(self, i: int) -> float:
-        """w_i read from the stream ``prefix_sum`` resumes, streamed as far as i."""
-        i, _ = self._range(i, i, "weight index", "weight index")
+    def _blocks(self) -> Ledger:
+        """The family's ledger, for the block size in force (call with the lock held)."""
+        if self._ledger is None or self._ledger.block != _ARRAY_BLOCK:
+            self._ledger = Ledger(self)
+        return self._ledger
+
+    def _prefixes(self, j: int) -> np.ndarray:
+        """Block j's prefixes W(jB), ..., W(min((j + 1)B, cap)), read-only."""
         with self._lock:
-            stream = self._family_stream()
-            stream.stream(i)
-            return stream.weight(i)
-
-    def _family_stream(self) -> PrefixStream:
-        if self._stream is None:
-            self._stream = PrefixStream(self, self._cap, 2 * _ARRAY_BLOCK)
-        return self._stream
-
-    def release_stream(self) -> None:
-        """Drop the stream ``prefix_sum`` resumes and the blocks it holds; the memo stays."""
-        with self._lock:
-            self._stream = None
+            return self._blocks().prefixes(j)
 
     def window_sum(self, lo: int, hi: int) -> float:
         """w_lo + ... + w_hi by direct summation (empty when hi < lo).
 
         Summing the window directly avoids the cancellation a difference of
         two large prefix sums would suffer when the window total is small.
-        The window is the Neumaier sum of its pieces' ``np.sum`` (``_chunks``),
-        each piece generated on its own, so at most one block of terms is held.
+        The window is the Neumaier sum of its pieces' ``np.sum`` (``_chunks``):
+        a whole block's sum kept in the ledger, else the sum of the piece's
+        terms, sliced from the block cache or generated on their own, so at
+        most one block of terms is held.
         """
         lo, hi = self._range(lo, hi, "window start", "window end", "window end")
         total = comp = 0.0
-        for a, b in _chunks(lo, hi):
-            total, comp = neumaier_add(total, comp, float(np.add.reduce(self._terms(a, b))))
+        with self._lock:
+            ledger = self._blocks()
+            for a, b in _chunks(lo, hi):
+                total, comp = neumaier_add(total, comp, ledger.piece(a, b))
         return total + comp
 
     def prefix_array(self, m: int) -> np.ndarray:
-        """Array [W(0), W(1), ..., W(m)]: the prefix stream, kept whole."""
+        """Array [W(0), W(1), ..., W(m)], joined from the ledger's block prefixes."""
         m = self._length(m, "length")
         self._check_cap(m, "prefix")
-        return PrefixStream(self, m, m).reach(m)
+        out, b = np.zeros(m + 1), _ARRAY_BLOCK
+        for j in range(-(-m // b)):
+            n = min(b, m - j * b)
+            out[1 + j * b : 1 + j * b + n] = self._prefixes(j)[1 : 1 + n]
+        return out
 
     # -- classification ----------------------------------------------------
 
@@ -286,143 +287,80 @@ class WeightFamily:
         return f"{type(self).__name__}({self.spec!r})"
 
 
-class PrefixStream:
-    """W(0), W at each block end and a ring of the blocks of W(1..m), streamed in aligned blocks.
+class Ledger:
+    """A family's W at every whole block's end and each block's sum, grown forward.
 
     This is the one float prefix engine: ``prefix_sum``, which the float
-    block search reads, ``prefix_array`` and the window scan all read a
-    stream.  Block j, W(1 + jB), ..., W(min((j + 1)B, m)) with B = ``block``
-    = ``_ARRAY_BLOCK``, generates its terms once.  W((j + 1)B), the end of a
-    whole block, is the Neumaier sum of the ``np.sum`` of the blocks so far,
-    kept for every block; inside block j, W adds the block's ``cumsum`` to
-    W(jB).  ``stream(hi)`` streams blocks until W(hi) is in, writing each
-    block's terms into the ring raw; a block becomes its prefixes in place,
-    once, only when a read needs them: ``at(x)`` reading inside it, or
-    ``reach(hi)``, which fills every block holding an x > hi - keep.  So a
-    block that no reader enters costs its terms and its ``np.sum``, and no
-    ``cumsum``.  W(0) is ``data[0]`` and the entry of x >= 1, W(x) or w_x,
-    is ``data[1 + (x - 1) % cap]``.  The ring holds whole blocks, at least
-    ``keep`` + B entries and at most m, so once ``stream(hi)`` has run, the
-    block of every x > hi - keep is still there: a block overwrites only an
-    older block, and the blocks that ``stream`` passes below hi - cap only
-    add their ``np.sum``.  ``at`` reads a block end from the kept values, a
-    block end ahead without writing the ring, and a point behind the ring
-    from its block, generated afresh; ``reach`` raises if such a read left
-    a block it must fill out of the ring.  ``end(x)`` and ``floor_end(x)``
-    are the kept W at the first block end at or past x and at the last at
-    or before it, and ``weight(i)`` reads w_i raw from the ring where it
-    can; none of them fills a block.  Past a ring that wraps, a
-    guard repeats its first block once it is filled, so a read of at most B
-    consecutive filled entries is one slice.  Kept whole (``keep = m``), the
-    ring reached to m is the prefix array.
-
-    ``windows`` are ranges (lo, hi) tiling 1..m in order; the sum of each,
-    bit for bit ``window_sum(lo, hi)``, is appended to ``sums`` once the
-    block holding hi is in.  Each piece of a window (``_chunks``) lies in one
-    block and is summed in place, from a slice of that block's terms.
+    block search reads, ``window_sum``, ``prefix_array`` and the window scan
+    all read it, under the family's lock.  Block j is w_{1+jB}..w_{(j+1)B},
+    B = ``block`` = ``_ARRAY_BLOCK``, cut short at the index cap.  ``sums[j]``
+    is the ``np.sum`` of whole block j, and ``ends[j]`` = W(jB), the
+    Neumaier sum of the sums before it; ``end(j)`` grows both, block by
+    block, as far as a read needs, so each weight is generated once on the
+    way.  Block j's prefixes are W(jB) and W(jB) + the block's ``cumsum``,
+    with W((j + 1)B) for the last entry of a whole block, so W(n) has one
+    value whichever reader produced it.  A cache keeps the terms of the
+    blocks last generated, at most ``_CACHED_TERMS`` (four blocks), oldest
+    out first, and each one's prefixes once a read needs them; a read of any
+    other block generates its terms again.  So a block that no reader enters
+    costs its terms and its ``np.sum``, and no ``cumsum``, and the ledger
+    holds 16 bytes per block beside the cache.
     """
 
-    def __init__(self, fam: WeightFamily, m: int, keep: int, windows=(), sums=None) -> None:
-        self.block = b = _ARRAY_BLOCK
-        self.top = self._low = 0  # the last index streamed in; the ring holds blocks low + 1..top
-        self.cap = min(m, -(-(keep + b) // b) * b)
-        self._guard = b if self.cap < m else 0
-        self.data = np.zeros(1 + self.cap + self._guard)
-        self._filled = [False] * -(-self.cap // b)  # per ring block: prefixes, not raw terms
-        self._fam, self._m, self._keep, self._sums = fam, m, keep, sums
-        self._base = self._comp = 0.0  # the blocks so far
-        self._ends = [0.0]  # W(jB) for each block end jB streamed, and W(m)
-        self._fresh: tuple[int, np.ndarray | None] = (-1, None)  # a block generated afresh
-        self._chunks = [(c, e, hi) for lo, hi in windows for c, e in _chunks(lo, hi)]
-        self._i = 0  # the next piece to sum
-        self._total = self._part = 0.0  # the current window's pieces so far
+    def __init__(self, fam: WeightFamily) -> None:
+        self.block = _ARRAY_BLOCK
+        self._fam = fam
+        self.ends = [0.0]
+        self.sums: list[float] = []
+        self._total = self._comp = 0.0
+        self._cache: dict[int, list] = {}  # block -> [terms, prefixes or None], oldest first
 
-    def stream(self, hi: int) -> None:
-        """Stream blocks until W(hi) is in, filling none."""
-        while self.top < hi:
-            self._next_block(self.top + self.block > hi - self.cap)
+    def _entry(self, j: int) -> list:
+        entry = self._cache.get(j)
+        if entry is None:
+            b = self.block
+            if len(self._cache) * b >= _CACHED_TERMS:
+                del self._cache[next(iter(self._cache))]
+            entry = self._cache[j] = [self._fam._terms(j * b + 1, min(j * b + b, self._fam._cap)), None]
+        return entry
 
-    def reach(self, hi: int) -> np.ndarray:
-        """The data array, once W(hi) is in and W(x) filled for every x > hi - keep."""
-        self.stream(hi)
-        start = max(0, hi - self._keep)
-        if self._low > start:
-            raise RuntimeError(
-                f"prefix stream: W({start + 1}) is needed at {hi} but its block has left the ring"
-            )
-        b, filled = self.block, self._filled
-        for j in range(start // b, (hi - 1) // b + 1):
-            if not filled[j * b % self.cap // b]:  # a scan reaches keep / b blocks, most filled
-                self._fill(j)
-        return self.data
+    def end(self, j: int) -> float:
+        """W(jB), jB within the cap, once the ledger holds every block before it."""
+        while len(self.ends) <= j:
+            x = float(np.add.reduce(self._entry(len(self.sums))[0]))
+            self.sums.append(x)
+            self._total, self._comp = neumaier_add(self._total, self._comp, x)
+            self.ends.append(self._total + self._comp)
+        return self.ends[j]
 
-    def at(self, x: int) -> float:
-        """W(x) for any x <= m, streaming ahead as far as x."""
-        j, i = divmod(x, self.block)
-        if not i:
-            while len(self._ends) <= j:
-                self._next_block(False)
-            return self._ends[j]
-        self.stream(x)
-        if x > self._low:
-            self._fill(j)
-            return float(self.data[1 + (x - 1) % self.cap])
-        if self._fresh[0] != j:
-            terms = self._fam._terms(j * self.block + 1, min((j + 1) * self.block, self._m))
-            self._fresh = (j, np.cumsum(terms) + self._ends[j])
-        return float(self._fresh[1][i - 1])
+    def prefixes(self, j: int) -> np.ndarray:
+        """Block j's prefixes, W(jB) first, formed once while the block is cached."""
+        entry = self._cache.get(j)
+        if entry is None or entry[1] is None:
+            whole = (j + 1) * self.block <= self._fam._cap
+            start = self.end(j)
+            if whole:
+                self.end(j + 1)
+            entry = self._entry(j)
+            p = np.empty(entry[0].size + 1)
+            p[0] = start
+            np.cumsum(entry[0], out=p[1:])
+            p[1:] += start
+            if whole:
+                p[-1] = self.ends[j + 1]
+            p.flags.writeable = False
+            entry[1] = p
+        return entry[1]
 
-    def end(self, x: int) -> float:
-        """The kept W at the first block end at or past x <= top (W(m) in the last block)."""
-        return self._ends[-(-x // self.block)]
-
-    def floor_end(self, x: int) -> float:
-        """The kept W at the last block end at or before x, 0 <= x < m and x <= top."""
-        return self._ends[x // self.block]
-
-    def weight(self, i: int) -> float:
-        """w_i for 1 <= i <= top: the ring's raw term, or the term generated afresh."""
-        if i > self._low and not self._filled[(i - 1) % self.cap // self.block]:
-            return float(self.data[1 + (i - 1) % self.cap])
-        return float(self._fam._terms(i, i)[0])
-
-    def _fill(self, j: int) -> None:
-        """Turn block j, in the ring, into its prefixes in place, unless it already is."""
-        b, i = self.block, j * self.block % self.cap
-        if self._filled[i // b]:
-            return
-        self._filled[i // b] = True
-        n = min(b, self._m - j * b)
-        block = np.cumsum(self.data[1 + i : 1 + i + n], out=self.data[1 + i : 1 + i + n])
-        block += self._ends[j]
-        if n == b:
-            block[-1] = self._ends[j + 1]
-        if self._guard and not i:  # the guard repeats the ring's first block
-            self.data[1 + self.cap : 1 + self.cap + n] = self.data[1 : 1 + n]
-
-    def _next_block(self, write: bool) -> None:
-        start = self.top + 1
-        end = min(start + self.block - 1, self._m)
-        terms = self._fam._terms(start, end)
-        self._base, self._comp = neumaier_add(self._base, self._comp, float(np.add.reduce(terms)))
-        self._ends.append(self._base + self._comp)  # W(end) if the block is whole
-        self.top = end
-        if write:
-            i = (start - 1) % self.cap  # blocks start at whole blocks of the ring, so none wraps
-            self.data[1 + i : 2 + i + end - start] = terms
-            self._filled[i // self.block] = False
-            if start > self.cap:  # the block overwrites the one a ring before it
-                self._low = max(self._low, start - self.cap + self.block - 1)
-        else:
-            self._low = end
-        while self._i < len(self._chunks) and self._chunks[self._i][0] <= end:
-            c, e, hi = self._chunks[self._i]
-            x = np.add.reduce(terms[c - start : e - start + 1])
-            self._total, self._part = neumaier_add(self._total, self._part, float(x))
-            if e == hi:
-                self._sums.append(self._total + self._part)
-                self._total = self._part = 0.0
-            self._i += 1
+    def piece(self, a: int, b: int) -> float:
+        """The ``np.sum`` of w_a..w_b, all in one block: kept if the block is whole and in."""
+        j = (a - 1) // self.block
+        if b - a + 1 == self.block and j < len(self.sums):
+            return self.sums[j]
+        entry = self._cache.get(j)
+        if entry is None:
+            return float(np.add.reduce(self._fam._terms(a, b)))
+        return float(np.add.reduce(entry[0][a - 1 - j * self.block : b - j * self.block]))
 
 
 class PowerWeights(WeightFamily):

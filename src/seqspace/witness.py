@@ -17,14 +17,16 @@ slides down a non-increasing weight.  Condition (i) forces d_k > n_{k-1}, so
 each d_k is located by testing a rising series of candidate ends above
 n_{k-1}, then bisecting inside the first span where both conditions hold.
 A float search reads the family's ``prefix_sum``, whose one forward
-:class:`~seqspace.weights.PrefixStream` serves every block: since n_{k-1} >=
+:class:`~seqspace.weights.Ledger` serves every block: since n_{k-1} >=
 d_{k-1} + d_{k-2}, each block's reads lie ahead of the last block's, but
-for (ii)'s W(d_k), d_{k-1} behind its W(d_{k-1} + d_k).  The stream keeps W
-at every block end, where the candidate ends lie, and holds the last three
-blocks; a bisection further behind generates its one block afresh.  Before
-reading (ii)'s W(d_{k-1} + d_k), the float search checks d_{k-1} times the
-window's least weight against (ii)'s bound, so the stream forms the
-prefixes of a block only near the boundary.
+for (ii)'s W(d_k), d_{k-1} behind its W(d_{k-1} + d_k).  The ledger keeps W
+at every block end, where the candidate ends lie, and caches the last few
+blocks it generated; a bisection further behind generates its one block
+again.  Before reading (ii)'s W(d_{k-1} + d_k), the float search checks
+d_{k-1} times the window's least weight against (ii)'s bound, so the
+ledger forms the prefixes of a block only near the boundary.  The ledger
+stays with the family, so verification after a search generates only the
+few blocks its reads fall inside.
 The search bounds each d_k by the family's index cap less n_{k-1}, so every
 support it returns fits within the cap.  A multiplicative slack tightens the
 right-hand sides during the float search so summation error cannot admit a
@@ -220,12 +222,11 @@ def _screened(fam: WeightFamily, difference, d_prev: int, limit: float):
     tests d_{k-1} w - 1e-6 (d_{k-1} w + P(e)) > limit instead, whose
     roundings the larger constant covers, so where it holds the exact test
     rejects e too, and the ``difference`` is not read.  Else it is; P(e) is
-    the value (i) read just before, and w is read raw from the family's
-    stream, which then holds the blocks a read of the difference needs.
+    the value (i) read just before, and w is one weight, generated alone.
     """
 
     def window(lo: int, hi: int) -> float:
-        least = d_prev * fam.streamed_weight(hi)
+        least = d_prev * fam.weight_at(hi)
         if least - 1e-6 * (least + fam.prefix_sum(lo - 1)) > limit:
             return math.inf
         return difference(lo, hi)
@@ -252,10 +253,10 @@ def find_block_lengths(
     rising candidate ends above n_{k-1} until both conditions hold, then
     bisect the span since the last failing end; (ii) is the prefix
     difference W(d_{k-1} + d_k) - W(d_k) that verification records.  A
-    float search reads ``prefix_sum``, so the prefixes verification reads
-    are memoized, and its candidate ends are the family stream's block
-    ends; ``_screened`` reads the difference only where the window's least
-    weight leaves (ii) in doubt.  The stream is released on return.
+    float search reads ``prefix_sum``, and its candidate ends are the
+    family ledger's block ends, which the ledger keeps for verification;
+    ``_screened`` reads the difference only where the window's least weight
+    leaves (ii) in doubt.
     Rational mode decides each condition exactly, ignoring the slack, at
     powers of two, for d_k up to top = min(cap, EXACT_PREFIX_CAP) - d_{k-1},
     the exact prefixes' reach for (ii).  It gives up at once when (i) or
@@ -323,8 +324,6 @@ def find_block_lengths(
             f"{layer} block search stopped at d_{k} of {fam.spec} "
             f"after blocks {d}: {exc}"
         ) from exc
-    finally:  # the memo keeps the values read; the stream served this search only
-        fam.release_stream()
     return d
 
 
@@ -380,10 +379,9 @@ def verify_certificate(
                 f"2**(1-{k}) * W(d_{k - 1}) by {-margin}"
             )
         cond_ii.append(margin)
-    fam.release_stream()  # the margins' prefixes stay in the memo; A and B stream their own
 
     f = build_witness(fam, d, mode=mode)
-    rep = ratio(f, fam, mode=mode)  # A and B from one pass over the weights
+    rep = ratio(f, fam, mode=mode)  # A and B from the family ledger's one pass
     a_value, b_value = rep.A, rep.B
 
     a_bound = ar.num(r) / 2

@@ -30,6 +30,7 @@ from seqspace.weights import (
     parse_weight_spec,
 )
 from seqspace.witness import build_witness
+from test_weights import _reference_prefix
 
 H = HarmonicWeights()
 P12 = PowerWeights(0.5)
@@ -356,9 +357,8 @@ def _float_scan_and_bound(f, fam):
     bounds = f.bounds()
     first = bounds[0][2]
     runs = [(start, end, float(v / first)) for start, end, v in bounds]
-    prefix = weights.PrefixStream(fam, f.support, runs[-1][0] + weights._ARRAY_BLOCK)
-    scan = np.concatenate([block for _, block in fx._scan_dense(runs, prefix)])
-    bound = fx._scan_error_bound(f.support, [u for _, _, u in runs], prefix.at(f.support))
+    scan = np.concatenate([block for _, block in fx._scan_dense(runs, fam._prefixes, weights._ARRAY_BLOCK)])
+    bound = fx._scan_error_bound(f.support, [u for _, _, u in runs], fam.prefix_sum(f.support))
     return first, scan, bound
 
 
@@ -422,25 +422,21 @@ def test_float_plateau_keeps_one_candidate_per_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20  # the 8 MB prefix array and one block of temporaries
+    assert peak < 32 * 2**20  # a few cached blocks and one block of temporaries
 
 
-class _Whole:
-    """A whole prefix array [W(0), ..., W(m)], read as the scan read it before the stream."""
-
-    def __init__(self, prefix, block):
-        self.prefix, self.cap, self.block = prefix, prefix.size - 1, block
-
-    def reach(self, hi):
-        return self.prefix
+def _reader(ref, block: int):
+    # block j's prefixes sliced from a whole reference array
+    return lambda j: ref[j * block : j * block + block + 1]
 
 
 def _full_scan(f, fam):
-    # the max and first argmax of every window sum, read from the whole
+    # the max and first argmax of every window sum, read from the reference
     # prefix array in one block, so no block is passed over
     runs = [(start, end, float(v)) for start, end, v in f.bounds()]
     m = f.support
-    ((_, scan),) = fx._scan_dense(runs, _Whole(fam.prefix_array(m), m))
+    ref = _reference_prefix(fam, m, weights._ARRAY_BLOCK)
+    ((_, scan),) = fx._scan_dense(runs, _reader(ref, m), m)
     k = int(np.argmax(scan))
     return float(scan[k]), k + 1
 
@@ -496,27 +492,27 @@ def float_step_sequences(draw):
 @given(
     fam=st.sampled_from(STREAM_FAMILIES),
     f=float_step_sequences(),
-    block=st.sampled_from([1, 2, 13, 2**5, 2**16]),
+    block=st.sampled_from([1, 2, 13, 2**5]),
 )
 @example(fam=STREAM_FAMILIES[0], f=StepSequence(((3, 2.0), (40, 1.0), (2000, 0.5))), block=13)
 @example(fam=STREAM_FAMILIES[1], f=StepSequence(tuple((7, 1.0 / i) for i in range(1, 41))), block=2)
+# a short last run that starts late: its windows read W from W(0) on
+@example(fam=STREAM_FAMILIES[2], f=StepSequence(((600, 2.0), (600, 1.0), (1, 0.5))), block=13)
 @settings(max_examples=60, deadline=None)
-def test_streamed_scan_matches_the_whole_prefix_array(fam, f, block):
-    # the retained prefixes hold W(0) and the range later windows read; every
-    # scan block equals the one read from the whole array, bit for bit
+def test_scan_slices_are_the_reference_slices(fam, f, block):
+    # a scanned block reads two slices of W per run from the ledger's
+    # blocks, each a view of one block's prefixes or of two joined; the
+    # blocks joined equal the scan of the whole reference array, bit for bit
     runs = [(start, end, float(v)) for start, end, v in f.bounds()]
     m = f.support
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "_ARRAY_BLOCK", block)
-        whole = fam.prefix_array(m)
-        want = list(fx._scan_dense(runs, _Whole(whole, block)))
-        prefix = weights.PrefixStream(fam, m, runs[-1][0] + block)
-        got = list(fx._scan_dense(runs, prefix))
-    assert [lo for lo, _ in got] == [lo for lo, _ in want]
-    assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
-    assert prefix.at(m) == whole[-1]
-    # W(0), a ring of whole blocks over s_R + 2 blocks, and a one-block guard
-    assert prefix.data.size <= 1 + min(m, runs[-1][0] + 3 * block) + block
+        ref = _reference_prefix(fam, m, block)
+        ((_, want),) = fx._scan_dense(runs, _reader(ref, m), m)
+        got = list(fx._scan_dense(runs, fam._prefixes, block))
+        assert fam.prefix_sum(m) == ref[-1]
+    assert [lo for lo, _ in got] == list(range(1, m + 1, block))
+    assert np.concatenate([scan for _, scan in got]).tobytes() == want.tobytes()
 
 
 @given(
@@ -526,9 +522,9 @@ def test_streamed_scan_matches_the_whole_prefix_array(fam, f, block):
 )
 @settings(max_examples=60, deadline=None)
 def test_one_pass_A_is_the_run_window_sum(fam, f, block):
-    # small blocks put run windows inside one streamed block, across two
-    # blocks and across several; A from B's pass is math.fsum of the run
-    # values times window_sum, bit for bit
+    # small blocks put run windows inside one ledger block, across two
+    # blocks and across several; ratio's A, read after B's scan grew the
+    # ledger, is math.fsum of the run values times window_sum, bit for bit
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "_ARRAY_BLOCK", block)
         rep = ratio(f, fam)
@@ -538,11 +534,11 @@ def test_one_pass_A_is_the_run_window_sum(fam, f, block):
 
 
 def test_one_pass_A_of_the_r6_witness():
-    # the real block size: the last run's window spans all 168 stream blocks,
-    # each piece summed in place from its block's terms
+    # the real block size: the last run's window spans all 168 blocks, whose
+    # sums ratio's A reads from the ledger; A from fresh terms has its bits
     fam = PowerWeights(0.5)
     f = StepSequence(tuple((d, 1.0 / fam.prefix_sum(d)) for d in (1, 4, 31, 630, 42423, 10916370)))
-    assert ratio(f, fam).A == functional_A(f, fam)
+    assert ratio(f, fam).A == functional_A(f, PowerWeights(0.5))
 
 
 # ------------------------------------------------------- pruned window scan
@@ -617,12 +613,36 @@ def test_pruned_scan_past_an_overflowing_block(monkeypatch):
     ],
 )
 def test_witness_scans_only_the_blocks_near_its_top(monkeypatch, fam, d, scanned, blocks):
-    # B is attained at n = 5; the run peaks bound every later block below it
-    f = build_witness(fam, d)
-    assert -(-f.support // weights._ARRAY_BLOCK) == blocks
+    # B is attained at n = 5; the run peaks bound every later block below it,
+    # and the scan holds only the few blocks its scanned windows read (26.4
+    # MiB at r = 8 when it kept prefixes from the last run's start on)
     counts = _count_scanned_blocks(monkeypatch)
-    assert functional_B(f, fam)[1] == 5
+    tracemalloc.start()
+    try:
+        f = build_witness(fam, d)
+        assert functional_B(f, fam)[1] == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert -(-f.support // weights._ARRAY_BLOCK) == blocks
     assert counts == [scanned]
+    assert peak < 8 * 2**20
+
+
+def test_a_short_last_run_peaks_below_8_mib():
+    # the last run starts at 2**22 + 1, so the last windows read W from W(0)
+    # on: the scan reads its blocks from the ledger, where a prefix ring from
+    # the last run's start on held the whole prefix array (33.5 MiB)
+    f = StepSequence(((2**22, 1.0), (1, 0.5)))
+    fam = PowerWeights(0.5)
+    tracemalloc.start()
+    try:
+        got = functional_B(f, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (fam.prefix_sum(2**22), 2**22)
+    assert peak < 8 * 2**20
 
 
 def test_peak_bound_takes_each_run_at_its_end_inside_the_block(monkeypatch):
@@ -672,7 +692,7 @@ def test_peak_bound_takes_a_long_ended_run_by_its_kept_ends(monkeypatch):
 
 def test_scan_caps_trip_before_allocating(monkeypatch):
     fam = PowerWeights(0.5)
-    monkeypatch.setattr(weights.PrefixStream, "__init__", lambda *a, **k: pytest.fail("prefix stream started"))
+    monkeypatch.setattr(fam, "_terms", lambda *a: pytest.fail("weights generated"))
     with pytest.raises(CapExceededError, match="support 268435457 exceeds the family index cap"):
         functional_B(StepSequence(((weights.DEFAULT_INDEX_CAP + 1, 1.0),)), fam)
     # 65 runs over a support of 2**28: 65 * 2**28 run-window terms > 2**34

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from seqspace import weights
 from seqspace.exceptions import CapExceededError, InputError
+from seqspace.functionals import StepSequence, ratio
 from seqspace.weights import (
     DEFAULT_INDEX_CAP,
     Branch,
@@ -23,7 +24,6 @@ from seqspace.weights import (
     ExplicitRationalWeights,
     HarmonicWeights,
     PowerWeights,
-    neumaier_add,
     parse_weight_spec,
 )
 
@@ -343,6 +343,25 @@ def _reference_sum(fam, lo: int, hi: int, block: int) -> float:
     return total + comp
 
 
+def _reference_prefix(fam, m: int, block: int) -> np.ndarray:
+    # the canonical rule, from fresh terms: [W(0), ..., W(m)], where W at a
+    # whole block's end is the Neumaier sum of the blocks' np.sum, and inside
+    # block j, W adds the block's cumsum to W at the block before
+    parts, end, total, comp = [np.zeros(1)], 0.0, 0.0, 0.0
+    for start in range(1, m + 1, block):
+        terms = fam._terms(start, min(start + block - 1, m))
+        inside = np.cumsum(terms) + end
+        x = float(np.sum(terms))
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+        end = total + comp
+        if terms.size == block:
+            inside[-1] = end
+        parts.append(inside)
+    return np.concatenate(parts)
+
+
 @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
 def test_terms_do_not_depend_on_where_they_are_generated(kind):
     # the prefix stream and the window sums rest on this: a term generated in
@@ -376,19 +395,31 @@ def _count_terms(fam) -> list[int]:
 @given(ns=st.lists(st.integers(0, 2000), min_size=1, max_size=40), block=st.integers(2, 64))
 @settings(max_examples=15, deadline=None)
 def test_prefix_sum_is_the_stream_value(kind, threads, ns, block):
-    # every W(n) equals the prefix array's bit for bit, whatever the reads
-    # before it: a read ahead of the family's stream resumes it, a read
-    # behind its ring takes a kept block end or generates its block afresh,
-    # and threads share the stream and the memo (a short switch interval
-    # interleaves them)
+    # every W(n) equals the reference bit for bit, whatever the reads before
+    # it: a read ahead of the family's ledger extends it, a read behind takes
+    # a kept block end or its block's prefixes, cached or generated again;
+    # and threads share the ledger and its cache (a short switch interval
+    # interleaves them) with window sums and ratios, each equal bit for bit
+    # to its value on a fresh family
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "_ARRAY_BLOCK", block)
-        ref, fam = FAMILY_KINDS[kind](), FAMILY_KINDS[kind]()
-        want = {n: ref.prefix_array(n)[n] for n in ns}
+        make = FAMILY_KINDS[kind]
+        want = _reference_prefix(make(), max(ns), block)
+        windows = [(1 + n // 3, n) for n in ns]
+        want_windows = [make().window_sum(lo, hi) for lo, hi in windows]
+        f = StepSequence(tuple((1 + n % 7, 1.0 / i) for i, n in enumerate(ns, start=1)))
+        want_ratio = ratio(f, make())
+        fam = make()
 
         def worker(seed: int) -> bool:
             order = np.random.default_rng(seed).permutation(len(ns))
-            return all(fam.prefix_sum(ns[i]) == want[ns[i]] for i in order)
+            ok = True
+            for i in order:
+                ok &= fam.prefix_sum(ns[i]) == want[ns[i]]
+                ok &= fam.window_sum(*windows[i]) == want_windows[i]
+                if i % 8 == 0:
+                    ok &= ratio(f, fam) == want_ratio
+            return ok
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -400,54 +431,45 @@ def test_prefix_sum_is_the_stream_value(kind, threads, ns, block):
 
 
 def test_prefix_reads_resume_the_family_stream():
-    # rising reads generate each weight once; a read behind the stream's
-    # three-block ring takes a block end's kept value or generates its one
-    # block afresh, which later reads in that block share; a released
-    # stream starts again at w_1
+    # rising reads generate each weight once and a block end takes its kept
+    # value; a read inside a block the cache no longer holds generates that
+    # one block again, which later reads in it share; the cache holds at
+    # most _CACHED_TERMS terms, four blocks
     fam = PowerWeights(0.5)
     block = weights._ARRAY_BLOCK
     count = _count_terms(fam)
+    want = _reference_prefix(PowerWeights(0.5), 22 * block, block)
     reads = (
-        (10 * block + 5, 11), (20 * block, 20), (19 * block + 1, 21), (19 * block + 9, 21),
+        (10 * block + 5, 11), (20 * block, 20), (19 * block + 1, 20), (19 * block + 9, 20),
         (10 * block + 5, 21), (5 * block, 21), (5 * block - 1, 22), (21 * block + 3, 24),
-        (20 * block + 7, 24), (5 * block - 2, 24), (18 * block + 1, 25),
+        (20 * block + 7, 24), (5 * block - 2, 24), (18 * block + 1, 25), (5 * block - 3, 25),
+        (2 * block + 1, 26),
     )
     for n, blocks in reads:
-        assert fam.prefix_sum(n) == PowerWeights(0.5).prefix_array(n)[n]
+        assert fam.prefix_sum(n) == want[n]
         assert count[0] == blocks * block
-    fam.release_stream()
-    for n in (5 * block - 3, 2 * block + 1):
-        assert fam.prefix_sum(n) == PowerWeights(0.5).prefix_array(n)[n]
-    assert count[0] == 30 * block
+        assert len(fam._ledger._cache) * block <= weights._CACHED_TERMS
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
 @given(
     m=st.integers(1, 300),
-    keep=st.integers(0, 300),
     reads=st.lists(st.integers(0, 300), min_size=1, max_size=50),
     block=st.sampled_from([2**3, 2**5]),
 )
-# a one-block ring: the last block, [17, 20], overwrites half of [9, 16],
-# so W(14) must come from its block generated afresh
-@example(m=20, keep=0, reads=[20, 14], block=2**3)
+# block [9, 16] leaves the cache while the ledger grows to W(300), so W(14)
+# comes from its block generated again
+@example(m=300, reads=[300, 14], block=2**3)
 @settings(max_examples=20, deadline=None)
-def test_stream_reads_in_any_order_are_the_prefix_array(kind, m, keep, reads, block):
-    # a stream writes its blocks raw and fills one only where a read needs
-    # it: at(x) ahead of the ring, inside it and behind it equals the prefix
-    # array bit for bit, whatever was read before; the kept end at or past x
-    # bounds W(x) from above up to rounding without filling anything
+def test_stream_reads_in_any_order_are_the_prefix_array(kind, m, reads, block):
+    # the ledger forms a block's prefixes only where a read needs them: W(x)
+    # ahead of the ledger, in a cached block and in a block that left the
+    # cache equals the reference bit for bit, whatever was read before; the
+    # kept end at or past x bounds W(x) from above up to rounding without
+    # forming any prefix
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "_ARRAY_BLOCK", block)
-        fam = FAMILY_KINDS[kind]()
-        want = fam.prefix_array(m)
-        stream = weights.PrefixStream(fam, m, min(keep, m))
-        for x in reads:
-            x %= m + 1
-            y = x % (stream.top + 1)
-            assert stream.end(y) >= want[y] * (1 - 1e-12)
-            assert stream.at(x) == want[x]
-        # streamed whole and read in any order, each block is filled once
+        want = _reference_prefix(FAMILY_KINDS[kind](), m, block)
         cumsum, entries = np.cumsum, [0]
 
         def counted(a, *args, **kwargs):
@@ -455,42 +477,27 @@ def test_stream_reads_in_any_order_are_the_prefix_array(kind, m, keep, reads, bl
             return cumsum(a, *args, **kwargs)
 
         mp.setattr(np, "cumsum", counted)
-        whole = weights.PrefixStream(fam, m, m)
-        whole.stream(m)
-        assert [whole.at(x % (m + 1)) for x in reads] == [want[x % (m + 1)] for x in reads]
-        assert whole.reach(m).tolist() == want.tolist()
-        assert entries[0] == m
-
-
-def test_reach_refuses_a_block_that_left_the_ring(monkeypatch):
-    # a block-end at() ahead of the stream passes blocks without writing the
-    # ring; a reach that must then fill one of them raises instead of
-    # returning the ring's zeros as W(1..8)
-    monkeypatch.setattr(weights, "_ARRAY_BLOCK", 8)
-    fam = HarmonicWeights()
-    stream = weights.PrefixStream(fam, 8, 8)
-    assert stream.at(8) == fam.prefix_array(8)[8]
-    with pytest.raises(RuntimeError, match=r"W\(1\) is needed at 8 but its block has left the ring"):
-        stream.reach(8)
+        fam = FAMILY_KINDS[kind]()
+        for x in reads:
+            x %= m + 1
+            before = entries[0]
+            assert fam.prefix_sum(-(-x // block) * block) >= want[x] * (1 - 1e-12)
+            assert entries[0] == before
+            assert fam.prefix_sum(x) == want[x]
+        assert len(fam._ledger._cache) * block <= weights._CACHED_TERMS
+        # read whole on a fresh family, each block forms its prefixes once
+        entries[0] = 0
+        assert FAMILY_KINDS[kind]().prefix_array(m).tolist() == want.tolist()
+        assert entries[0] == -(-m // block) * block
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
 def test_prefix_array_is_the_stream_rule(kind):
-    # W at a whole block's end is the Neumaier sum of the blocks' np.sum, and
-    # inside block j, W adds the block's cumsum to W at the block before
+    # the ledger's blocks, joined, are the reference rule bit for bit
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "_ARRAY_BLOCK", 7)
-        fam, m = FAMILY_KINDS[kind](), 100
-        want, end, total, comp = [0.0], 0.0, 0.0, 0.0
-        for start in range(1, m + 1, 7):
-            terms = fam._terms(start, min(start + 6, m))
-            inside = list(np.cumsum(terms) + end)
-            total, comp = neumaier_add(total, comp, float(np.sum(terms)))
-            end = total + comp
-            if terms.size == 7:
-                inside[-1] = end
-            want += inside
-        assert fam.prefix_array(m).tolist() == want
+        want = _reference_prefix(FAMILY_KINDS[kind](), 100, 7)
+        assert FAMILY_KINDS[kind]().prefix_array(100).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))

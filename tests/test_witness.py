@@ -522,9 +522,9 @@ def _count_terms(fam) -> list[int]:
 
 
 def test_search_generates_each_weight_about_once():
-    # one forward stream serves every probe: the bisection for d_6 reads
-    # inside one or two stream blocks, held in the family stream's ring or
-    # generated afresh, so no probe sums its prefix from w_1 again (78.1M
+    # one forward ledger serves every probe: the bisection for d_6 reads
+    # inside one or two blocks, held in the family's block cache or
+    # generated again, so no probe sums its prefix from w_1 again (78.1M
     # terms for a 10.96M support when each probe did)
     fam = PowerWeights(0.5)
     count = _count_terms(fam)
@@ -533,15 +533,16 @@ def test_search_generates_each_weight_about_once():
 
 
 def test_search_streams_once_to_its_last_read():
-    # one forward prefix stream serves every block: the r = 6 search reads
-    # nothing past d_6 + d_5 but the stream blocks holding it, and generates
-    # one block twice, w_1..w_65536, which k = 2's first candidate end
-    # passes before its bisection reads inside it
+    # one forward ledger serves every block: the r = 6 search reads nothing
+    # past d_6 + d_5 but the ledger block holding it, and generates each
+    # block once, since its reads behind the ledger's top fall in blocks its
+    # cache still holds; the rest are the screen's single weights (one block
+    # was generated twice when a three-block ring held the stream's terms)
     fam = PowerWeights(0.5)
     count = _count_terms(fam)
     d = find_block_lengths(fam, 6)
     assert d == [1, 4, 31, 630, 42423, 10916370]
-    assert count[0] <= d[5] + d[4] + 2 * weights._ARRAY_BLOCK
+    assert count[0] <= d[5] + d[4] + weights._ARRAY_BLOCK
 
 
 def _first_blocks(fam, r: int, slack: float, m: int) -> list[int]:
@@ -651,9 +652,9 @@ def test_screened_search_finds_the_first_blocks(family, slack, block):
 
 
 def test_search_and_verification_fill_a_few_stream_blocks(monkeypatch):
-    # stream blocks become prefixes only where a read needs them: the r = 6
-    # search and verification cumsum 342,627 entries, 5.2 blocks of 2**16,
-    # against 335 blocks when every streamed block became prefixes
+    # ledger blocks become prefixes only where a read needs them: the r = 6
+    # search and verification cumsum a few blocks of 2**16, against 335
+    # blocks when every block passed became prefixes
     cumsum, entries = np.cumsum, [0]
 
     def counted(a, *args, **kwargs):
@@ -668,10 +669,10 @@ def test_search_and_verification_fill_a_few_stream_blocks(monkeypatch):
 
 
 def test_verification_holds_one_term_buffer():
-    # the search leaves no terms behind; verification streams the weights,
-    # sums A's window pieces in place from each stream block and keeps only
-    # the prefixes the scan has yet to read, so no buffer, prefix array or
-    # window of fresh terms sits beside it
+    # the search leaves a few cached blocks behind; verification reads kept
+    # block ends and sums, and the few blocks its margins and scanned
+    # windows read, so no buffer, prefix array or window of fresh terms
+    # sits beside it
     fam = PowerWeights(0.5)
     tracemalloc.start()
     try:
@@ -685,11 +686,14 @@ def test_verification_holds_one_term_buffer():
 
 
 def test_fresh_verification_peaks_below_8_mib():
-    # a fresh r = 6 verification streams its support of 10,959,459 weights in
-    # 2**16-entry blocks and sums each piece of A's windows in place, so only
-    # a few blocks are held (36.7 MB when A's 2**22-term chunks that crossed
-    # stream blocks were copied into a buffer)
+    # a fresh r = 6 verification grows the family ledger over its support of
+    # 10,959,459 weights once, in 2**16-entry blocks: its margins, A and B
+    # then read kept block ends and sums and a few blocks generated again, so
+    # only a few blocks are held (36.7 MB when A's 2**22-term chunks that
+    # crossed blocks were copied into a buffer, and 21,969,512 terms when A
+    # and B streamed the support again after the margins)
     fam = PowerWeights(0.5)
+    count = _count_terms(fam)
     tracemalloc.start()
     try:
         verify_certificate(fam, [1, 4, 31, 630, 42423, 10916370])
@@ -697,16 +701,17 @@ def test_fresh_verification_peaks_below_8_mib():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+    assert count[0] <= 10_959_459 + 16 * 2**16
 
 
 def test_verification_generates_each_weight_about_once():
-    # after the search, A and B share one pass over the support of
-    # 10,959,459 weights; the margins and block values read the prefixes
-    # the search memoized (24.57M terms when A and B each generated the
-    # support)
+    # the search's ledger already covers the support of 10,959,459 weights:
+    # verification generates only the few blocks its margins, block values
+    # and scanned windows read inside (10,959,464 terms when it streamed the
+    # support again, 24.57M when A and B each did)
     fam = PowerWeights(0.5)
     d = find_block_lengths(fam, 6)
     count = _count_terms(fam)
     cert = verify_certificate(fam, d)
     assert cert.n[-1] == 10_959_459
-    assert count[0] <= 12_000_000
+    assert count[0] <= 16 * 2**16
