@@ -513,8 +513,8 @@ WITNESS_R6_GOLDEN = (
 
 
 def test_witness_power_r6_golden(tmp_path, capsys):
-    # d_6 = 10,916,370: the search's one forward stream leaves the margins'
-    # prefixes in the family's memo, and --verify-only streams them afresh
+    # d_6 = 10,916,370: the search's ledger serves the margins' prefixes, and
+    # --verify-only grows a fresh ledger over the support once
     code, out, err = run(capsys, ["witness", "-w", "power:0.5", "-r", "6"])
     assert (code, out, err) == (0, WITNESS_R6_GOLDEN, "")
     cert = tmp_path / "cert.json"

@@ -364,7 +364,7 @@ def _reference_prefix(fam, m: int, block: int) -> np.ndarray:
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
 def test_terms_do_not_depend_on_where_they_are_generated(kind):
-    # the prefix stream and the window sums rest on this: a term generated in
+    # the ledger and the window sums rest on this: a term generated in
     # one _ARRAY_BLOCK piece equals the same term generated in any other
     # range, and the np.sum of a slice equals the np.sum of the fresh range
     fam = FAMILY_KINDS[kind]()

@@ -112,7 +112,7 @@ def test_search_cap_and_slack_validation():
 
 def test_search_probes_stay_within_the_cap():
     # d_4 = 6306 fits under cap 8200, but condition (ii)'s window at the
-    # first candidate end, the stream block end 65536, would pass it: the
+    # first candidate end, the ledger block end 65536, would pass it: the
     # candidate stops at cap - n_3 = 8141 instead, and every weight read
     # checks the cap
     assert find_block_lengths(HarmonicWeights(index_cap=8200), 4) == [1, 4, 54, 6306]
@@ -581,11 +581,11 @@ SEARCH_FAMILIES = {  # spec, r and the reference's prefix length
 @pytest.mark.parametrize("slack", [0.0, 1e-9])
 @pytest.mark.parametrize("spec, r, m", SEARCH_FAMILIES.values(), ids=SEARCH_FAMILIES.keys())
 def test_search_finds_the_first_blocks(spec, r, m, slack):
-    # stream blocks of d_k and d_k - 1 entries put each answer on a block end
+    # ledger blocks of d_k and d_k - 1 entries put each answer on a block end
     # and just past one, where the search's candidate ends and the bisection
     # inside a block meet; blocks of 2 and 7 leave (ii)'s W(d_k) many blocks
-    # behind the stream (d_{k-1} reaches 1396 for power:0.7 and 42423 for
-    # power:0.5), at a kept block end or in a block generated afresh; the
+    # behind the ledger's top (d_{k-1} reaches 1396 for power:0.7 and 42423
+    # for power:0.5), at a kept block end or in a block generated again; the
     # search must find the reference's blocks
 
     def family():
