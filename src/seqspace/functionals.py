@@ -10,10 +10,13 @@ family w this module computes
   weight classes identified in :mod:`seqspace.weights`.
 
 Sequences are run-length encoded (:class:`StepSequence`), so A and a single
-window sum cost O(runs) weight-window sums rather than O(support).  The
-supremum takes one float window-scan kernel over the blocks of the family's
-:class:`~seqspace.weights.Ledger`, which ``ratio``'s A then reads as kept
-block sums.  The scan costs O(runs) per window for each block it scans.  In
+window sum cost O(runs) weight-window sums rather than O(support), read
+under one family lock.  The supremum takes one float window scan, by one
+of three routes with the same bits: one gathered pass for a short support,
+an FFT filter with a proven band for many runs (float mode), or the per-run
+kernel over the blocks of the family's :class:`~seqspace.weights.Ledger`,
+which ``ratio``'s A then reads as kept block sums.  The kernel costs
+O(runs) per window for each block it scans.  In
 float mode it skips a block whose per-run peak bound (:func:`_peak_bound`)
 lies more than twice its error bound below the best sum so far.  The bound
 reads kept block ends and single weights only, so a skipped block's
@@ -35,6 +38,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 from typing import Callable, Iterable, Iterator
 
@@ -45,6 +49,12 @@ from .exceptions import CapExceededError, InputError
 from .weights import EXACT_PREFIX_CAP, WeightFamily, as_index
 
 SCAN_WORK_CAP = 2**34
+_GATHER_SUPPORT = 2**9  # longest support the one gathered pass takes
+_GATHER_WORK = 2**16  # and most run-window terms, which bounds its temporaries
+_FFT_RUNS = 256  # fewest runs the FFT filter takes
+_FFT_CAP = 2**18  # largest support the FFT filter takes
+_FFT_VALUE_CAP = 2.0**900  # run values the FFT filter takes lie below this
+_FFT_CANDIDATE_WORK = 2**20  # run-window terms of the FFT band's re-evaluation
 EXPAND_CAP = 2**24
 _UNIT = 2.0**-53  # unit roundoff of float64
 _ETA = 2.0**-1073  # rounding error bound of a result below the normal range
@@ -223,15 +233,17 @@ class FunctionalReport:
 class Arithmetic:
     """The number type and weight sums one evaluation runs in.
 
-    Float arithmetic sums weight windows directly with compensation and
-    totals with ``math.fsum``; exact arithmetic takes differences of exact
-    ``Fraction`` prefixes and totals from ``Fraction(0)``.
+    Float arithmetic sums weight windows directly with compensation, every
+    window of one evaluation under one family lock, and totals with
+    ``math.fsum``; exact arithmetic takes differences of exact ``Fraction``
+    prefixes and totals from ``Fraction(0)``.  ``windows`` maps a list of
+    (lo, hi) to the list of w_lo + ... + w_hi.
     """
 
     exact: bool
     num: type
     prefix: Callable[[int], Value]
-    window: Callable[[int, int], Value]
+    windows: Callable[[list[tuple[int, int]]], list[Value]]
     total: Callable[[Iterable[Value]], Value]
 
 
@@ -250,7 +262,7 @@ def arithmetic(
             f"support {f.support} exceeds the family index cap {fam.index_cap}"
         )
     if mode == "float":
-        return Arithmetic(False, float, fam.prefix_sum, fam.window_sum, math.fsum)
+        return Arithmetic(False, float, fam.prefix_sum, fam.window_sums, math.fsum)
     if mode != "rational":
         raise InputError(f"mode must be 'float' or 'rational', got {mode!r}")
     if not fam.supports_exact:
@@ -266,7 +278,7 @@ def arithmetic(
         True,
         Fraction,
         prefix,
-        lambda lo, hi: prefix(hi) - prefix(lo - 1),
+        lambda windows: [prefix(hi) - prefix(lo - 1) for lo, hi in windows],
         lambda parts: sum(parts, Fraction(0)),
     )
 
@@ -279,19 +291,21 @@ def functional_A(f: StepSequence, fam: WeightFamily, mode: str = "float") -> Val
     runs deep in the sequence do not suffer cancellation.
     """
     ar = arithmetic(mode, fam, f)
-    return ar.total(
-        ar.num(value) * ar.window(start, end) for start, end, value in f.bounds()
-    )
+    return _pairings(f.bounds(), ar)
+
+
+def _pairings(terms: list[tuple[int, int, Value]], ar: Arithmetic) -> Value:
+    """The total of value * (w_lo + ... + w_hi) over (lo, hi, value), its windows read at once."""
+    sums = ar.windows([(lo, hi) for lo, hi, _ in terms])
+    # exact arithmetic has Fraction run values, and a Fraction times a float
+    # window is the float of the Fraction times it, so each product already
+    # has the arithmetic's type
+    return ar.total(value * s for (_, _, value), s in zip(terms, sums))
 
 
 def _B_at(bounds: list[tuple[int, int, Value]], n: int, ar: Arithmetic) -> Value:
-    # exact arithmetic has Fraction run values, and a Fraction times a float
-    # window is a float, so each product already has the arithmetic's type
-    return ar.total(
-        value * ar.window(1 + n - min(end, n), 1 + n - start)
-        for start, end, value in bounds
-        if start <= n
-    )
+    terms = [(1 + n - min(end, n), 1 + n - start, value) for start, end, value in bounds if start <= n]
+    return _pairings(terms, ar)
 
 
 def functional_B_at(
@@ -366,7 +380,7 @@ def _scan_dense(
 
 
 def _peak_bound(
-    runs: list[tuple[int, int, float]], fam: WeightFamily, lo: int, hi: int, top_w: float
+    runs: list[tuple[int, int, float]], ledger: weights.Ledger, lo: int, hi: int, top_w: float
 ) -> float:
     """A float upper bound on the window sums lo..hi from each run's peak, forming no prefix.
 
@@ -386,13 +400,16 @@ def _peak_bound(
     at most their difference, the least form for a long run that ended well
     before lo.
     The bound takes the least of the three.  A run starting after hi adds
-    nothing.  The products with v are added in run order onto 0.0.
+    nothing.  The products with v are added in run order onto 0.0.  The
+    caller holds the family lock; single weights come from the ledger's
+    cached blocks where they hold them, the same bits as a term generated
+    alone.
     """
-    b = weights._ARRAY_BLOCK
+    b = ledger.block
 
-    def end(x: int) -> float:  # a kept block end is a prefix_sum that forms no prefix
-        x = -(-x // b) * b
-        return fam.prefix_sum(x) if x <= hi else top_w
+    def end(x: int) -> float:  # a kept block end forms no prefix
+        j = -(-x // b)
+        return ledger.end(j) if j * b <= hi else top_w
 
     total = 0.0
     for start, e, v in runs:
@@ -400,8 +417,8 @@ def _peak_bound(
             break
         x = end(1 + min(e, hi) - start)
         if e < lo:
-            length_bound = (1 + e - start) * fam.weight_at(1 + lo - e)
-            x = min(x, length_bound, end(1 + lo - start) - fam.prefix_sum((lo - e) // b * b))
+            length_bound = (1 + e - start) * ledger.weight(1 + lo - e)
+            x = min(x, length_bound, end(1 + lo - start) - ledger.end((lo - e) // b))
         total += v * x
     return total
 
@@ -467,11 +484,177 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
     return 4 * (e0 + runs * alpha * (1 + _gamma(runs)))
 
 
-def _scan(f: StepSequence, fam: WeightFamily, ar: Arithmetic) -> tuple[Value, int]:
-    """B and its smallest attaining window from the family ledger's blocks.
+def _gather(runs: list[tuple[int, int, Value]], P: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The kernel's run terms for the windows ``n``: row k is v_k (P(1+n-s_k) - P(n-e_k)).
 
-    Float mode passes over a block of windows [lo, hi] when ``_peak_bound``
-    + 2E < top (never while top is still -inf), E from
+    ``P`` holds the float prefixes P(0) = 0.0, ..., P(m), m the last run's
+    end, and an index x <= 0 reads P(0).  While n < e_k the difference is
+    P(1+n-s_k) - 0.0, the kernel's own P(1+n-s_k).  A run with s_k > n
+    gives v_k * 0.0 = 0.0, a term the kernel does not add; adding it to a
+    sum begun at 0.0 changes no bit, since such a sum is never -0.0.  So
+    summing the rows in run order onto 0.0 gives the kernel's sums bit for
+    bit.
+    """
+    m, count = P.size - 1, len(runs)
+    padded = np.concatenate((np.zeros(m), P))  # padded[m + x] = P(max(x, 0)) for x >= -m
+    starts = (m + 1 - run[0] for run in runs)
+    ends = (m - run[1] for run in runs)
+    rows = padded[np.fromiter(chain(starts, ends), np.intp, 2 * count)[:, None] + n]
+    return _run_values(runs)[:, None] * (rows[:count] - rows[count:])
+
+
+def _run_values(runs: list[tuple[int, int, Value]]) -> np.ndarray:
+    """The run values as floats, each Fraction rounded once as ``float`` rounds it."""
+    return np.fromiter((run[2] for run in runs), np.float64, len(runs))
+
+
+def _gathered_scan(runs: list[tuple[int, int, float]], P: np.ndarray) -> np.ndarray:
+    """Every window's kernel sum, n = 1..m, from one gathered pass over the prefixes P(0..m).
+
+    numpy reduces the leading axis of the (runs, m) terms row by row, so
+    each window's sum adds its run terms in run order onto 0.0, as the
+    kernel does (a single window has a single run).
+    """
+    return np.add.reduce(_gather(runs, P, np.arange(1, P.size)), axis=0, initial=0.0)
+
+
+def _fft_error_bound(a: np.ndarray, d: np.ndarray, size: int) -> float:
+    """E_F with |F(n) - sum_i c a_{n+1-i} (P(i) - P(i-1))| <= E_F for n = 1..m.
+
+    F is the FFT filter's value ``irfft(rfft(a, L) * rfft(d, L), L)`` with
+    L = ``size`` = 2**t >= 2m - 1, so the circular convolution is the linear
+    one at n <= m.  ``a`` holds the m floats fl(c a_i), the dense run values
+    scaled by a power of two c to at most 1, and ``d`` the m floats
+    fl(P(i) - P(i-1)), within rounding of the weights, none above w_1 = 1.
+    Assumed: numpy's pocketfft transforms of length 2**t meet the bound that Higham
+    (Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2)
+    proves for the radix-2 FFT, |y' - y|_2 <= kappa |y|_2 with
+    kappa = t eta / (1 - t eta), eta = mu + gamma(4) (sqrt 2 + mu), for
+    twiddle factors within mu = 4u (as ``_scan_error_bound`` assumes 4 ulps
+    of libm's ``pow``).  With F the unnormalised DFT, |F x|_2 = sqrt(L) |x|_2
+    and |x * y|_2 <= |x|_2 |y|_2 for entrywise products:
+
+    1. The two forward transforms are F a + e_a and F d + e_d with
+       |e_a|_2 <= kappa sqrt(L) |a|_2, and so for d.
+    2. Their product differs from F a * F d by at most
+       (2 kappa + kappa^2) L |a|_2 |d|_2, and each complex product rounds
+       within sqrt(2) gamma(2) of itself (Higham, Lemma 3.5), so the
+       rounded product z is within sigma L |a|_2 |d|_2 of F a * F d, with
+       sigma = 2 kappa + kappa^2 + sqrt(2) gamma(2) (1 + kappa)^2 + u; the
+       last u covers d's own rounding, |d_i - (P(i) - P(i-1))| <= u |d_i|,
+       through Cauchy-Schwarz.
+    3. The inverse transform, F^-1 = F* / L (L a power of two, so the
+       scaling is exact), maps that error to sqrt(L) sigma |a|_2 |d|_2 and
+       adds its own kappa |F^-1 z|_2 <= kappa sqrt(L) (1 + sigma) |a|_2 |d|_2.
+
+    So E_F <= sqrt(L) |a|_2 |d|_2 (sigma + kappa (1 + sigma)), the 2-norm
+    bounding every entry.  The norms come from two sums of squares with
+    gamma(m) margins and m eta for squares below the normal range.
+    Underflow in the transforms adds at most eta to each of their 3 L t
+    products, amplified at most L-fold by the later stages and m-fold by
+    the entrywise product: 3 L^2 t m eta, and a's entries below the normal
+    range m eta more.  E_F is 4 times the sum, the factor 4 a safety margin
+    that also covers the roundings in evaluating it.
+    """
+    m, t = a.size, size.bit_length() - 1
+    eta = 4 * _UNIT + _gamma(4) * (math.sqrt(2) + 4 * _UNIT)
+    kappa = t * eta / (1 - t * eta)
+    sigma = 2 * kappa + kappa**2 + math.sqrt(2) * _gamma(2) * (1 + kappa) ** 2 + _UNIT
+    a2, d2 = (float(np.add.reduce(x * x)) + m * _ETA for x in (a, d))
+    norms = math.sqrt(a2 * d2) * (1 + 2 * _gamma(m))
+    spread = math.sqrt(size) * norms * (sigma + kappa * (1 + sigma))
+    return 4 * (spread + (3 * size * size * t + 1) * m * _ETA)
+
+
+def _fft_top(runs: list[tuple[int, int, Value]], fam: WeightFamily) -> tuple[float, int] | None:
+    """The kernel's first maximum over many runs by an FFT filter; None when too many windows tie.
+
+    ``runs`` holds (start, end, value) per run, each value read as its float.
+
+    Write K(n) for the kernel's float sum and K*(n) for the same sum in real
+    arithmetic on the same float prefixes P, which telescopes to
+    sum_i a_{n+1-i} d_i, d_i = P(i) - P(i-1), for the dense run values a.
+    The filter F convolves a scaled by c = 2**-e, e the exponent of the
+    first run value (so c a_i < 1, each rounded by at most eta), with
+    fl(d_i) through ``rfft``: |F(n) - c K*(n)| <= E_F
+    (:func:`_fft_error_bound`).  K(n) - K*(n) is made only of the kernel's
+    own roundings, steps 3-5 of :func:`_scan_error_bound` without their
+    prefix errors: one subtraction and one product per run, each within u
+    of itself (the product also within eta), and the run sum onto 0.0,
+    within gamma(R) of the sum of its terms' magnitudes.  Together they are
+    within gamma(R + 2) S + 2 R eta, S = sum_k v_k |P(a_k) - P(b_k)| <=
+    sum_i a_{n+1-i} |d_i| <= v_1 D, D = sum_i |d_i| <= P(m) when P rises.
+    With the factor 4 of the other bounds, c E_K = 4 (gamma(R + 2) D +
+    2 R c eta), since c v_1 < 1, bounds c |K(n) - K*(n)|.  For a kernel
+    maximiser n* and F's maximiser n_F,
+    F(n*) >= c K*(n*) - E_F >= c K(n*) - c E_K - E_F >= c K(n_F) - c E_K - E_F
+    >= F(n_F) - 2 (E_F + c E_K), so every kernel maximiser lies in the band
+    of that width below F's top.  Each window in the band is re-evaluated
+    with the kernel's own arithmetic: :func:`_gather`, then a ``cumsum``
+    over runs, sequential in run order, plus 0.0.  The ``cumsum`` starts at
+    the first term, not at 0.0 plus it; the two differ only while every
+    term so far is -0.0, and the final + 0.0 turns that -0.0 into the
+    kernel's 0.0.  The largest sum wins, the smallest n among ties.  Run
+    values below ``_FFT_VALUE_CAP`` keep every kernel sum below 2**960, so
+    none overflows and the rounding model holds.  When the band holds more
+    than ``_FFT_CANDIDATE_WORK`` run-window terms, as when many windows tie,
+    the caller runs the kernel.  (E of :func:`_scan_error_bound` would bound
+    K - K* too, but its U V charges every run the whole W(m): on 2**17
+    distinct runs its band held 360 windows.)
+    """
+    P = fam.prefix_array(runs[-1][1])
+    n = _fft_band(runs, P)
+    if n.size * len(runs) > _FFT_CANDIDATE_WORK:
+        return None
+    sums = np.cumsum(_gather(runs, P, n), axis=0)[-1] + 0.0
+    k = int(sums.argmax())
+    return float(sums[k]), int(n[k])
+
+
+def _fft_band(runs: list[tuple[int, int, Value]], P: np.ndarray) -> np.ndarray:
+    """The windows n within 2 (E_F + c E_K) of the FFT filter's top (:func:`_fft_top`).
+
+    The filter's arrays are freed on return, before the band is re-evaluated.
+    """
+    m, count = P.size - 1, len(runs)
+    d = np.diff(P)
+    values = _run_values(runs)
+    e = math.frexp(values[0])[1]  # c = 2**-e, past the double range when v_1 is subnormal
+    lengths = np.fromiter((1 + run[1] - run[0] for run in runs), np.intp, count)
+    a = np.repeat(np.ldexp(values, -e), lengths)
+    size = 1 << (2 * m - 2).bit_length()
+    spectrum = np.fft.rfft(a, size)
+    spectrum *= np.fft.rfft(d, size)
+    filtered = np.fft.irfft(spectrum, size)[:m]
+    total_d = float(np.add.reduce(np.abs(d))) * (1 + 2 * _gamma(m + 1)) + m * _ETA
+    rounding = 4 * (_gamma(count + 2) * total_d + 2 * count * math.ldexp(_ETA, -e))
+    band = 2 * (_fft_error_bound(a, d, size) + rounding)
+    return np.flatnonzero(filtered >= filtered.max() - band) + 1
+
+
+def _scan(
+    bounds: list[tuple[int, int, Value]], fam: WeightFamily, ar: Arithmetic
+) -> tuple[Value, int]:
+    """B and its smallest attaining window from the family ledger, by one of three routes.
+
+    Every route yields the per-run kernel's (B, argmax) bit for bit.
+
+    * Short supports, both arithmetics: a support within the first ledger
+      block and ``_GATHER_SUPPORT`` entries, with runs * support <=
+      ``_GATHER_WORK``, takes one gathered pass over every window at once
+      (:func:`_gathered_scan`), a few numpy calls in all rather than a few
+      per run.  Its gather costs about 15 ns a run-window term against the
+      kernel's 1-2 ns plus about 9 us a run, so it pays only on short
+      supports.
+    * Many runs, float mode only: :func:`_fft_top`'s FFT filter, O(m log m)
+      for ``_FFT_RUNS`` runs or more over a support of at most
+      ``_FFT_CAP`` with run values below ``_FFT_VALUE_CAP``, re-evaluating
+      only the windows inside its proven band.  When too many remain it
+      falls back to the kernel.
+    * Otherwise the kernel, :func:`_scan_dense`, O(runs) per window.
+
+    The kernel in float mode passes over a block of windows [lo, hi] when
+    ``_peak_bound`` + 2E < top (never while top is still -inf), E from
     :func:`_scan_error_bound` for the raw run values with V = P(hi), the
     kept W(hi) (for the last block, P(m)).  Its E_0 <= E / 2.5
     bounds the error of a scan value, and of the bound's float T' against
@@ -491,31 +674,41 @@ def _scan(f: StepSequence, fam: WeightFamily, ar: Arithmetic) -> tuple[Value, in
     maximum is the full scan's.  A bound that is inf or NaN compares false,
     and its block is scanned.  Reading P(hi) grows the ledger through hi,
     but prefixes are formed only in the blocks the scanned windows read and
-    in the last.  Exact mode scans every block.
+    in the last.  Exact mode scans every block.  Each bound reads its kept
+    ends and weights under one family lock.
     """
-    m = f.support
-    if m == 0:
+    if not bounds:
         return ar.num(0), 1
-    if len(f.runs) * m > SCAN_WORK_CAP:
+    m = bounds[-1][1]
+    if len(bounds) * m > SCAN_WORK_CAP:
         raise CapExceededError(
             f"window scan capped at {SCAN_WORK_CAP} run-window terms, "
-            f"got {len(f.runs)} runs over support {m}"
+            f"got {len(bounds)} runs over support {m}"
         )
-    bounds = f.bounds()
+    block, skip = weights._ARRAY_BLOCK, None
+    short = m <= min(block, _GATHER_SUPPORT) and len(bounds) * m <= _GATHER_WORK
+    many = len(bounds) >= _FFT_RUNS and m <= _FFT_CAP and bounds[0][2] < _FFT_VALUE_CAP
+    if many and not (short or ar.exact) and (found := _fft_top(bounds, fam)) is not None:
+        return found
     scale = bounds[0][2] if ar.exact else 1.0
     runs = [(start, end, float(value / scale)) for start, end, value in bounds]
     top, first, blocks = -math.inf, 0, []
-    block, skip = weights._ARRAY_BLOCK, None
-    if not ar.exact and m > block:
-        # E is affine in V with non-negative coefficients: 2E(V) <= e0 + e1 V
-        e0, e1 = (2 * _scan_error_bound(m, [v for *_, v in runs], x) for x in (0.0, 1.0))
+    if short:
+        scans = [(1, _gathered_scan(runs, fam._prefixes(0)[: m + 1]))]
+    else:
+        if not ar.exact and m > block:
+            # E is affine in V with non-negative coefficients: 2E(V) <= e0 + e1 V
+            e0, e1 = (2 * _scan_error_bound(m, [v for *_, v in runs], x) for x in (0.0, 1.0))
 
-        def skip(lo: int, hi: int) -> bool:
-            top_w = fam.prefix_sum(hi)
-            margin = e0 + e1 * top_w
-            return _peak_bound(runs, fam, lo, hi, top_w) + margin < top
+            def skip(lo: int, hi: int) -> bool:
+                with fam._lock:
+                    ledger = fam._blocks()
+                    top_w = ledger.prefix(hi)
+                    margin = e0 + e1 * top_w
+                    return _peak_bound(runs, ledger, lo, hi, top_w) + margin < top
 
-    for lo, scan in _scan_dense(runs, fam._prefixes, block, skip):
+        scans = _scan_dense(runs, fam._prefixes, block, skip)
+    for lo, scan in scans:
         k = int(scan.argmax())  # the block's first maximum
         if scan[k] > top:
             top, first = float(scan[k]), lo + k
@@ -538,33 +731,49 @@ def functional_B(
 
     Scans n = 1..support; windows beyond the support only shift the support
     onto smaller weights, so they never exceed the value at n = support.
-    One float scan serves both arithmetics.  It reads the weight prefixes
-    from the family's :class:`~seqspace.weights.Ledger`, holding only the
-    blocks the windows of one block read; its O(runs * support) work is
-    capped before anything is allocated.  Float mode scans the run values
-    and returns the first maximum, skipping each block of windows that its
-    per-run peak bound, read from kept block ends and single weights, rules
-    out (:func:`_scan`).  So the work is O(runs) per block plus O(runs) per
-    window of the blocks scanned, and the ledger forms prefixes only in the
-    blocks the scanned windows read and in the last.  B is linear in f, so
-    exact mode scans the values divided exactly by the first one, where no
-    float overflows, keeping the at most ``EXACT_PREFIX_CAP`` scan values.
-    With E from :func:`_scan_error_bound` and P(m) the ledger's W(m), a true
-    maximiser n* has scan(n*) >= B(n*) - E >= B(n_top) - E >= top - 2E, so
-    only the windows in that band below the top are re-evaluated exactly,
-    from the cached Fraction prefixes.
+    One float scan serves both arithmetics, by one of three routes that give
+    the same bits (:func:`_scan`); its O(runs * support) work is capped
+    before anything is allocated.
+
+    * A short support, of at most 512 entries and 2**16 run-window terms,
+      takes one gathered pass over all windows: a few numpy calls whatever
+      the run count.
+    * In float mode, 256 runs or more over a support of at most 2**18 take
+      an O(m log m) FFT filter with a proven error band, and only the
+      windows inside the band are summed as the kernel sums them: a
+      non-decreasing selection norm on 16,384 distinct entries costs one
+      or two windows' sums beside three transforms.
+    * Otherwise the per-run kernel reads the weight prefixes from the
+      family's :class:`~seqspace.weights.Ledger`, holding only the blocks
+      the windows of one block read.  Float mode skips each block of
+      windows that its per-run peak bound, read from kept block ends and
+      single weights, rules out, so the work is O(runs) per block plus
+      O(runs) per window of the blocks scanned, and the ledger forms
+      prefixes only in the blocks the scanned windows read and in the last.
+
+    Float mode scans the run values and returns the first maximum.  B is
+    linear in f, so exact mode scans the values divided exactly by the first
+    one, where no float overflows, keeping the at most ``EXACT_PREFIX_CAP``
+    scan values.  With E from :func:`_scan_error_bound` and P(m) the
+    ledger's W(m), a true maximiser n* has scan(n*) >= B(n*) - E >=
+    B(n_top) - E >= top - 2E, so only the windows in that band below the top
+    are re-evaluated exactly, from the cached Fraction prefixes.
     """
-    return _scan(f, fam, arithmetic(mode, fam, f))
+    ar = arithmetic(mode, fam, f)
+    return _scan(f.bounds(), fam, ar)
 
 
 def ratio(f: StepSequence, fam: WeightFamily, mode: str = "float") -> FunctionalReport:
     """Full report: A, B, argmax window, and the quotient A / B.
 
     B's scan grows the family ledger over the support first, so A's run
-    windows then read its kept block sums and cached blocks.
+    windows then read its kept block sums and cached blocks, all of them
+    under one family lock.
     """
     if f.is_zero:
         raise InputError("ratio undefined for the zero sequence (B = 0)")
-    b, argmax_n = _scan(f, fam, arithmetic(mode, fam, f))
-    a = functional_A(f, fam, mode=mode)
+    ar = arithmetic(mode, fam, f)
+    bounds = f.bounds()
+    b, argmax_n = _scan(bounds, fam, ar)
+    a = _pairings(bounds, ar)
     return FunctionalReport(A=a, B=b, argmax_n=argmax_n, ratio=a / b)

@@ -20,13 +20,14 @@ the blocks' ``np.sum``, and each block's ``np.sum``.  Inside a block W adds
 the block's ``cumsum`` to the kept W before it, so W(n) has one value
 whichever reader produced it.  A few blocks of terms, and their prefixes
 once a read needs them, stay in a cache; any other block is generated
-again.  ``prefix_sum``, which the witness search reads, ``window_sum``,
-``prefix_array`` and the window scan of :mod:`seqspace.functionals` all
-read the one ledger.  ``window_sum`` sums a window piece by piece: its part
-in each aligned block, a whole block's kept sum or the ``np.sum`` of the
-piece's terms.  The code calls each ``np.sum`` of a float64 array as
-``np.add.reduce``, the same pairwise sum bit for bit, without ``np.sum``'s
-dispatch.
+again.  ``prefix_sum``, which the witness search reads, ``window_sums``
+(all of one evaluation's windows under one lock; ``window_sum`` is its
+one-window case), ``prefix_array`` and the window scan of
+:mod:`seqspace.functionals` all read the one ledger.  A window is summed
+piece by piece: its part in each aligned block, a whole block's kept sum
+or the ``np.sum`` of the piece's terms.  The code calls each ``np.sum``
+of a float64 array as ``np.add.reduce``, the same pairwise sum bit for
+bit, without ``np.sum``'s dispatch.
 """
 
 from __future__ import annotations
@@ -224,9 +225,7 @@ class WeightFamily:
         n = self._length(n, "prefix length")
         self._check_cap(n, "prefix")
         with self._lock:
-            ledger = self._blocks()
-            j, i = divmod(n, ledger.block)
-            return float(ledger.prefixes(j)[i]) if i else ledger.end(j)
+            return self._blocks().prefix(n)
 
     def _blocks(self) -> Ledger:
         """The family's ledger, for the block size in force (call with the lock held)."""
@@ -240,22 +239,24 @@ class WeightFamily:
             return self._blocks().prefixes(j)
 
     def window_sum(self, lo: int, hi: int) -> float:
-        """w_lo + ... + w_hi by direct summation (empty when hi < lo).
+        """w_lo + ... + w_hi by direct summation (0.0 when hi < lo), as ``window_sums`` reads it."""
+        return self.window_sums([(lo, hi)])[0]
 
-        Summing the window directly avoids the cancellation a difference of
-        two large prefix sums would suffer when the window total is small.
-        The window is the Neumaier sum of its pieces' ``np.sum`` (``_chunks``):
-        a whole block's sum kept in the ledger, else the sum of the piece's
+    def window_sums(self, windows) -> list[float]:
+        """w_lo + ... + w_hi for each (lo, hi) in ``windows``, all read under one lock.
+
+        Summing a window directly avoids the cancellation a difference of two
+        large prefix sums would suffer when the window total is small.  A
+        window is the Neumaier sum of its pieces' ``np.sum`` (``_chunks``): a
+        whole block's sum kept in the ledger, else the sum of the piece's
         terms, sliced from the block cache or generated on their own, so at
-        most one block of terms is held.
+        most one block of terms is held.  Every window is checked before any
+        is read.
         """
-        lo, hi = self._range(lo, hi, "window start", "window end", "window end")
-        total = comp = 0.0
+        windows = [self._range(a, b, "window start", "window end", "window end") for a, b in windows]
         with self._lock:
             ledger = self._blocks()
-            for a, b in _chunks(lo, hi):
-                total, comp = neumaier_add(total, comp, ledger.piece(a, b))
-        return total + comp
+            return [ledger.window(lo, hi) for lo, hi in windows]
 
     def prefix_array(self, m: int) -> np.ndarray:
         """Array [W(0), W(1), ..., W(m)], joined from the ledger's block prefixes."""
@@ -361,6 +362,29 @@ class Ledger:
         if entry is None:
             return float(np.add.reduce(self._fam._terms(a, b)))
         return float(np.add.reduce(entry[0][a - 1 - j * self.block : b - j * self.block]))
+
+    def window(self, lo: int, hi: int) -> float:
+        """w_lo + ... + w_hi: the Neumaier sum of its pieces (``_chunks``), 0.0 when hi < lo.
+
+        The Neumaier sum of one piece, a non-negative x, is 0.0 + x = x itself.
+        """
+        if lo <= hi and (lo - 1) // self.block == (hi - 1) // self.block:
+            return self.piece(lo, hi)
+        total = comp = 0.0
+        for a, b in _chunks(lo, hi):
+            total, comp = neumaier_add(total, comp, self.piece(a, b))
+        return total + comp
+
+    def prefix(self, n: int) -> float:
+        """W(n), n within the cap: a kept block end, else an entry of n's block prefixes."""
+        j, i = divmod(n, self.block)
+        return float(self.prefixes(j)[i]) if i else self.end(j)
+
+    def weight(self, i: int) -> float:
+        """w_i, i within the cap: from the cached block that holds it, else generated alone."""
+        j, k = divmod(i - 1, self.block)
+        entry = self._cache.get(j)
+        return float(entry[0][k] if entry is not None else self._fam._terms(i, i)[0])
 
 
 class PowerWeights(WeightFamily):

@@ -690,6 +690,144 @@ def test_peak_bound_takes_a_long_ended_run_by_its_kept_ends(monkeypatch):
     assert counts == [257]
 
 
+# ---------------------------------------------------------- the scan's routes
+
+
+def _kernel_scan(f, fam):
+    # every window sum from the per-run kernel over the family ledger's
+    # blocks, none passed over: the reference every route must reproduce
+    runs = [(start, end, float(v)) for start, end, v in f.bounds()]
+    blocks = fx._scan_dense(runs, fam._prefixes, weights._ARRAY_BLOCK)
+    return runs, np.concatenate([scan for _, scan in blocks])
+
+
+def _first_max(scan):
+    k = int(np.argmax(scan))
+    return float(scan[k]).hex(), k + 1
+
+
+@st.composite
+def many_run_sequences(draw, max_runs=60, max_length=30):
+    # at least 9 runs, so a pairwise sum over runs would differ from the
+    # kernel's run order; raw values within 2**30 of a top from 1e-300 to
+    # 1e300, or near the top of the double range, whose window sums
+    # overflow to inf, and some subnormal ones
+    k = draw(st.integers(9, max_runs))
+    lengths = draw(st.lists(st.integers(1, max_length), min_size=k, max_size=k))
+    top = draw(st.floats(1e-300, 1e300) | st.sampled_from([1e-300, 1.0, 1e300, 1.7e308]))
+    value = st.floats(top * 2.0**-30, top) | st.floats(2.0**-1074, 2.0**-1022)
+    values = draw(st.lists(value, min_size=k, max_size=k, unique=True))
+    return StepSequence(tuple(zip(lengths, sorted(values, reverse=True))))
+
+
+@given(fam=st.sampled_from([*STREAM_FAMILIES, FLAT]), f=many_run_sequences(max_length=8))
+@settings(max_examples=80, deadline=None)
+def test_gathered_scan_is_the_kernel_scan(fam, f):
+    # a support of at most 480 entries: the one gathered pass gives the
+    # kernel's scan byte for byte, and B its maximum
+    with np.errstate(over="ignore"):
+        runs, want = _kernel_scan(f, fam)
+        assert f.support <= fx._GATHER_SUPPORT and len(runs) * f.support <= fx._GATHER_WORK
+        got = fx._gathered_scan(runs, fam._prefixes(0)[: f.support + 1])
+        assert got.tobytes() == want.tobytes()
+        value, n = functional_B(f, fam)
+    assert (value.hex(), n) == _first_max(want)
+
+
+@given(fam=st.sampled_from([*STREAM_FAMILIES, FLAT]), f=many_run_sequences(max_runs=300, max_length=400))
+# every value subnormal: the filter's scale 2**1073 lies past the double range
+@example(fam=STREAM_FAMILIES[1], f=StepSequence(tuple((1, (300 - i) * 2.0**-1074) for i in range(300))))
+@settings(max_examples=60, deadline=None)
+def test_fft_route_finds_the_kernel_maximum(fam, f):
+    # the FFT filter, called on every run count from 9 up: B has the
+    # kernel's bytes and argmax its first maximum; with the run threshold
+    # lowered, functional_B takes the route too wherever the gathered pass
+    # does not apply
+    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
+        runs, want = _kernel_scan(f, fam)
+        if runs[0][2] < fx._FFT_VALUE_CAP:
+            got = fx._fft_top(runs, fam)
+            assert got is None or (got[0].hex(), got[1]) == _first_max(want)
+        mp.setattr(fx, "_FFT_RUNS", 9)
+        value, n = functional_B(f, fam)
+    assert (value.hex(), n) == _first_max(want)
+
+
+@pytest.mark.parametrize("fam", STREAM_FAMILIES)
+def test_fft_error_bound_holds_with_its_margin(fam):
+    # the filter against the exact convolution of its own float inputs, on
+    # 400 runs: the a priori bound, with its safety factor of 4, holds with
+    # that factor to spare
+    rng = np.random.default_rng(7)
+    m = 1200
+    values = np.sort(rng.uniform(1e-3, 1.0, 400))[::-1]
+    a = np.repeat(values, np.diff(np.r_[0, np.sort(rng.choice(np.arange(1, m), 399, replace=False)), m]))
+    d = np.diff(fam.prefix_array(m))
+    size = 1 << (2 * m - 2).bit_length()
+    filtered = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(d, size), size)[:m]
+    bound = fx._fft_error_bound(a, d, size)
+    for n in range(1, m + 1, 37):
+        exact = sum(Fraction(x) * Fraction(y) for x, y in zip(a[n - 1 :: -1].tolist(), d[:n].tolist()))
+        assert abs(Fraction(filtered[n - 1]) - exact) < Fraction(bound) / 4
+
+
+def test_exact_mode_never_takes_the_fft_route(monkeypatch):
+    # 300 runs over a support of 600: past the gathered pass, inside the FFT
+    # filter's reach, and exact B still comes from the kernel and its band
+    monkeypatch.setattr(fx, "_FFT_RUNS", 1)
+    monkeypatch.setattr(fx, "_fft_top", lambda *a: pytest.fail("exact B took the FFT route"))
+    fam = parse_weight_spec("ctail:0.25")
+    f = StepSequence(tuple((2, Fraction(1000 - i, 7)) for i in range(300)))
+    assert f.support > fx._GATHER_SUPPORT
+    best, n = functional_B(f, fam, mode="rational")
+    windows = [functional_B_at(f, fam, k, mode="rational") for k in range(1, f.support + 1)]
+    assert type(best) is Fraction and best == max(windows) and n == windows.index(best) + 1
+
+
+# halving values on FLAT: B(n) = 2**(1-n) + (1 - 2**(1-n)) = 1 for every n,
+# and every kernel sum rounds to 1.0, so all 60 windows tie
+HALVING = StepSequence(tuple((1, 2.0**-i) for i in range(60)))
+
+
+def test_fft_route_returns_the_first_of_tied_windows():
+    # the filter's own maximum lies at a later window (47 on numpy 2.4), so
+    # only the band's re-evaluation finds window 1
+    runs, want = _kernel_scan(HALVING, FLAT)
+    assert set(want.tolist()) == {1.0}
+    assert fx._fft_top(runs, FLAT) == (1.0, 1)
+
+
+def test_fft_route_falls_back_when_too_many_windows_tie(monkeypatch):
+    # with room for fewer re-evaluations than the band holds, the filter
+    # gives up and the kernel's first maximum stands
+    runs, _ = _kernel_scan(HALVING, FLAT)
+    monkeypatch.setattr(fx, "_FFT_CANDIDATE_WORK", 100)
+    assert fx._fft_top(runs, FLAT) is None
+    monkeypatch.setattr(fx, "_GATHER_WORK", 0)
+    monkeypatch.setattr(fx, "_FFT_RUNS", 9)
+    counts = _count_scanned_blocks(monkeypatch)
+    assert functional_B(HALVING, FLAT) == (1.0, 1)
+    assert counts == [1]  # the kernel ran
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_fft_band_of_a_distinct_monotone_vector_is_narrow(monkeypatch, seed, p):
+    # 16,384 distinct non-decreasing entries drawn as bench vectors draws
+    # its up_distinct input, the selection norm's many-run case: the band
+    # holds at most two windows, and B is the kernel's
+    rng = np.random.default_rng(seed)
+    up = np.sort(rng.uniform(0.001, 1.0, size=2**14))
+    g = StepSequence.from_values((up**p)[::-1])
+    sizes = []
+    gather = fx._gather
+    monkeypatch.setattr(fx, "_gather", lambda runs, P, n: sizes.append(n.size) or gather(runs, P, n))
+    got = functional_B(g, H)
+    assert len(g.runs) == 2**14 and len(sizes) == 1 and sizes[0] <= 2
+    runs, want = _kernel_scan(g, H)
+    assert (got[0].hex(), got[1]) == _first_max(want)
+
+
 def test_scan_caps_trip_before_allocating(monkeypatch):
     fam = PowerWeights(0.5)
     monkeypatch.setattr(fam, "_terms", lambda *a: pytest.fail("weights generated"))

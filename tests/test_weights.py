@@ -512,6 +512,43 @@ def test_window_sum_keeps_the_chunk_rule(kind, lo, width):
         assert fam.window_sum(lo, lo + width) == _reference_sum(fam, lo, lo + width, 2**5)
 
 
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+@given(windows=st.lists(st.tuples(st.integers(1, 3000), st.integers(-5, 1500)), min_size=1, max_size=8))
+@settings(max_examples=25, deadline=None)
+def test_window_sums_are_the_window_sums_under_one_lock(kind, windows):
+    # windows inside one block, across several, and empty: each has
+    # window_sum's bits, and all of them are read under one family lock
+    windows = [(lo, lo + width) for lo, width in windows]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_ARRAY_BLOCK", 2**5)
+        fam = FAMILY_KINDS[kind]()
+        want = [_reference_sum(fam, lo, hi, 2**5) if hi >= lo else 0.0 for lo, hi in windows]
+        lock, taken = fam._lock, []
+
+        class CountingLock:
+            def __enter__(self):
+                taken.append(1)
+                return lock.__enter__()
+
+            def __exit__(self, *exc):
+                return lock.__exit__(*exc)
+
+        fam._lock = CountingLock()
+        assert fam.window_sums(windows) == want
+        assert len(taken) == 1
+        assert [fam.window_sum(lo, hi) for lo, hi in windows] == want
+
+
+def test_window_sums_check_every_window_before_reading():
+    fam = PowerWeights(0.5, index_cap=10)
+    count = _count_terms(fam)
+    with pytest.raises(CapExceededError, match="^window end index 11 exceeds"):
+        fam.window_sums([(1, 4), (8, 11)])
+    with pytest.raises(InputError, match="window start must be >= 1"):
+        fam.window_sums([(1, 4), (0, 3)])
+    assert count == [0]
+
+
 def test_window_sum_holds_one_block_of_terms():
     # a window over 65 blocks, starting and ending inside one: each piece is
     # generated on its own and freed, so no buffer of the window is held, and
