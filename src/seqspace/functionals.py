@@ -288,24 +288,39 @@ def functional_A(f: StepSequence, fam: WeightFamily, mode: str = "float") -> Val
 
     Each run contributes value * (window sum of the weights it covers); the
     windows are summed directly rather than as prefix differences, so small
-    runs deep in the sequence do not suffer cancellation.
+    runs deep in the sequence do not suffer cancellation.  Raises InputError
+    when A lies past the double range.
     """
     ar = arithmetic(mode, fam, f)
-    return _pairings(f.bounds(), ar)
+    return _pairings(f.bounds(), ar, "A")
 
 
-def _pairings(terms: list[tuple[int, int, Value]], ar: Arithmetic) -> Value:
-    """The total of value * (w_lo + ... + w_hi) over (lo, hi, value), its windows read at once."""
+def _pairings(terms: list[tuple[int, int, Value]], ar: Arithmetic, layer: str) -> Value:
+    """The total of value * (w_lo + ... + w_hi) over (lo, hi, value), its windows read at once.
+
+    A float total past the double range, a product that rounds to inf or
+    finite products whose ``math.fsum`` overflows, raises InputError naming
+    ``layer``.
+    """
     sums = ar.windows([(lo, hi) for lo, hi, _ in terms])
     # exact arithmetic has Fraction run values, and a Fraction times a float
     # window is the float of the Fraction times it, so each product already
     # has the arithmetic's type
-    return ar.total(value * s for (_, _, value), s in zip(terms, sums))
+    try:
+        total = ar.total(value * s for (_, _, value), s in zip(terms, sums))
+    except OverflowError:
+        total = math.inf
+    if not ar.exact and not math.isfinite(total):
+        raise InputError(
+            f"{layer} is not finite ({total}): its sum of run values times weight "
+            "windows overflows double precision"
+        )
+    return total
 
 
 def _B_at(bounds: list[tuple[int, int, Value]], n: int, ar: Arithmetic) -> Value:
     terms = [(1 + n - min(end, n), 1 + n - start, value) for start, end, value in bounds if start <= n]
-    return _pairings(terms, ar)
+    return _pairings(terms, ar, f"B({n})")
 
 
 def functional_B_at(
@@ -471,13 +486,19 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
     with U and V bounded from the floats with upward margins, and E = 4 E_0.
     The factor 4 is a safety margin; it also covers the few roundings made
     in evaluating E and the candidate threshold.  E is affine in
-    ``top_prefix`` with non-negative coefficients.
+    ``top_prefix`` with non-negative coefficients.  When U lies past the
+    double range, E is inf: a scan then skips no block, and B is the
+    kernel's maximum, finite or inf, since B may stay finite when U does
+    not.
     """
     runs = len(values)
     tau = _gamma(3)
     rho = tau + (3 * _gamma(m) + 4 * _UNIT) * (1 + tau)
     eps_p = 2 * rho * (1 + _UNIT) + 6 * _UNIT
-    total_u = math.fsum(values) * (1 + 4 * _UNIT) + 2 * runs * _ETA
+    try:
+        total_u = math.fsum(values) * (1 + 4 * _UNIT) + 2 * runs * _ETA
+    except OverflowError:  # finite run values summing past the double range
+        total_u = math.inf
     top_w = top_prefix * (1 + 2 * rho) + 4 * m * _ETA
     alpha = 8 * (m + 1) * _ETA * max(1.0, values[0])
     e0 = total_u * top_w * (eps_p + _gamma(runs) * (1 + eps_p))
@@ -757,7 +778,8 @@ def functional_B(
     scan values.  With E from :func:`_scan_error_bound` and P(m) the
     ledger's W(m), a true maximiser n* has scan(n*) >= B(n*) - E >=
     B(n_top) - E >= top - 2E, so only the windows in that band below the top
-    are re-evaluated exactly, from the cached Fraction prefixes.
+    are re-evaluated exactly, from the family's exact prefixes.  A float
+    window sum past the double range makes B inf, whichever route scans it.
     """
     ar = arithmetic(mode, fam, f)
     return _scan(f.bounds(), fam, ar)
@@ -768,12 +790,13 @@ def ratio(f: StepSequence, fam: WeightFamily, mode: str = "float") -> Functional
 
     B's scan grows the family ledger over the support first, so A's run
     windows then read its kept block sums and cached blocks, all of them
-    under one family lock.
+    under one family lock.  A float A past the double range raises
+    InputError.
     """
     if f.is_zero:
         raise InputError("ratio undefined for the zero sequence (B = 0)")
     ar = arithmetic(mode, fam, f)
     bounds = f.bounds()
     b, argmax_n = _scan(bounds, fam, ar)
-    a = _pairings(bounds, ar)
+    a = _pairings(bounds, ar, "A")
     return FunctionalReport(A=a, B=b, argmax_n=argmax_n, ratio=a / b)

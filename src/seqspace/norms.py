@@ -291,12 +291,11 @@ def witness_gap(f: StepSequence, fam: WeightFamily, p: float) -> float:
 
     The rearranged norm ignores the reversal, so the p-th powers of the two
     norms are A and B of f's runs and the quotient is A / B for every p,
-    computed without building either selector.
+    computed without building either selector; ``ratio`` rejects an A past
+    the double range.
     """
     _check_p(p)
-    rep = ratio(f, fam)
-    _finite_norm(rep.A)
-    return rep.ratio
+    return ratio(f, fam).ratio
 
 
 def inclusion_gap(

@@ -32,6 +32,7 @@ bit, without ``np.sum``'s dispatch.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import operator
@@ -51,6 +52,7 @@ EXACT_PREFIX_CAP = 100_000
 _ARRAY_BLOCK = 2**16
 _CACHED_TERMS = 2**18  # four blocks
 _SUMMABLE_PARTIAL_TERMS = 10**6
+_FRACTION_LEAF = 16  # terms an exact binary-splitting leaf adds one by one
 
 
 class Branch(Enum):
@@ -133,7 +135,8 @@ class WeightFamily:
             raise InputError(f"index cap must lie in 1..{DEFAULT_INDEX_CAP}, got {index_cap}")
         self._lock = threading.Lock()
         self._ledger: Ledger | None = None
-        self._frac_prefix: list[Fraction] = [Fraction(0)]
+        self._anchors: dict[int, Fraction] = {0: Fraction(0)}  # exact W(n) at each n read
+        self._anchor_ends = [0]  # their n, ascending
         self._classification: Classification | None = None
 
     # -- read checks -----------------------------------------------------
@@ -196,17 +199,44 @@ class WeightFamily:
         return self._fraction(i)
 
     def prefix_fraction(self, n: int) -> Fraction:
-        """Exact W(n) for rational families, within the index cap and EXACT_PREFIX_CAP."""
+        """Exact W(n) for rational families, within the index cap and EXACT_PREFIX_CAP.
+
+        The family keeps W only at the n already read, its anchors, W(0) = 0
+        first.  A new n starts from the largest anchor a <= n and adds
+        w_{a+1}..w_n by binary splitting (``_fraction_sum``), so no W(i) in
+        between is formed, and W(n) becomes an anchor.  The sums are exact,
+        so W(n) is the same Fraction whatever was read before it, and memory
+        is O(distinct reads): the numerators and denominators of the values
+        read, and of one summation's partial sums.  Both caps are checked
+        before any term is summed.
+        """
         self._require_exact()
         n = self._length(n, "prefix length")
         self._check_cap(n, "prefix")
         if n > EXACT_PREFIX_CAP:
             raise CapExceededError(f"exact prefix sums capped at {EXACT_PREFIX_CAP}, got {n}")
         with self._lock:
-            while len(self._frac_prefix) <= n:
-                i = len(self._frac_prefix)
-                self._frac_prefix.append(self._frac_prefix[-1] + self._fraction(i))
-            return self._frac_prefix[n]
+            w = self._anchors.get(n)
+            if w is None:
+                j = bisect.bisect(self._anchor_ends, n)
+                a = self._anchor_ends[j - 1]
+                w = self._anchors[n] = self._anchors[a] + self._fraction_sum(a + 1, n)
+                self._anchor_ends.insert(j, n)
+            return w
+
+    def _fraction_sum(self, lo: int, hi: int) -> Fraction:
+        """w_lo + ... + w_hi exactly: each half summed on its own, then the two added.
+
+        Adding halves keeps the operands of each ``Fraction`` addition of
+        similar size, so the last few additions dominate the cost, where one
+        term at a time would add each of k terms to a running sum nearly as
+        long as the result, O(k) long additions.  At most ``_FRACTION_LEAF``
+        terms add one by one.
+        """
+        if hi - lo < _FRACTION_LEAF:
+            return sum(map(self._fraction, range(lo, hi + 1)), Fraction(0))
+        mid = (lo + hi) // 2
+        return self._fraction_sum(lo, mid) + self._fraction_sum(mid + 1, hi)
 
     # -- compensated prefix sums -----------------------------------------
 
@@ -449,6 +479,7 @@ class ConstantTailWeights(WeightFamily):
         if not (0.0 < floor <= 1.0):
             raise InputError(f"constant-tail floor must lie in (0, 1], got {floor}")
         self.floor = float(floor)
+        self._floor_fraction = Fraction(self.floor)
         self.spec = f"ctail:{self.floor:.17g}"
 
     def _terms(self, lo: int, hi: int) -> np.ndarray:
@@ -457,7 +488,7 @@ class ConstantTailWeights(WeightFamily):
     supports_exact = True
 
     def _fraction(self, i: int) -> Fraction:
-        return max(Fraction(self.floor), Fraction(1, i))
+        return max(self._floor_fraction, Fraction(1, i))
 
     def _classify(self) -> Classification:
         return Classification(

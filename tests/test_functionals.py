@@ -605,6 +605,38 @@ def test_pruned_scan_past_an_overflowing_block(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "f",
+    [StepSequence(((1, 1.5e308), (1, 1.4e308))), StepSequence(((70000, 1.5e308), (1, 1.4e308)))],
+    ids=["fsum-overflows", "product-overflows"],
+)
+def test_overflowing_A_is_an_input_error(f):
+    # finite products whose math.fsum overflows, or a product that is itself
+    # inf: A lies past the double range, reported as such, never a bare
+    # OverflowError
+    message = r"^A is not finite \(inf\): .* overflows double precision$"
+    with np.errstate(over="ignore"):
+        with pytest.raises(InputError, match=message):
+            functional_A(f, P12)
+        with pytest.raises(InputError, match=message):
+            ratio(f, P12)
+        with pytest.raises(InputError, match=r"^B\(2\) is not finite"):
+            functional_B_at(f, P12, 2)
+
+
+def test_scan_past_an_overflowing_run_value_sum():
+    # the run values sum past the double range, so the skip margin 2E is inf
+    # and no block is passed over: B is the kernel's maximum, inf here ...
+    f = StepSequence(((70000, 1.5e308), (1, 1.4e308)))
+    with np.errstate(over="ignore"):
+        assert functional_B(f, P12) == _full_scan(f, P12) == (math.inf, 2)
+    # ... and finite here, where 200 leading runs near 1e306 sum past it
+    g = StepSequence(tuple((1, 1e306 * (1 - i * 1e-6)) for i in range(200)) + ((70000, 1.0),))
+    b, n = functional_B(g, H)
+    assert (b, n) == _full_scan(g, H)
+    assert math.isfinite(b) and n == 200
+
+
+@pytest.mark.parametrize(
     "fam, d, scanned, blocks",
     [
         (PowerWeights(0.5), [1, 4, 31, 630, 42423, 10916370], 1, 168),

@@ -173,6 +173,74 @@ def test_exact_prefix_fractions():
         h.prefix_fraction(100_001)
 
 
+# exact families and their terms, written out here rather than read from the family
+LISTED = [Fraction(1), Fraction(3, 4), Fraction(1, 2), Fraction(1, 3)]  # then the tail 4/(3i)
+EXACT_TERMS = {
+    "harmonic": (HarmonicWeights, lambda i: Fraction(1, i)),
+    "ctail:0.25": (lambda: ConstantTailWeights(0.25), lambda i: max(Fraction(1, 4), Fraction(1, i))),
+    "explicit-pattern": (
+        lambda: ExplicitRationalWeights(LISTED, "pattern"),
+        lambda i: LISTED[i - 1] if i <= len(LISTED) else Fraction(4, 3 * i),
+    ),
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(EXACT_TERMS)),
+    ns=st.lists(st.integers(0, 600), min_size=1, max_size=30),
+    order=st.sampled_from(["ascending", "descending", "shuffled", "repeated"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_prefixes_in_any_read_order_are_the_sequential_sums(kind, ns, order, data):
+    # each read sums from the largest anchor at or below it, by binary splitting:
+    # every W(n) is the one-term-at-a-time Fraction sum, whatever came before
+    make, term = EXACT_TERMS[kind]
+    if order == "ascending":
+        ns = sorted(ns)
+    elif order == "descending":
+        ns = sorted(ns, reverse=True)
+    elif order == "shuffled":
+        ns = data.draw(st.permutations(ns))
+    else:
+        ns = [n for n in ns for _ in range(2)]
+    want = [Fraction(0)]
+    for i in range(1, max(ns) + 1):
+        want.append(want[-1] + term(i))
+    fam = make()
+    for n in ns:
+        assert fam.prefix_fraction(n) == want[n]
+
+
+def test_exact_prefix_caps_come_before_any_sum():
+    # neither cap reads a term: EXACT_PREFIX_CAP, and the family's index cap
+    # (the CLI's --cap)
+    for fam, n, match in [
+        (HarmonicWeights(), 100_001, "exact prefix sums capped at 100000, got 100001"),
+        (HarmonicWeights(index_cap=500), 501, "prefix index 501 exceeds the configured cap 500"),
+    ]:
+        calls = []
+        fam._fraction = lambda i: calls.append(i)
+        with pytest.raises(CapExceededError, match=match):
+            fam.prefix_fraction(n)
+        assert calls == []
+
+
+def test_an_exact_prefix_holds_only_its_anchors():
+    # W(30,000) by binary splitting from W(0): about 0.05 MiB, where a list
+    # of every W(i) up to it peaked near 170 MiB
+    fam = HarmonicWeights()
+    tracemalloc.start()
+    try:
+        got = fam.prefix_fraction(30_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert got == fam.prefix_fraction(29_999) + Fraction(1, 30_000)
+    assert sorted(fam._anchors) == [0, 29_999, 30_000]
+
+
 def test_classification_branches():
     assert PowerWeights(0.5).classify().branch is Branch.C0_NOT_L1
     assert PowerWeights(1.0).classify().branch is Branch.C0_NOT_L1

@@ -704,6 +704,23 @@ def test_fresh_verification_peaks_below_8_mib():
     assert count[0] <= 10_959_459 + 16 * 2**16
 
 
+def test_rational_certificate_peaks_below_4_mib():
+    # the exact search and verification read 48 distinct prefixes up to
+    # W(8,246); a list of every W(i) up to it, each with numerator and
+    # denominator of about 3,500 digits, peaked at 15.5 MiB
+    fam = HarmonicWeights()
+    tracemalloc.start()
+    try:
+        d = find_block_lengths(fam, 4, mode="rational")
+        cert = verify_certificate(fam, d, mode="rational")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.d == (1, 4, 54, 6306)
+    assert peak < 4 * 2**20
+    assert len(fam._anchors) <= 48
+
+
 def test_verification_generates_each_weight_about_once():
     # the search's ledger already covers the support of 10,959,459 weights:
     # verification generates only the few blocks its margins, block values
