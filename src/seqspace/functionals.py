@@ -150,8 +150,6 @@ class StepSequence:
         for (_, a), (_, b) in zip(cleaned, cleaned[1:]):
             if b >= a:
                 raise InputError("run values must be non-increasing")
-        if cleaned and cleaned[-1][1] <= 0:
-            raise InputError("interior run values must be strictly positive")
         object.__setattr__(self, "runs", tuple(cleaned))
 
     @classmethod
@@ -653,6 +651,7 @@ def _fft_band(runs: list[tuple[int, int, Value]], P: np.ndarray) -> np.ndarray:
     return np.flatnonzero(filtered >= filtered.max() - band) + 1
 
 
+@np.errstate(over="ignore")  # a window sum past the double range makes B inf
 def _scan(
     bounds: list[tuple[int, int, Value]], fam: WeightFamily, ar: Arithmetic
 ) -> tuple[Value, int]:

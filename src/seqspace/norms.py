@@ -257,7 +257,6 @@ def garling_norm(b, fam: WeightFamily, p: float, method: str = "auto") -> NormRe
     return _garling_dp(cp, fam, p)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def symmetric_defect(
     a: StepSequence, fam: WeightFamily, p: float, r: int
 ) -> tuple[float, NormResult, NormResult]:
@@ -285,7 +284,6 @@ def symmetric_defect(
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def witness_gap(f: StepSequence, fam: WeightFamily, p: float) -> float:
     """Rearranged-over-selection norm quotient for one reversed block sequence.
 

@@ -30,9 +30,12 @@ few blocks its reads fall inside.
 The search bounds each d_k by the family's index cap less n_{k-1}, so every
 support it returns fits within the cap.  A multiplicative slack tightens the
 right-hand sides during the float search so summation error cannot admit a
-borderline violator; verification is an independent recomputation from the
-family and the block lengths alone, within the fixed relative tolerance
-``DEFAULT_TOLERANCE`` in float mode and exactly in rational mode.
+borderline violator.  A rational search runs the same loop twice: in
+floats, its right-hand sides loosened so that it never passes the exact
+answer, then exactly from the float one.  Verification is an independent
+recomputation from the family and the block lengths alone, within the fixed
+relative tolerance ``DEFAULT_TOLERANCE`` in float mode and exactly in
+rational mode.
 """
 
 from __future__ import annotations
@@ -234,8 +237,31 @@ def _screened(fam: WeightFamily, difference, d_prev: int, limit: float):
     return window
 
 
-def _holds(pairs, factor) -> bool:
-    return all(lhs <= rhs * factor for lhs, rhs in pairs)
+def _first(conditions, factor, lo: int, limit: int, after) -> int | None:
+    """The least d in lo..limit where each (lhs, rhs) of ``conditions(d)`` has lhs <= rhs * factor.
+
+    Tests the candidates after(lo - 1), after of that, ..., capped at
+    ``limit``, until one passes, then bisects the span since the last that
+    failed; None when ``limit`` fails.  The d returned passes, and d - 1
+    fails unless d = lo, so for a monotone test failing at lo - 1 it is the
+    least.
+    """
+
+    def holds(d: int) -> bool:
+        return all(lhs <= rhs * factor for lhs, rhs in conditions(d))
+
+    hi = min(after(lo - 1), limit)
+    while lo > limit or not holds(hi):
+        if hi >= limit:
+            return None
+        lo, hi = hi + 1, min(after(hi), limit)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def find_block_lengths(
@@ -249,26 +275,33 @@ def find_block_lengths(
 
     ``initial`` may carry the result of a previous, smaller-r search for the
     same family and slack; the search then only extends it.  No support n_k
-    may pass the family's index cap.  Both arithmetics run one loop: test
-    rising candidate ends above n_{k-1} until both conditions hold, then
-    bisect the span since the last failing end; (ii) is the prefix
-    difference W(d_{k-1} + d_k) - W(d_k) that verification records.  A
-    float search reads ``prefix_sum``, and its candidate ends are the
-    family ledger's block ends, which the ledger keeps for verification;
-    ``_screened`` reads the difference only where the window's least weight
-    leaves (ii) in doubt.
-    Rational mode decides each condition exactly, ignoring the slack, at
-    powers of two, for d_k up to top = min(cap, EXACT_PREFIX_CAP) - d_{k-1},
-    the exact prefixes' reach for (ii).  It gives up at once when (i) or
-    (ii) fails at top in floats, right-hand sides loosened by
-    ``_REACH_SLACK``: both are monotone in d_k, and a float sum of at most
-    10**5 weights in the normal range, each rounded at most three times, is
-    off by less than 2**-52 * (10**5 + 3) < 3e-11 relative.
+    may pass the family's index cap.  One loop, ``_first``, finds each d_k
+    in both arithmetics: test rising candidates above n_{k-1} until both
+    conditions hold, then bisect the span since the last that failed.  A
+    float search reads ``prefix_sum``, and its candidates are the family
+    ledger's block ends, which the ledger keeps for verification; (ii) is
+    the prefix difference W(d_{k-1} + d_k) - W(d_k) that verification
+    records, and ``_screened`` reads it only where the window's least
+    weight leaves (ii) in doubt.
+
+    Rational mode decides each condition exactly, ignoring the slack, for
+    d_k up to its exact reach min(cap, EXACT_PREFIX_CAP) - d_{k-1}, in two
+    passes of the loop.  The float pass reads (ii) as ``window_sum``, whose
+    error is relative to the window, and loosens both right-hand sides by
+    ``_REACH_SLACK``.  Wherever the exact test holds, so does this one: a
+    float sum of at most 10**5 normal weights, each rounded at most three
+    times, is off by less than 2**-52 * (10**5 + 3) < 3e-11 relative, and
+    underflowing terms only make the float (ii) hold sooner.  So its answer
+    d_f, unless it is n_{k-1} + 1, fails at d_f - 1 in floats, hence
+    exactly, and the exact d_k is at least d_f.  The exact pass runs the
+    loop in ``Fraction`` arithmetic from d_f, at d_f, d_f + 1, d_f + 3,
+    d_f + 7, ..., so exact prefixes are summed only near the answer; where
+    the float pass fails at the limit, the exact test fails there too.
     """
     r = _check_preconditions(fam, r, slack)
-    ar = arithmetic(mode, fam)
-    tighten = 1 if ar.exact else 1 - slack
-    cap = fam.index_cap
+    ar, floats = arithmetic(mode, fam), arithmetic("float", fam)
+    cap, step = fam.index_cap, weights._ARRAY_BLOCK
+    reach = min(cap, EXACT_PREFIX_CAP)  # the exact prefixes' reach
 
     # None or an empty list or array is no prefix; anything else must be block lengths
     no_prefix = initial is None or (hasattr(initial, "__len__") and len(initial) == 0)
@@ -276,50 +309,37 @@ def find_block_lengths(
     if len(d) > r:
         raise InputError("initial block prefix longer than requested r")
     n_prev = sum(d)
-    step = weights._ARRAY_BLOCK
 
-    def after(end: int) -> int:  # the next candidate end: a power of two or a block end
-        return 1 << end.bit_length() if ar.exact else end // step * step + step
+    def block_end(end: int) -> int:  # the float candidates: the next ledger block end
+        return end // step * step + step
 
     try:
         for k in range(len(d) + 1, r + 1):
             d_prev = d[-1] if d else 0
-            window = _difference(ar)
-            if d_prev and not ar.exact:  # most candidates fail (ii) by far: screen them
-                limit = 2.0 ** (1 - k) * fam.prefix_sum(d_prev) * tighten
-                window = _screened(fam, window, d_prev, limit)
-            conditions = _conditions(ar, k, n_prev, d_prev, window)
             # the support n_k = n_{k-1} + d_k bounds d_k; since n_{k-1} >= d_{k-1},
             # condition (ii)'s window ends at d_{k-1} + d_k <= n_k, within the
             # cap, and the search gives up only once the limit itself is infeasible
             limit, bound = cap - n_prev, f"cap {cap}"
-            if ar.exact:
-                reach = min(cap, EXACT_PREFIX_CAP)
-                top = reach - d_prev
-                at_top = _conditions(arithmetic("float", fam), k, n_prev, d_prev, fam.window_sum)
-                if top >= 1 and not _holds(at_top(top), 1 + _REACH_SLACK):
-                    raise CapExceededError(
-                        f"no feasible d_{k} within exact reach {reach}: "
-                        f"(i) or (ii) fails in floats even at d_{k} = {top}"
-                    )
-                if top < limit:
-                    limit, bound = top, f"exact reach {reach}"
-            lo = n_prev + 1  # condition (i) forces d_k > n_{k-1}
-            hi = min(after(n_prev), limit)
-            while lo > limit or not _holds(conditions(hi), tighten):
-                if hi >= limit:
-                    raise CapExceededError(f"no feasible d_{k} within {bound}")
-                lo, hi = hi + 1, min(after(hi), limit)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _holds(conditions(mid), tighten):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            d.append(hi)
-            n_prev += hi
+            if ar.exact and reach - d_prev < limit:  # (ii)'s exact reads end at d_{k-1} + d_k
+                limit, bound = reach - d_prev, f"exact reach {reach}"
+            layer, window, factor = "float", fam.window_sum, 1 + _REACH_SLACK
+            if not ar.exact:
+                window, factor = _difference(floats), 1 - slack
+                if d_prev:  # most candidates fail (ii) by far: screen them
+                    rhs_ii = 2.0 ** (1 - k) * fam.prefix_sum(d_prev) * factor
+                    window = _screened(fam, window, d_prev, rhs_ii)
+            conditions = _conditions(floats, k, n_prev, d_prev, window)
+            d_k = _first(conditions, factor, n_prev + 1, limit, block_end)
+            if ar.exact and d_k is not None:  # the exact d_k is at least the float one
+                layer, d_f = "exact", d_k
+                exact = _conditions(ar, k, n_prev, d_prev, _difference(ar))
+                # the candidates d_f, d_f + 1, d_f + 3, d_f + 7, ...
+                d_k = _first(exact, 1, d_f, limit, lambda e: max(e + 1, 2 * e + 1 - d_f))
+            if d_k is None:
+                raise CapExceededError(f"no feasible d_{k} within {bound}")
+            d.append(d_k)
+            n_prev += d_k
     except CapExceededError as exc:
-        layer = "exact" if ar.exact else "float"
         raise CapExceededError(
             f"{layer} block search stopped at d_{k} of {fam.spec} "
             f"after blocks {d}: {exc}"

@@ -551,14 +551,15 @@ def test_exact_search_cap_names_where_it_stopped(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert err == (
         "resource cap exceeded: exact block search stopped at d_4 of harmonic "
-        "after blocks [1, 4, 54]: exact prefix sums capped at 2000, got 2048\n"
+        "after blocks [1, 4, 54]: exact prefix sums capped at 2000, got 6306\n"
     )
 
 
 def test_hopeless_rational_search_stops_before_the_exact_prefixes(capsys):
-    # d_5 of harmonic lies past the 10**5 exact prefixes: a float check at the
-    # largest d_5 they reach shows it, so the search exits 4 without filling
-    # them (filling them to 65,536 took about 5 s and 829 MB of RSS)
+    # d_5 of harmonic lies past the 10**5 exact prefixes: the float pass up to
+    # the largest d_5 they reach shows it, so the search exits 4 without
+    # summing any exact prefix for d_5 (filling them to 65,536 took about 5 s
+    # and 829 MB of RSS)
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -569,9 +570,8 @@ def test_hopeless_rational_search_stops_before_the_exact_prefixes(capsys):
         tracemalloc.stop()
     assert (code, out) == (4, "")
     assert err == (
-        "resource cap exceeded: exact block search stopped at d_5 of harmonic after blocks "
-        "[1, 4, 54, 6306]: no feasible d_5 within exact reach 100000: (i) or (ii) fails "
-        "in floats even at d_5 = 93694\n"
+        "resource cap exceeded: float block search stopped at d_5 of harmonic after blocks "
+        "[1, 4, 54, 6306]: no feasible d_5 within exact reach 100000\n"
     )
     assert peak < 64 * 2**20 and elapsed < 5.0
 

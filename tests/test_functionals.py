@@ -22,6 +22,7 @@ from seqspace.functionals import (
     functional_B_at,
     ratio,
 )
+from seqspace.norms import symmetric_defect, witness_gap
 from seqspace.oracles import functional_B_bruteforce
 from seqspace.weights import (
     ExplicitRationalWeights,
@@ -621,6 +622,25 @@ def test_overflowing_A_is_an_input_error(f):
             ratio(f, P12)
         with pytest.raises(InputError, match=r"^B\(2\) is not finite"):
             functional_B_at(f, P12, 2)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [StepSequence(((1, 1.5e308), (1, 1.4e308))), StepSequence(((70000, 1.5e308), (1, 1.4e308)))],
+    ids=["fsum-overflows", "product-overflows"],
+)
+def test_overflowing_window_sums_warn_nothing(f):
+    # under the suite's filter every RuntimeWarning is an error: B's window
+    # sum past the double range is inf, its documented value, and ratio and
+    # the norms built on it raise A's InputError, not numpy's overflow warning
+    assert functional_B(f, P12) == (math.inf, 2)
+    message = r"^A is not finite \(inf\): "
+    with pytest.raises(InputError, match=message):
+        ratio(f, P12)
+    with pytest.raises(InputError, match=message):
+        witness_gap(f, P12, 2.0)
+    with pytest.raises(InputError, match=message):
+        symmetric_defect(f, P12, 2.0, f.support)
 
 
 def test_scan_past_an_overflowing_run_value_sum():

@@ -129,27 +129,28 @@ def test_search_probes_stay_within_the_cap():
 
 
 def test_rational_search_checks_its_exact_reach_in_floats():
-    # exact reads reach d_4 <= cap - d_3; the exact d_4 = 6306 passes the
-    # loosened float check at that reach (cap 6360; the support n_4 = 6365
-    # then stops the exact search), and one below it fails at once
+    # exact reads reach d_4 <= cap - d_3; the float pass finds d_4 = 6306,
+    # where the exact conditions hold (cap 6365: the support n_4 = 6365
+    # fits), and under a lower cap it finds no d_4 at all, so no exact
+    # prefix of d_4 is read
     assert find_block_lengths(HarmonicWeights(index_cap=6365), 4, mode="rational") == [1, 4, 54, 6306]
     with pytest.raises(CapExceededError, match="no feasible d_4 within cap 6360$"):
         find_block_lengths(HarmonicWeights(index_cap=6360), 4, mode="rational")
     with pytest.raises(
         CapExceededError,
-        match=r"no feasible d_4 within exact reach 6359: \(i\) or \(ii\) fails in floats even at d_4 = 6305$",
+        match=r"^float block search stopped at d_4 of harmonic after blocks \[1, 4, 54\]: no feasible d_4 within cap 6359$",
     ):
         find_block_lengths(HarmonicWeights(index_cap=6359), 4, mode="rational")
 
 
 def test_rational_search_runs_to_its_exact_reach(monkeypatch):
     # with 7000 exact prefixes, d_4 = 6306 and its reads (up to W(6360)) fit:
-    # the doubling past 4096 probes the reach 7000 - d_3 = 6946, not 8192
+    # the float pass probes the reach 7000 - d_3 = 6946, not the block end 65536
     monkeypatch.setattr(weights, "EXACT_PREFIX_CAP", 7000)
     monkeypatch.setattr(witness, "EXACT_PREFIX_CAP", 7000)
     assert find_block_lengths(HarmonicWeights(), 4, mode="rational") == [1, 4, 54, 6306]
-    # a float check loosened enough to pass at the reach 6359 - d_3 = 6305,
-    # where the exact conditions fail: the exact search stops at that reach
+    # a float pass loosened enough to stop below the reach 6359 - d_3 = 6305,
+    # where the exact conditions still fail: the exact pass stops at that reach
     monkeypatch.setattr(weights, "EXACT_PREFIX_CAP", 6359)
     monkeypatch.setattr(witness, "EXACT_PREFIX_CAP", 6359)
     monkeypatch.setattr(witness, "_REACH_SLACK", 0.1)
@@ -607,20 +608,27 @@ def test_search_finds_the_first_blocks(spec, r, m, slack):
 
 
 @st.composite
+def flat_weights(draw):
+    # explicit weights with flat stretches (levels from 1/2 to 1, each held
+    # for up to three indices), to be given a pattern tail
+    level = st.fractions(Fraction(1, 2), 1, max_denominator=16)
+    levels = draw(st.lists(level, min_size=1, max_size=3))
+    values = [Fraction(1)]
+    for level in sorted(set(levels), reverse=True):
+        values += [level] * draw(st.integers(1, 3))
+    return values
+
+
+@st.composite
 def screened_families(draw):
-    # a vanishing power, harmonic, or explicit weights with flat stretches
-    # (levels from 1/2 to 1, each held for up to three indices) and a pattern tail
+    # a vanishing power, harmonic, or flat explicit weights with a pattern tail
     kind = draw(st.sampled_from(["power", "harmonic", "flat"]))
     if kind == "power":
         alpha = draw(st.floats(0.5, 0.95))
         return f"power:{alpha}", lambda: PowerWeights(alpha)
     if kind == "harmonic":
         return "harmonic", HarmonicWeights
-    level = st.fractions(Fraction(1, 2), 1, max_denominator=16)
-    levels = draw(st.lists(level, min_size=1, max_size=3))
-    values = [Fraction(1)]
-    for level in sorted(set(levels), reverse=True):
-        values += [level] * draw(st.integers(1, 3))
+    values = draw(flat_weights())
     return f"flat:{values}", lambda: ExplicitRationalWeights(values, "pattern")
 
 
@@ -649,6 +657,71 @@ def test_screened_search_finds_the_first_blocks(family, slack, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "_ARRAY_BLOCK", block)
         assert find_block_lengths(make(), 4, slack=slack) == _first_blocks(make(), 4, slack, 30_000)
+
+
+def _exact_first_blocks(values: list[Fraction], r: int) -> list[int]:
+    # each d_k is the first index where both conditions hold in Fractions,
+    # read from one exact prefix list of the weights with their pattern tail
+    # w_i = w_L * L / i, grown as far as the reads go
+    L, W = len(values), [Fraction(0)]
+
+    def prefix(n: int) -> Fraction:
+        while len(W) <= n:
+            i = len(W)
+            W.append(W[-1] + (values[i - 1] if i <= L else values[-1] * L / i))
+        return W[n]
+
+    d, n_prev = [], 0
+    for k in range(1, r + 1):
+        d_prev = d[-1] if d else 0
+        x = 1
+        while not (
+            prefix(n_prev) <= prefix(x) / 2
+            and prefix(x + d_prev) - prefix(x) <= Fraction(2) ** (1 - k) * prefix(d_prev)
+        ):
+            x += 1
+        d.append(x)
+        n_prev += x
+    return d
+
+
+@given(values=flat_weights(), block=st.sampled_from([7, 64, 2**16]))
+@example(values=BOUNDARY, block=2**16)
+@example(values=BOUNDARY, block=7)
+@settings(max_examples=25, deadline=None)
+def test_rational_search_finds_the_exact_first_blocks(values, block):
+    # the float pass, loosened, lands at or below each exact d_k (BOUNDARY:
+    # at d_2 = 2, where w_3 = 1/2 + 2**-53 breaks (ii) exactly), and the
+    # exact pass climbs from there to the exact reference's blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_ARRAY_BLOCK", block)
+        fam = ExplicitRationalWeights(values, "pattern")
+        assert find_block_lengths(fam, 4, mode="rational") == _exact_first_blocks(values, 4)
+
+
+# w_2..w_3001 = 1/2 + 10**-8 pass (ii)'s bound W(1)/2 = 1/2 in floats
+# loosened by 1e-6, so the float pass lands at d_2 = 3, while the exact d_2
+# is 3001, where the window first reaches the pattern tail
+FLAT_STRETCH = [Fraction(1)] + [Fraction(1, 2) + Fraction(1, 10**8)] * 3000
+
+
+def test_exact_pass_doubles_from_the_float_answer():
+    # the exact pass tests d_2 = 3, 4, 6, 10, ..., 4098, then bisects: a few
+    # dozen exact prefixes, not one for every index from 3 to 3001
+    fam = ExplicitRationalWeights(FLAT_STRETCH, "pattern")
+    assert find_block_lengths(fam, 2, mode="rational") == [1, 3001]
+    assert len(fam._anchors) <= 64
+    # harmonic's exact reads lie at the answers and their windows, none past
+    # the support n_4 = 6,365 (W(8,246) when the exact search bisected from
+    # n_3 + 1), and with no d_5 within the exact reach the float pass stops
+    # before any exact prefix of d_5 is summed
+    fam = HarmonicWeights()
+    d = find_block_lengths(fam, 4, mode="rational")
+    verify_certificate(fam, d, mode="rational")
+    assert max(fam._anchors) == 6365
+    with pytest.raises(CapExceededError, match="^float block search stopped at d_5"):
+        find_block_lengths(fam, 5, mode="rational", initial=d)
+    assert max(fam._anchors) == 6365
 
 
 def test_search_and_verification_fill_a_few_stream_blocks(monkeypatch):
@@ -705,9 +778,10 @@ def test_fresh_verification_peaks_below_8_mib():
 
 
 def test_rational_certificate_peaks_below_4_mib():
-    # the exact search and verification read 48 distinct prefixes up to
-    # W(8,246); a list of every W(i) up to it, each with numerator and
-    # denominator of about 3,500 digits, peaked at 15.5 MiB
+    # the exact search and verification read 10 distinct prefixes up to
+    # W(6,365), W(0) = 0 included (48 up to W(8,246) when the exact search
+    # bisected from n_3 + 1); a list of every W(i) up to W(8,246), each with
+    # numerator and denominator of about 3,500 digits, peaked at 15.5 MiB
     fam = HarmonicWeights()
     tracemalloc.start()
     try:
@@ -718,7 +792,7 @@ def test_rational_certificate_peaks_below_4_mib():
         tracemalloc.stop()
     assert cert.d == (1, 4, 54, 6306)
     assert peak < 4 * 2**20
-    assert len(fam._anchors) <= 48
+    assert len(fam._anchors) <= 12
 
 
 def test_verification_generates_each_weight_about_once():
