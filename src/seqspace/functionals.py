@@ -46,7 +46,7 @@ import numpy as np
 
 from . import weights
 from .exceptions import CapExceededError, InputError
-from .weights import EXACT_PREFIX_CAP, WeightFamily, as_index
+from .weights import WeightFamily, as_index
 
 SCAN_WORK_CAP = 2**34
 _GATHER_SUPPORT = 2**9  # longest support the one gathered pass takes
@@ -64,15 +64,26 @@ Value = float | Fraction
 
 def _coerce_value(v) -> Value:
     """Normalize a run value to Fraction (exact input) or float."""
+    if isinstance(v, float):  # the common case first: a bool is no float
+        if not math.isfinite(v):
+            raise InputError(f"run value {v} is not finite")
+        return v
     if isinstance(v, bool):
         raise InputError("run values must be numbers, not booleans")
     if isinstance(v, Rational):
         return Fraction(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise InputError(f"run value {v} is not finite")
-        return v
     raise InputError(f"run value {v!r} is not a real number")
+
+
+def _float_runs(bounds: list[tuple[int, int, Value]]) -> list[tuple[int, int, float]]:
+    """Per-run (start, end, value) with each value read as a float, as ``float`` rounds it.
+
+    A Fraction past the double range raises InputError, not OverflowError.
+    """
+    try:
+        return [(start, end, float(value)) for start, end, value in bounds]
+    except OverflowError as exc:
+        raise InputError("a run value lies past the double range") from exc
 
 
 def _digit_limit() -> int:
@@ -141,15 +152,14 @@ class StepSequence:
             value = _coerce_value(value)
             if value < 0:
                 raise InputError(f"run value must be non-negative, got {value}")
-            if cleaned and cleaned[-1][1] == value:
+            if not cleaned or value < cleaned[-1][1]:
+                cleaned.append((length, value))
+            elif value == cleaned[-1][1]:
                 cleaned[-1] = (cleaned[-1][0] + length, value)
             else:
-                cleaned.append((length, value))
+                raise InputError("run values must be non-increasing")
         while cleaned and cleaned[-1][1] == 0:
             cleaned.pop()
-        for (_, a), (_, b) in zip(cleaned, cleaned[1:]):
-            if b >= a:
-                raise InputError("run values must be non-increasing")
         object.__setattr__(self, "runs", tuple(cleaned))
 
     @classmethod
@@ -188,12 +198,8 @@ class StepSequence:
         m = self.support
         if m > EXPAND_CAP:
             raise CapExceededError(f"expansion capped at {EXPAND_CAP} entries, got {m}")
-        out = np.empty(m)
-        pos = 0
-        for length, value in self.runs:
-            out[pos : pos + length] = float(value)
-            pos += length
-        return out
+        runs = _float_runs(self.bounds())
+        return np.repeat([v for _, _, v in runs], [1 + end - start for start, end, _ in runs])
 
     def scaled(self, factor) -> "StepSequence":
         factor = _coerce_value(factor)
@@ -267,9 +273,9 @@ def arithmetic(
         raise InputError(f"family {fam.spec!r} does not support exact evaluation")
     if f is not None and not f.all_rational:
         raise InputError("exact evaluation needs all run values rational")
-    if f is not None and f.support > EXACT_PREFIX_CAP:
+    if f is not None and f.support > weights.EXACT_PREFIX_CAP:
         raise CapExceededError(
-            f"exact evaluation capped at support {EXACT_PREFIX_CAP}, got {f.support}"
+            f"exact evaluation capped at support {weights.EXACT_PREFIX_CAP}, got {f.support}"
         )
     prefix = fam.prefix_fraction
     return Arithmetic(
@@ -710,8 +716,8 @@ def _scan(
     many = len(bounds) >= _FFT_RUNS and m <= _FFT_CAP and bounds[0][2] < _FFT_VALUE_CAP
     if many and not (short or ar.exact) and (found := _fft_top(bounds, fam)) is not None:
         return found
-    scale = bounds[0][2] if ar.exact else 1.0
-    runs = [(start, end, float(value / scale)) for start, end, value in bounds]
+    scaled = [(start, end, v / bounds[0][2]) for start, end, v in bounds] if ar.exact else bounds
+    runs = _float_runs(scaled)
     top, first, blocks = -math.inf, 0, []
     if short:
         scans = [(1, _gathered_scan(runs, fam._prefixes(0)[: m + 1]))]

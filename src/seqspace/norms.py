@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CapExceededError, InputError
-from .functionals import StepSequence, functional_B, ratio
+from .functionals import StepSequence, _float_runs, functional_B, ratio
 from .weights import WeightFamily, as_index
 from .witness import DEFAULT_SLACK, build_witness, find_block_lengths
 
@@ -96,11 +96,19 @@ def _check_p(p: float) -> float:
 
 
 def _powers(c: np.ndarray, p: float) -> np.ndarray:
-    """Entrywise c**p, rejecting powers that overflow (callers silence the warning)."""
+    """Entrywise c**p, rejecting powers that overflow (callers silence the warning).
+
+    A nonzero c whose every power underflows to 0 is rejected too: its norm
+    would read 0.  Powers that underflow beside a positive one stay 0.
+    """
     cp = c**p
     if not np.isfinite(cp).all():
         raise InputError(
             f"the entries' p-th powers (p = {p}) are not finite: they overflow double precision"
+        )
+    if not cp.any() and c.any():
+        raise InputError(
+            f"the entries' p-th powers (p = {p}) all underflow to 0 in double precision"
         )
     return cp
 
@@ -141,6 +149,11 @@ def _garling_dp(cp: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
     scores S_i[j], the best score of items i..m adding exactly j* - j more
     entries at ranks j+1..j*, so a forward prefer-take walk emits the
     lexicographically smallest selector among those with the fewest indices.
+    The walk takes an item when the score so far, its gain and the best
+    completion reach opt = M[j*] within the relative tolerance
+    ``_SELECTOR_TOL`` * opt, at every scale of the entries.  The caller
+    returns before the DP when every p-th power is 0, and w_1 = 1 makes
+    M[1] = max c_i^p > 0 = M[0], so opt > 0 and j* >= 1.
 
     The walk reads S_{i+1}[j+1] with j <= i - 1 and j* - j <= m - i + 1,
     so row i is computed only on its band max(0, j* - (m - i + 1)) <= j <
@@ -174,8 +187,6 @@ def _garling_dp(cp: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
         np.maximum(reach, M[: i + 1] + cpl[i] * w[: i + 1], out=reach)
     jstar = int(M.argmax())
     opt = float(M[jstar])
-    if jstar == 0:
-        return NormResult(0.0, p, np.empty(0, dtype=np.int64))
 
     per = max(1, _DP_ROW_BYTES // (8 * (jstar + 1)))  # rows per segment
     rows = np.empty((min(per, m), jstar + 1))
@@ -204,7 +215,7 @@ def _garling_dp(cp: np.ndarray, fam: WeightFamily, p: float) -> NormResult:
         if seg:
             checkpoints[seg - 1] = rows[0].copy()
 
-    tol = _SELECTOR_TOL * max(1.0, abs(opt))
+    tol = _SELECTOR_TOL * opt
     selector = np.empty(jstar, dtype=np.int64)
     acc = 0.0
     j = seg = k = 0  # row i + 1 is rows[k] of segment seg
@@ -274,8 +285,8 @@ def symmetric_defect(
     r = as_index(r, "prefix length")
     if not 1 <= r <= a.support:
         raise InputError(f"prefix length must lie in 1..{a.support} (the support), got {r}")
-    runs = [(min(end, r) - start + 1, float(v)) for start, end, v in a.bounds() if start <= r]
-    g = StepSequence(tuple(runs))
+    kept = _float_runs([(start, min(end, r), v) for start, end, v in a.bounds() if start <= r])
+    g = StepSequence(tuple((1 + end - start, v) for start, end, v in kept))
     rep = ratio(g, fam)
     return (  # a NormResult rejects a norm that is not finite
         rep.ratio,

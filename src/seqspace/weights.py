@@ -99,19 +99,6 @@ def neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
     return t, comp
 
 
-def _chunks(lo: int, hi: int):
-    """The pieces (start, end) of w_lo..w_hi: its parts in each aligned ``_ARRAY_BLOCK`` block.
-
-    A window sum is the compensated sum of its pieces' ``np.sum``, whichever
-    path reads them, and no piece crosses a ledger block.
-    """
-    b = _ARRAY_BLOCK
-    while lo <= hi:
-        end = min(hi, (lo - 1) // b * b + b)  # the end of lo's block
-        yield lo, end
-        lo = end + 1
-
-
 class WeightFamily:
     """Base class: immutable weight sequence with internal prefix caches.
 
@@ -277,11 +264,11 @@ class WeightFamily:
 
         Summing a window directly avoids the cancellation a difference of two
         large prefix sums would suffer when the window total is small.  A
-        window is the Neumaier sum of its pieces' ``np.sum`` (``_chunks``): a
-        whole block's sum kept in the ledger, else the sum of the piece's
-        terms, sliced from the block cache or generated on their own, so at
-        most one block of terms is held.  Every window is checked before any
-        is read.
+        window is the Neumaier sum of its pieces' ``np.sum``, its parts in
+        each ledger block (``Ledger.window``): a whole block's sum kept in
+        the ledger, else the sum of the piece's terms, sliced from the block
+        cache or generated on their own, so at most one block of terms is
+        held.  Every window is checked before any is read.
         """
         windows = [self._range(a, b, "window start", "window end", "window end") for a, b in windows]
         with self._lock:
@@ -394,15 +381,19 @@ class Ledger:
         return float(np.add.reduce(entry[0][a - 1 - j * self.block : b - j * self.block]))
 
     def window(self, lo: int, hi: int) -> float:
-        """w_lo + ... + w_hi: the Neumaier sum of its pieces (``_chunks``), 0.0 when hi < lo.
+        """w_lo + ... + w_hi: the Neumaier sum of its pieces, 0.0 when hi < lo.
 
-        The Neumaier sum of one piece, a non-negative x, is 0.0 + x = x itself.
+        The pieces are the window's parts in each block, so none crosses a
+        block.  The Neumaier sum of one piece, a non-negative x, is
+        0.0 + x = x itself.
         """
         if lo <= hi and (lo - 1) // self.block == (hi - 1) // self.block:
             return self.piece(lo, hi)
         total = comp = 0.0
-        for a, b in _chunks(lo, hi):
-            total, comp = neumaier_add(total, comp, self.piece(a, b))
+        while lo <= hi:
+            end = min(hi, -(-lo // self.block) * self.block)  # the end of lo's block
+            total, comp = neumaier_add(total, comp, self.piece(lo, end))
+            lo = end + 1
         return total + comp
 
     def prefix(self, n: int) -> float:

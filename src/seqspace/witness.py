@@ -59,7 +59,6 @@ from .functionals import (
 )
 from .weights import (
     DEFAULT_INDEX_CAP,
-    EXACT_PREFIX_CAP,
     Branch,
     WeightFamily,
     as_index,
@@ -301,7 +300,7 @@ def find_block_lengths(
     r = _check_preconditions(fam, r, slack)
     ar, floats = arithmetic(mode, fam), arithmetic("float", fam)
     cap, step = fam.index_cap, weights._ARRAY_BLOCK
-    reach = min(cap, EXACT_PREFIX_CAP)  # the exact prefixes' reach
+    reach = min(cap, weights.EXACT_PREFIX_CAP)  # the exact prefixes' reach
 
     # None or an empty list or array is no prefix; anything else must be block lengths
     no_prefix = initial is None or (hasattr(initial, "__len__") and len(initial) == 0)

@@ -393,6 +393,14 @@ def test_norm_rejects_overflowing_vector(tmp_path, capsys):
     assert "not finite" in err
 
 
+def test_norm_rejects_underflowing_vector(tmp_path, capsys):
+    # every square underflows to 0: the selection norm read 0 with no selector
+    vec = write_vector(tmp_path, [1e-200, 1e-200])
+    code, out, err = run(capsys, ["norm", "-w", "harmonic", vec, "-p", "2"])
+    assert code == 2 and out == ""
+    assert "all underflow to 0" in err
+
+
 # Each flag below used to be accepted by the subcommand without acting there.
 REMOVED_FLAGS = [
     ("classify", "--cap 100"),
@@ -546,12 +554,14 @@ def test_witness_rational_past_the_digit_limit_golden(tmp_path, capsys, monkeypa
 
 
 def test_exact_search_cap_names_where_it_stopped(capsys, monkeypatch):
+    # the one exact-prefix cap also sets the search's exact reach, so the
+    # float pass stops at it before any exact prefix past the cap is read
     monkeypatch.setattr(weights, "EXACT_PREFIX_CAP", 2000)
     code, out, err = run(capsys, ["witness", "-w", "harmonic", "-r", "4", "--mode", "rational"])
     assert code == 4 and out == ""
     assert err == (
-        "resource cap exceeded: exact block search stopped at d_4 of harmonic "
-        "after blocks [1, 4, 54]: exact prefix sums capped at 2000, got 6306\n"
+        "resource cap exceeded: float block search stopped at d_4 of harmonic "
+        "after blocks [1, 4, 54]: no feasible d_4 within exact reach 2000\n"
     )
 
 

@@ -68,6 +68,53 @@ def test_step_sequence_rejects_bad_runs():
         StepSequence(((1.5, 1.0),))  # non-integer length
 
 
+def _two_pass_runs(runs):
+    """Canonical runs by merging first and checking the order after: the runs, or None to reject."""
+    cleaned = []
+    for length, value in runs:
+        if length < 1 or value < 0:
+            return None
+        if cleaned and cleaned[-1][1] == value:
+            cleaned[-1] = (cleaned[-1][0] + length, value)
+        else:
+            cleaned.append((length, value))
+    while cleaned and cleaned[-1][1] == 0:
+        cleaned.pop()
+    if any(b >= a for (_, a), (_, b) in zip(cleaned, cleaned[1:])):
+        return None
+    return tuple(cleaned)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.one_of(
+                st.sampled_from([0.0, 0.5, 1.0, 2.0, Fraction(1, 2), Fraction(3)]),
+                st.integers(-1, 3),
+                st.floats(-1.0, 4.0, allow_nan=False),
+            ),
+        ),
+        max_size=8,
+    )
+)
+@example([(1, 2.0), (1, 2.0), (2, 1.0), (1, 0.0), (1, 0.0)])
+@example([(1, 1.0), (1, 0.0), (1, 1.0)])  # a zero before a positive value
+@example([(1, 1.0), (2, 1), (1, Fraction(1))])  # equal values of three types merge
+def test_one_pass_runs_match_the_two_pass_reference(runs):
+    # merged neighbours never tie, so the one pass rejects a rise where the
+    # reference's order check, run after merging and popping zeros, rejects it
+    expected = _two_pass_runs(runs)
+    if expected is None:
+        with pytest.raises(InputError):
+            StepSequence(tuple(runs))
+    else:
+        got = StepSequence(tuple(runs)).runs
+        assert got == expected
+        assert [type(v) for _, v in got] == [type(fx._coerce_value(v)) for _, v in expected]
+
+
 def test_step_sequence_from_values_and_expand():
     f = StepSequence.from_values([3.0, 3.0, 1.0, 0.0])
     assert f.runs == ((2, 3.0), (1, 1.0))
@@ -641,6 +688,32 @@ def test_overflowing_window_sums_warn_nothing(f):
         witness_gap(f, P12, 2.0)
     with pytest.raises(InputError, match=message):
         symmetric_defect(f, P12, 2.0, f.support)
+
+
+HUGE = StepSequence(((1, Fraction(10**400)), (2, Fraction(1))))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: functional_B(HUGE, H),
+        lambda: ratio(HUGE, H),
+        lambda: witness_gap(HUGE, H, 2.0),
+        lambda: symmetric_defect(HUGE, H, 2.0, 3),
+        lambda: HUGE.expand(),
+    ],
+    ids=["functional_B", "ratio", "witness_gap", "symmetric_defect", "expand"],
+)
+def test_a_fraction_past_the_double_range_is_an_input_error(call):
+    # each float reading of the run value 10**400 raises InputError, as A's
+    # does, never a bare OverflowError
+    with pytest.raises(InputError, match="^a run value lies past the double range$"):
+        call()
+
+
+def test_exact_B_of_a_fraction_past_the_double_range():
+    # B(1) = 10**400 w_1 beats B(2) = 10**400 / 2 + 1 and B(3)
+    assert functional_B(HUGE, H, "rational") == (Fraction(10**400), 1)
 
 
 def test_scan_past_an_overflowing_run_value_sum():

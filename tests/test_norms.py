@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -119,6 +120,22 @@ def test_selector_reproduces_value():
         w = np.array([H.weight_at(int(r)) for r in ranks])
         score = float(np.sum(np.abs(b)[res.selector - 1] ** p * w))
         assert score == pytest.approx(res.value**p, rel=1e-12, abs=1e-15)
+        # at scale 1e-100 every score lies far below an absolute tolerance,
+        # so the selector must reproduce value**p relative to it alone
+        tiny = garling_norm(b * 1e-100, H, p)
+        w = np.array([H.weight_at(r) for r in range(1, tiny.selector.size + 1)])
+        score = float(np.sum((np.abs(b) * 1e-100)[tiny.selector - 1] ** p * w))
+        assert score == pytest.approx(tiny.value**p, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-10, 1.0, 1e100])
+def test_selector_does_not_depend_on_the_scale(scale):
+    # 9 + 4/2 + 6.25/3 = 13.08 beats 1 + 9/2 + 4/3 = 6.83: the selector is [2, 3, 5]
+    # at every scale, where an absolute tolerance took [1, 2, 3] at 1e-10 and 1e-100
+    b = np.array([1.0, 3.0, 2.0, 0.5, 2.5]) * scale
+    res = garling_norm(b, H, 2.0)
+    assert res.selector.tolist() == [2, 3, 5]
+    assert res.value == pytest.approx(math.sqrt(9 + 4 / 2 + 6.25 / 3) * scale, rel=1e-15, abs=0.0)
 
 
 def test_selector_is_canonical_against_subset_enumeration():
@@ -143,7 +160,7 @@ def test_selector_is_canonical_against_subset_enumeration():
                     acc += b[idx] * w[rank]
                 best.append((acc, subset))
         opt = max(score for score, _ in best)
-        tol = 1e-12 * max(1.0, abs(opt))
+        tol = 1e-12 * opt
         ties = [s for score, s in best if score >= opt - tol]
         expected = min(ties, key=lambda s: (len(s), s))
         res = garling_norm(b, fam, 1.0, method="dp")
@@ -325,6 +342,11 @@ def test_dp_segments_do_not_change_the_norm(values, p, spec):
     # one-row and three-row segments recompute every segment but the first
     # from its checkpoint row; the value and selector keep their bits
     fam = parse_weight_spec(spec)
+    c = np.abs(values)
+    if c.any() and not (c**p).any():  # say 5e-324 and 1e-300 at p >= 1.5
+        with pytest.raises(InputError, match="all underflow to 0"):
+            garling_norm(values, fam, p, method="dp")
+        return
     ref = garling_norm(values, fam, p, method="dp")
     row = 8 * (ref.selector.size + 1)
     for budget in (row, 3 * row):
@@ -387,6 +409,28 @@ def test_overflowing_powers_raise_without_a_runtime_warning(b):
         for norm in (garling_norm, lorentz_norm):
             with pytest.raises(InputError, match="p-th powers .* not finite"):
                 norm(b, P12, 2.0)
+
+
+@pytest.mark.parametrize(
+    "b, p", [([1e-200, 1e-200], 2.0), ([0.5], 1100.0), ([5e-324, 0.0, 1e-300], 1.5)]
+)
+def test_underflowing_powers_raise_without_a_runtime_warning(b, p):
+    # every p-th power of a nonzero vector underflows to 0: its norm would
+    # read 0, so both norms refuse it, with one error and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (garling_norm, lorentz_norm):
+            with pytest.raises(InputError, match=r"p-th powers .* all underflow to 0"):
+                norm(b, P12, p)
+
+
+def test_partly_underflowing_powers_keep_the_rest():
+    # 1e-160**2 = 1e-320 is subnormal and stays: the norm is best-effort there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (garling_norm, lorentz_norm):
+            assert norm([1e-160], H, 2.0).value == pytest.approx(1e-160, rel=1e-4)
+            assert norm([1.0, 1e-200], H, 2.0).value == 1.0
 
 
 @pytest.mark.parametrize(

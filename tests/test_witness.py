@@ -147,12 +147,10 @@ def test_rational_search_runs_to_its_exact_reach(monkeypatch):
     # with 7000 exact prefixes, d_4 = 6306 and its reads (up to W(6360)) fit:
     # the float pass probes the reach 7000 - d_3 = 6946, not the block end 65536
     monkeypatch.setattr(weights, "EXACT_PREFIX_CAP", 7000)
-    monkeypatch.setattr(witness, "EXACT_PREFIX_CAP", 7000)
     assert find_block_lengths(HarmonicWeights(), 4, mode="rational") == [1, 4, 54, 6306]
     # a float pass loosened enough to stop below the reach 6359 - d_3 = 6305,
     # where the exact conditions still fail: the exact pass stops at that reach
     monkeypatch.setattr(weights, "EXACT_PREFIX_CAP", 6359)
-    monkeypatch.setattr(witness, "EXACT_PREFIX_CAP", 6359)
     monkeypatch.setattr(witness, "_REACH_SLACK", 0.1)
     with pytest.raises(CapExceededError, match="no feasible d_4 within exact reach 6359$"):
         find_block_lengths(HarmonicWeights(), 4, mode="rational")
