@@ -11,7 +11,11 @@ family w this module computes
 
 Sequences are run-length encoded (:class:`StepSequence`), so A and a single
 window sum cost O(runs) weight-window sums rather than O(support), read
-under one family lock.  The supremum takes one float window scan, by one
+under one family lock.  Each entry point reads its sequence once, through
+:func:`_read`: one list of (start, end, value) runs, checked against the
+family and the arithmetic, each value in the arithmetic's number type, which
+the scan, A and the selection norm's suffix selector all take.  The
+supremum takes one float window scan, by one
 of three routes with the same bits: one gathered pass for a short support,
 an FFT filter with a proven band for many runs (float mode), or the per-run
 kernel over the blocks of the family's :class:`~seqspace.weights.Ledger`,
@@ -60,6 +64,7 @@ _UNIT = 2.0**-53  # unit roundoff of float64
 _ETA = 2.0**-1073  # rounding error bound of a result below the normal range
 
 Value = float | Fraction
+Runs = list[tuple[int, int, Value]]  # (start, end, value) per run, 1-based and inclusive
 
 
 def _coerce_value(v) -> Value:
@@ -75,7 +80,7 @@ def _coerce_value(v) -> Value:
     raise InputError(f"run value {v!r} is not a real number")
 
 
-def _float_runs(bounds: list[tuple[int, int, Value]]) -> list[tuple[int, int, float]]:
+def _float_runs(bounds: Runs) -> list[tuple[int, int, float]]:
     """Per-run (start, end, value) with each value read as a float, as ``float`` rounds it.
 
     A Fraction past the double range raises InputError, not OverflowError.
@@ -184,7 +189,7 @@ class StepSequence:
     def all_rational(self) -> bool:
         return all(isinstance(v, Fraction) for _, v in self.runs)
 
-    def bounds(self) -> list[tuple[int, int, Value]]:
+    def bounds(self) -> Runs:
         """Per-run (start, end, value) with 1-based inclusive positions."""
         out = []
         pos = 1
@@ -251,32 +256,19 @@ class Arithmetic:
     total: Callable[[Iterable[Value]], Value]
 
 
-def arithmetic(
-    mode: str, fam: WeightFamily, f: StepSequence | None = None
-) -> Arithmetic:
-    """Select float or exact arithmetic, checking that fam (and f) admit it.
+def arithmetic(mode: str, fam: WeightFamily) -> Arithmetic:
+    """Select float or exact arithmetic, checking that fam admits it.
 
-    ``mode`` is ``"float"`` or ``"rational"``.  A given sequence's support
-    must lie within the family's index cap.  Exact arithmetic needs a
-    rational family and, when a sequence is given, rational run values and a
-    support within the exact-prefix cap.
+    ``mode`` is ``"float"`` or ``"rational"``; exact arithmetic needs a
+    rational family.  A sequence is checked against the arithmetic by its
+    one reader, :func:`_read`.
     """
-    if f is not None and f.support > fam.index_cap:
-        raise CapExceededError(
-            f"support {f.support} exceeds the family index cap {fam.index_cap}"
-        )
     if mode == "float":
         return Arithmetic(False, float, fam.prefix_sum, fam.window_sums, math.fsum)
     if mode != "rational":
         raise InputError(f"mode must be 'float' or 'rational', got {mode!r}")
     if not fam.supports_exact:
         raise InputError(f"family {fam.spec!r} does not support exact evaluation")
-    if f is not None and not f.all_rational:
-        raise InputError("exact evaluation needs all run values rational")
-    if f is not None and f.support > weights.EXACT_PREFIX_CAP:
-        raise CapExceededError(
-            f"exact evaluation capped at support {weights.EXACT_PREFIX_CAP}, got {f.support}"
-        )
     prefix = fam.prefix_fraction
     return Arithmetic(
         True,
@@ -287,6 +279,33 @@ def arithmetic(
     )
 
 
+def _read(f: StepSequence, fam: WeightFamily, mode: str) -> tuple[Arithmetic, Runs]:
+    """The arithmetic of ``mode`` and f's runs, each value in its number type.
+
+    The one reading of a sequence per evaluation: it lists ``f.bounds()``
+    once, checks that the support, the last run's end, lies within the
+    family's index cap, selects the arithmetic (:func:`arithmetic`), and for
+    exact arithmetic checks that every run value is rational and that the
+    support lies within ``weights.EXACT_PREFIX_CAP``.  Float arithmetic reads
+    each value as its float (:func:`_float_runs`), which is what a Fraction
+    times a float window computes, so every evaluation after the read runs
+    on values of one type.
+    """
+    bounds = f.bounds()
+    support = bounds[-1][1] if bounds else 0
+    if support > fam.index_cap:
+        raise CapExceededError(f"support {support} exceeds the family index cap {fam.index_cap}")
+    ar = arithmetic(mode, fam)
+    if not ar.exact:
+        return ar, _float_runs(bounds)
+    if not f.all_rational:
+        raise InputError("exact evaluation needs all run values rational")
+    cap = weights.EXACT_PREFIX_CAP
+    if support > cap:
+        raise CapExceededError(f"exact evaluation capped at support {cap}, got {support}")
+    return ar, bounds
+
+
 def functional_A(f: StepSequence, fam: WeightFamily, mode: str = "float") -> Value:
     """Aligned sum A(f, w) = sum_i a_i w_i, evaluated run by run.
 
@@ -295,11 +314,10 @@ def functional_A(f: StepSequence, fam: WeightFamily, mode: str = "float") -> Val
     runs deep in the sequence do not suffer cancellation.  Raises InputError
     when A lies past the double range.
     """
-    ar = arithmetic(mode, fam, f)
-    return _pairings(f.bounds(), ar, "A")
+    return _pairings(*_read(f, fam, mode), "A")
 
 
-def _pairings(terms: list[tuple[int, int, Value]], ar: Arithmetic, layer: str) -> Value:
+def _pairings(ar: Arithmetic, terms: Runs, layer: str) -> Value:
     """The total of value * (w_lo + ... + w_hi) over (lo, hi, value), its windows read at once.
 
     A float total past the double range, a product that rounds to inf or
@@ -307,9 +325,6 @@ def _pairings(terms: list[tuple[int, int, Value]], ar: Arithmetic, layer: str) -
     ``layer``.
     """
     sums = ar.windows([(lo, hi) for lo, hi, _ in terms])
-    # exact arithmetic has Fraction run values, and a Fraction times a float
-    # window is the float of the Fraction times it, so each product already
-    # has the arithmetic's type
     try:
         total = ar.total(value * s for (_, _, value), s in zip(terms, sums))
     except OverflowError:
@@ -322,9 +337,9 @@ def _pairings(terms: list[tuple[int, int, Value]], ar: Arithmetic, layer: str) -
     return total
 
 
-def _B_at(bounds: list[tuple[int, int, Value]], n: int, ar: Arithmetic) -> Value:
-    terms = [(1 + n - min(end, n), 1 + n - start, value) for start, end, value in bounds if start <= n]
-    return _pairings(terms, ar, f"B({n})")
+def _B_at(ar: Arithmetic, runs: Runs, n: int) -> Value:
+    terms = [(1 + n - min(end, n), 1 + n - start, value) for start, end, value in runs if start <= n]
+    return _pairings(ar, terms, f"B({n})")
 
 
 def functional_B_at(
@@ -338,7 +353,7 @@ def functional_B_at(
     n = as_index(n, "window length")
     if n < 1:
         raise InputError(f"window length must be >= 1, got {n}")
-    return _B_at(f.bounds(), n, arithmetic(mode, fam, f))
+    return _B_at(*_read(f, fam, mode), n)
 
 
 def _scan_dense(
@@ -509,7 +524,7 @@ def _scan_error_bound(m: int, values: list[float], top_prefix: float) -> float:
     return 4 * (e0 + runs * alpha * (1 + _gamma(runs)))
 
 
-def _gather(runs: list[tuple[int, int, Value]], P: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _gather(runs: list[tuple[int, int, float]], P: np.ndarray, n: np.ndarray) -> np.ndarray:
     """The kernel's run terms for the windows ``n``: row k is v_k (P(1+n-s_k) - P(n-e_k)).
 
     ``P`` holds the float prefixes P(0) = 0.0, ..., P(m), m the last run's
@@ -528,8 +543,7 @@ def _gather(runs: list[tuple[int, int, Value]], P: np.ndarray, n: np.ndarray) ->
     return _run_values(runs)[:, None] * (rows[:count] - rows[count:])
 
 
-def _run_values(runs: list[tuple[int, int, Value]]) -> np.ndarray:
-    """The run values as floats, each Fraction rounded once as ``float`` rounds it."""
+def _run_values(runs: list[tuple[int, int, float]]) -> np.ndarray:
     return np.fromiter((run[2] for run in runs), np.float64, len(runs))
 
 
@@ -591,10 +605,10 @@ def _fft_error_bound(a: np.ndarray, d: np.ndarray, size: int) -> float:
     return 4 * (spread + (3 * size * size * t + 1) * m * _ETA)
 
 
-def _fft_top(runs: list[tuple[int, int, Value]], fam: WeightFamily) -> tuple[float, int] | None:
+def _fft_top(runs: list[tuple[int, int, float]], fam: WeightFamily) -> tuple[float, int] | None:
     """The kernel's first maximum over many runs by an FFT filter; None when too many windows tie.
 
-    ``runs`` holds (start, end, value) per run, each value read as its float.
+    ``runs`` holds (start, end, value) per run, each value a float.
 
     Write K(n) for the kernel's float sum and K*(n) for the same sum in real
     arithmetic on the same float prefixes P, which telescopes to
@@ -636,7 +650,7 @@ def _fft_top(runs: list[tuple[int, int, Value]], fam: WeightFamily) -> tuple[flo
     return float(sums[k]), int(n[k])
 
 
-def _fft_band(runs: list[tuple[int, int, Value]], P: np.ndarray) -> np.ndarray:
+def _fft_band(runs: list[tuple[int, int, float]], P: np.ndarray) -> np.ndarray:
     """The windows n within 2 (E_F + c E_K) of the FFT filter's top (:func:`_fft_top`).
 
     The filter's arrays are freed on return, before the band is re-evaluated.
@@ -658,12 +672,11 @@ def _fft_band(runs: list[tuple[int, int, Value]], P: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # a window sum past the double range makes B inf
-def _scan(
-    bounds: list[tuple[int, int, Value]], fam: WeightFamily, ar: Arithmetic
-) -> tuple[Value, int]:
+def _scan(ar: Arithmetic, runs: Runs, fam: WeightFamily) -> tuple[Value, int]:
     """B and its smallest attaining window from the family ledger, by one of three routes.
 
-    Every route yields the per-run kernel's (B, argmax) bit for bit.
+    ``runs`` is :func:`_read`'s run list.  Every route yields the per-run
+    kernel's (B, argmax) bit for bit.
 
     * Short supports, both arithmetics: a support within the first ledger
       block and ``_GATHER_SUPPORT`` entries, with runs * support <=
@@ -703,37 +716,36 @@ def _scan(
     in the last.  Exact mode scans every block.  Each bound reads its kept
     ends and weights under one family lock.
     """
-    if not bounds:
+    if not runs:
         return ar.num(0), 1
-    m = bounds[-1][1]
-    if len(bounds) * m > SCAN_WORK_CAP:
+    m = runs[-1][1]
+    if len(runs) * m > SCAN_WORK_CAP:
         raise CapExceededError(
             f"window scan capped at {SCAN_WORK_CAP} run-window terms, "
-            f"got {len(bounds)} runs over support {m}"
+            f"got {len(runs)} runs over support {m}"
         )
     block, skip = weights._ARRAY_BLOCK, None
-    short = m <= min(block, _GATHER_SUPPORT) and len(bounds) * m <= _GATHER_WORK
-    many = len(bounds) >= _FFT_RUNS and m <= _FFT_CAP and bounds[0][2] < _FFT_VALUE_CAP
-    if many and not (short or ar.exact) and (found := _fft_top(bounds, fam)) is not None:
+    short = m <= min(block, _GATHER_SUPPORT) and len(runs) * m <= _GATHER_WORK
+    many = len(runs) >= _FFT_RUNS and m <= _FFT_CAP and runs[0][2] < _FFT_VALUE_CAP
+    if many and not (short or ar.exact) and (found := _fft_top(runs, fam)) is not None:
         return found
-    scaled = [(start, end, v / bounds[0][2]) for start, end, v in bounds] if ar.exact else bounds
-    runs = _float_runs(scaled)
+    floats = [(start, end, float(v / runs[0][2])) for start, end, v in runs] if ar.exact else runs
     top, first, blocks = -math.inf, 0, []
     if short:
-        scans = [(1, _gathered_scan(runs, fam._prefixes(0)[: m + 1]))]
+        scans = [(1, _gathered_scan(floats, fam._prefixes(0)[: m + 1]))]
     else:
         if not ar.exact and m > block:
             # E is affine in V with non-negative coefficients: 2E(V) <= e0 + e1 V
-            e0, e1 = (2 * _scan_error_bound(m, [v for *_, v in runs], x) for x in (0.0, 1.0))
+            e0, e1 = (2 * _scan_error_bound(m, [v for *_, v in floats], x) for x in (0.0, 1.0))
 
             def skip(lo: int, hi: int) -> bool:
                 with fam._lock:
                     ledger = fam._blocks()
                     top_w = ledger.prefix(hi)
                     margin = e0 + e1 * top_w
-                    return _peak_bound(runs, ledger, lo, hi, top_w) + margin < top
+                    return _peak_bound(floats, ledger, lo, hi, top_w) + margin < top
 
-        scans = _scan_dense(runs, fam._prefixes, block, skip)
+        scans = _scan_dense(floats, fam._prefixes, block, skip)
     for lo, scan in scans:
         k = int(scan.argmax())  # the block's first maximum
         if scan[k] > top:
@@ -743,10 +755,10 @@ def _scan(
     if not ar.exact:
         return top, first
     # B(n*) >= B(n) for every n, so scan(n*) >= top - 2E for a true maximiser n*
-    band = 2 * _scan_error_bound(m, [u for *_, u in runs], fam.prefix_sum(m))
+    band = 2 * _scan_error_bound(m, [u for *_, u in floats], fam.prefix_sum(m))
     scan = np.concatenate(blocks)
     candidates = (np.flatnonzero(scan >= top - band) + 1).tolist()
-    best, neg_n = max((_B_at(bounds, n, ar), -n) for n in candidates)
+    best, neg_n = max((_B_at(ar, runs, n), -n) for n in candidates)
     return best, -neg_n
 
 
@@ -786,8 +798,7 @@ def functional_B(
     are re-evaluated exactly, from the family's exact prefixes.  A float
     window sum past the double range makes B inf, whichever route scans it.
     """
-    ar = arithmetic(mode, fam, f)
-    return _scan(f.bounds(), fam, ar)
+    return _scan(*_read(f, fam, mode), fam)
 
 
 def ratio(f: StepSequence, fam: WeightFamily, mode: str = "float") -> FunctionalReport:
@@ -798,10 +809,13 @@ def ratio(f: StepSequence, fam: WeightFamily, mode: str = "float") -> Functional
     under one family lock.  A float A past the double range raises
     InputError.
     """
-    if f.is_zero:
+    return _report(*_read(f, fam, mode), fam)
+
+
+def _report(ar: Arithmetic, runs: Runs, fam: WeightFamily) -> FunctionalReport:
+    """:func:`ratio` on :func:`_read`'s output; the zero sequence (B = 0) raises InputError."""
+    if not runs:
         raise InputError("ratio undefined for the zero sequence (B = 0)")
-    ar = arithmetic(mode, fam, f)
-    bounds = f.bounds()
-    b, argmax_n = _scan(bounds, fam, ar)
-    a = _pairings(bounds, ar, "A")
+    b, argmax_n = _scan(ar, runs, fam)
+    a = _pairings(ar, runs, "A")
     return FunctionalReport(A=a, B=b, argmax_n=argmax_n, ratio=a / b)

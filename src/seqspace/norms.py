@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CapExceededError, InputError
-from .functionals import StepSequence, _float_runs, functional_B, ratio
+from .functionals import StepSequence, _float_runs, _read, _report, _scan, ratio
 from .weights import WeightFamily, as_index
 from .witness import DEFAULT_SLACK, build_witness, find_block_lengths
 
@@ -128,14 +128,15 @@ def lorentz_norm(b, fam: WeightFamily, p: float) -> NormResult:
     return _aligned(_powers(c, p)[order], int(np.count_nonzero(c)), fam, p, order + 1)
 
 
-def _suffix_selector(g: StepSequence, m: int, t: int) -> np.ndarray:
+def _suffix_selector(runs: list[tuple[int, int, float]], m: int, t: int) -> np.ndarray:
     """Canonical best suffix of length t of a non-decreasing vector of length m.
 
-    g holds the runs of the vector's p-th powers, reversed.  The selector
-    takes the earliest indices holding the required values: the first
-    entries of the run the cut at t falls in, then every later index.
+    ``runs`` holds the (start, end, value) runs of the vector's p-th powers,
+    reversed, as the scan read them.  The selector takes the earliest
+    indices holding the required values: the first entries of the run the
+    cut at t falls in, then every later index.
     """
-    start, end = next((s, e) for s, e, _ in g.bounds() if e >= t)
+    start, end = next((s, e) for s, e, _ in runs if e >= t)
     return np.r_[m + 1 - end : m + 2 - end + t - start, m + 2 - start : m + 1]
 
 
@@ -262,9 +263,9 @@ def garling_norm(b, fam: WeightFamily, p: float, method: str = "auto") -> NormRe
         if (diffs >= 0).all():
             # The best selection is a suffix: length t scores the reversed
             # window sum of the reversed p-th powers at n = t.
-            g = StepSequence.from_values(cp[::-1])
-            value_p, t = functional_B(g, fam)
-            return NormResult(float(value_p) ** (1.0 / p), p, _suffix_selector(g, c.size, t))
+            ar, runs = _read(StepSequence.from_values(cp[::-1]), fam, "float")
+            value_p, t = _scan(ar, runs, fam)
+            return NormResult(float(value_p) ** (1.0 / p), p, _suffix_selector(runs, c.size, t))
     return _garling_dp(cp, fam, p)
 
 
@@ -287,11 +288,12 @@ def symmetric_defect(
         raise InputError(f"prefix length must lie in 1..{a.support} (the support), got {r}")
     kept = _float_runs([(start, min(end, r), v) for start, end, v in a.bounds() if start <= r])
     g = StepSequence(tuple((1 + end - start, v) for start, end, v in kept))
-    rep = ratio(g, fam)
+    ar, runs = _read(g, fam, "float")
+    rep = _report(ar, runs, fam)
     return (  # a NormResult rejects a norm that is not finite
         rep.ratio,
         NormResult(rep.A ** (1.0 / p), p, np.arange(1, r + 1)),
-        NormResult(rep.B ** (1.0 / p), p, _suffix_selector(g, r, rep.argmax_n)),
+        NormResult(rep.B ** (1.0 / p), p, _suffix_selector(runs, r, rep.argmax_n)),
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -696,13 +697,23 @@ HUGE = StepSequence(((1, Fraction(10**400)), (2, Fraction(1))))
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: functional_A(HUGE, H),
+        lambda: functional_B_at(HUGE, H, 2),
         lambda: functional_B(HUGE, H),
         lambda: ratio(HUGE, H),
         lambda: witness_gap(HUGE, H, 2.0),
         lambda: symmetric_defect(HUGE, H, 2.0, 3),
         lambda: HUGE.expand(),
     ],
-    ids=["functional_B", "ratio", "witness_gap", "symmetric_defect", "expand"],
+    ids=[
+        "functional_A",
+        "functional_B_at",
+        "functional_B",
+        "ratio",
+        "witness_gap",
+        "symmetric_defect",
+        "expand",
+    ],
 )
 def test_a_fraction_past_the_double_range_is_an_input_error(call):
     # each float reading of the run value 10**400 raises InputError, as A's
@@ -973,6 +984,56 @@ def test_support_cap_errors():
         functional_A(f, fam)
     with pytest.raises(CapExceededError):
         functional_B(f, fam)
+
+
+ENTRY_POINTS = {
+    "functional_A": functional_A,
+    "functional_B_at": lambda f, fam, mode: functional_B_at(f, fam, 1, mode),
+    "functional_B": functional_B,
+    "ratio": ratio,
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "f, fam, mode, error, message",
+    [
+        (
+            StepSequence(((101, 1.0),)),
+            PowerWeights(0.5, index_cap=100),
+            "float",
+            CapExceededError,
+            "support 101 exceeds the family index cap 100",
+        ),
+        (
+            StepSequence(((2, Fraction(1)),)),
+            P12,
+            "rational",
+            InputError,
+            "family 'power:0.5' does not support exact evaluation",
+        ),
+        (
+            StepSequence(((2, 1.0), (1, Fraction(1, 3)))),
+            H,
+            "rational",
+            InputError,
+            "exact evaluation needs all run values rational",
+        ),
+        (
+            StepSequence(((weights.EXACT_PREFIX_CAP + 1, Fraction(1)),)),
+            H,
+            "rational",
+            CapExceededError,
+            f"exact evaluation capped at support {weights.EXACT_PREFIX_CAP}, "
+            f"got {weights.EXACT_PREFIX_CAP + 1}",
+        ),
+    ],
+    ids=["index-cap", "power-family", "float-values", "exact-cap"],
+)
+def test_every_entry_point_reads_through_the_same_checks(call, f, fam, mode, error, message):
+    # each public functional reads its sequence through the same checks
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(f, fam, mode)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -253,6 +253,28 @@ def test_symmetric_defect_grows_along_witnesses():
     assert prev == pytest.approx(2.9402315648829638, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call, listed",
+    [
+        (lambda: garling_norm(np.arange(1, 2**14 + 1) / 2**14, H, 2.0), 1),
+        (lambda: symmetric_defect(build_witness(H, [1, 4, 54]), H, 2.0, 40), 2),
+    ],
+    ids=["garling_norm-nondecreasing", "symmetric_defect"],
+)
+def test_each_evaluated_sequence_is_listed_once(monkeypatch, call, listed):
+    # the selection norm on 16,384 distinct non-decreasing entries scans its
+    # reversed runs and cuts its selector from the same list; the defect
+    # reads its prefix's runs once for A, B and the backward selector
+    seen = []
+    bounds = StepSequence.bounds
+    monkeypatch.setattr(StepSequence, "bounds", lambda self: seen.append(self) or bounds(self))
+    call()
+    counts = {}
+    for f in seen:  # seen keeps every listed sequence alive, so ids stay distinct
+        counts[id(f)] = counts.get(id(f), 0) + 1
+    assert sorted(counts.values()) == [1] * listed
+
+
 def test_witness_gap_examples():
     d = find_block_lengths(P12, 1)
     f = build_witness(P12, d)
