@@ -289,7 +289,8 @@ def _read(f: StepSequence, fam: WeightFamily, mode: str) -> tuple[Arithmetic, Ru
     support lies within ``weights.EXACT_PREFIX_CAP``.  Float arithmetic reads
     each value as its float (:func:`_float_runs`), which is what a Fraction
     times a float window computes, so every evaluation after the read runs
-    on values of one type.
+    on values of one type; when every value's type is exactly ``float``, the
+    list of bounds is already that reading and is returned itself.
     """
     bounds = f.bounds()
     support = bounds[-1][1] if bounds else 0
@@ -297,7 +298,7 @@ def _read(f: StepSequence, fam: WeightFamily, mode: str) -> tuple[Arithmetic, Ru
         raise CapExceededError(f"support {support} exceeds the family index cap {fam.index_cap}")
     ar = arithmetic(mode, fam)
     if not ar.exact:
-        return ar, _float_runs(bounds)
+        return ar, bounds if all(type(run[2]) is float for run in bounds) else _float_runs(bounds)
     if not f.all_rational:
         raise InputError("exact evaluation needs all run values rational")
     cap = weights.EXACT_PREFIX_CAP
@@ -671,7 +672,6 @@ def _fft_band(runs: list[tuple[int, int, float]], P: np.ndarray) -> np.ndarray:
     return np.flatnonzero(filtered >= filtered.max() - band) + 1
 
 
-@np.errstate(over="ignore")  # a window sum past the double range makes B inf
 def _scan(ar: Arithmetic, runs: Runs, fam: WeightFamily) -> tuple[Value, int]:
     """B and its smallest attaining window from the family ledger, by one of three routes.
 
@@ -715,6 +715,18 @@ def _scan(ar: Arithmetic, runs: Runs, fam: WeightFamily) -> tuple[Value, int]:
     but prefixes are formed only in the blocks the scanned windows read and
     in the last.  Exact mode scans every block.  Each bound reads its kept
     ends and weights under one family lock.
+
+    Overflow.  Run k adds v_k (W(1+n-s_k) - W(n-e_k)) to B(n), v_k times
+    the sum of the weights in its reversed window [1+n-min(e_k, n), 1+n-s_k];
+    the windows of the runs with s_k <= n tile 1..n, and v_k <= v_1, so
+    B(n) <= v_1 W(n) <= v_1 W(m) <= v_1 m, every weight being at most
+    w_1 = 1.  A float product or partial sum of a window adds to its terms'
+    real sum at most R eps_D V of prefix error (step 3 of
+    :func:`_scan_error_bound`, V within 2 rho of W(m)) and gamma(R) of
+    rounding; with R <= m <= 2**28 that leaves it below 2**7 v_1 m.  So a
+    float scan enters numpy's overflow state, where a window sum past the
+    double range makes B inf, only when v_1 m exceeds 2**1000; an exact
+    scan's values are at most 1 over a support within ``EXACT_PREFIX_CAP``.
     """
     if not runs:
         return ar.num(0), 1
@@ -724,6 +736,15 @@ def _scan(ar: Arithmetic, runs: Runs, fam: WeightFamily) -> tuple[Value, int]:
             f"window scan capped at {SCAN_WORK_CAP} run-window terms, "
             f"got {len(runs)} runs over support {m}"
         )
+    if not ar.exact and runs[0][2] * m > 2.0**1000:
+        with np.errstate(over="ignore"):
+            return _routes(ar, runs, fam)
+    return _routes(ar, runs, fam)
+
+
+def _routes(ar: Arithmetic, runs: Runs, fam: WeightFamily) -> tuple[Value, int]:
+    """:func:`_scan`'s three routes, on its checked runs."""
+    m = runs[-1][1]
     block, skip = weights._ARRAY_BLOCK, None
     short = m <= min(block, _GATHER_SUPPORT) and len(runs) * m <= _GATHER_WORK
     many = len(runs) >= _FFT_RUNS and m <= _FFT_CAP and runs[0][2] < _FFT_VALUE_CAP
@@ -732,7 +753,7 @@ def _scan(ar: Arithmetic, runs: Runs, fam: WeightFamily) -> tuple[Value, int]:
     floats = [(start, end, float(v / runs[0][2])) for start, end, v in runs] if ar.exact else runs
     top, first, blocks = -math.inf, 0, []
     if short:
-        scans = [(1, _gathered_scan(floats, fam._prefixes(0)[: m + 1]))]
+        scans = [(1, _gathered_scan(floats, fam._prefixes(0, m)[: m + 1]))]
     else:
         if not ar.exact and m > block:
             # E is affine in V with non-negative coefficients: 2E(V) <= e0 + e1 V
@@ -745,7 +766,7 @@ def _scan(ar: Arithmetic, runs: Runs, fam: WeightFamily) -> tuple[Value, int]:
                     margin = e0 + e1 * top_w
                     return _peak_bound(floats, ledger, lo, hi, top_w) + margin < top
 
-        scans = _scan_dense(floats, fam._prefixes, block, skip)
+        scans = _scan_dense(floats, lambda j: fam._prefixes(j, m), block, skip)
     for lo, scan in scans:
         k = int(scan.argmax())  # the block's first maximum
         if scan[k] > top:

@@ -18,12 +18,14 @@ W(1..n) in aligned 2**16-entry blocks.  The ledger grows forward only as
 far as a read needs, keeping W at every block end, the compensated sum of
 the blocks' ``np.sum``, and each block's ``np.sum``.  Inside a block W adds
 the block's ``cumsum`` to the kept W before it, so W(n) has one value
-whichever reader produced it.  A few blocks of terms, and their prefixes
-once a read needs them, stay in a cache; any other block is generated
-again.  ``prefix_sum``, which the witness search reads, ``window_sums``
-(all of one evaluation's windows under one lock; ``window_sum`` is its
-one-window case), ``prefix_array`` and the window scan of
-:mod:`seqspace.functionals` all read the one ledger.  A window is summed
+whichever reader produced it.  The first block not yet summed is
+generated only as far as reads reach, and grows at least by doubling, so
+a read low in it holds a few hundred terms, not 2**16.  A few blocks of
+terms, and their prefixes once a read needs them, stay in a cache; any
+other block is generated again.  ``prefix_sum``, which the witness search
+reads, ``window_sums`` (all of one evaluation's windows under one lock;
+``window_sum`` is its one-window case), ``prefix_array`` and the window
+scan of :mod:`seqspace.functionals` all read the one ledger.  A window is summed
 piece by piece: its part in each aligned block, a whole block's kept sum
 or the ``np.sum`` of the piece's terms.  The code calls each ``np.sum``
 of a float64 array as ``np.add.reduce``, the same pairwise sum bit for
@@ -236,8 +238,9 @@ class WeightFamily:
         the ledger extends it, so rising reads generate each weight once, and
         the blocks before n's add only their ``np.sum``.  A block end is a
         kept value; a read inside a block takes the block's prefixes from the
-        block cache, or generates the block again.  Raises CapExceededError
-        beyond the family's index cap.
+        block cache, or generates the block again, and a read in the block
+        past the last block end generates it only as far as the read.
+        Raises CapExceededError beyond the family's index cap.
         """
         n = self._length(n, "prefix length")
         self._check_cap(n, "prefix")
@@ -250,10 +253,10 @@ class WeightFamily:
             self._ledger = Ledger(self)
         return self._ledger
 
-    def _prefixes(self, j: int) -> np.ndarray:
-        """Block j's prefixes W(jB), ..., W(min((j + 1)B, cap)), read-only."""
+    def _prefixes(self, j: int, n: int) -> np.ndarray:
+        """Block j's prefixes from W(jB), read-only, through at least W(n) or to the block's end."""
         with self._lock:
-            return self._blocks().prefixes(j)
+            return self._blocks().prefixes(j, n)
 
     def window_sum(self, lo: int, hi: int) -> float:
         """w_lo + ... + w_hi by direct summation (0.0 when hi < lo), as ``window_sums`` reads it."""
@@ -282,7 +285,7 @@ class WeightFamily:
         out, b = np.zeros(m + 1), _ARRAY_BLOCK
         for j in range(-(-m // b)):
             n = min(b, m - j * b)
-            out[1 + j * b : 1 + j * b + n] = self._prefixes(j)[1 : 1 + n]
+            out[1 + j * b : 1 + j * b + n] = self._prefixes(j, m)[1 : 1 + n]
         return out
 
     # -- classification ----------------------------------------------------
@@ -315,14 +318,20 @@ class Ledger:
     is the ``np.sum`` of whole block j, and ``ends[j]`` = W(jB), the
     Neumaier sum of the sums before it; ``end(j)`` grows both, block by
     block, as far as a read needs, so each weight is generated once on the
-    way.  Block j's prefixes are W(jB) and W(jB) + the block's ``cumsum``,
-    with W((j + 1)B) for the last entry of a whole block, so W(n) has one
-    value whichever reader produced it.  A cache keeps the terms of the
-    blocks last generated, at most ``_CACHED_TERMS`` (four blocks), oldest
-    out first, and each one's prefixes once a read needs them; a read of any
-    other block generates its terms again.  So a block that no reader enters
-    costs its terms and its ``np.sum``, and no ``cumsum``, and the ledger
-    holds 16 bytes per block beside the cache.
+    way.  The frontier block, the first not yet summed, is generated only as
+    far as its reads reach, growing to at least twice its terms each time a
+    read passes them, and is summed once its terms are whole.  Block j's
+    prefixes are W(jB) and W(jB) + the block's ``cumsum``, with W((j + 1)B)
+    for the last entry of a whole block, so W(n) has one value whichever
+    reader produced it; a grown frontier continues its raw ``cumsum`` from
+    the last value it formed, which is the sequential sum of the whole block
+    bit for bit.  A cache keeps the terms of the blocks last generated, at
+    most ``_CACHED_TERMS`` (four blocks), oldest out first, and each one's
+    prefixes once a read needs them; a read of any other block generates its
+    terms again.  So a block that no reader enters costs its terms and its
+    ``np.sum``, and no ``cumsum``; the ledger holds 16 bytes per block beside
+    the cache, and a read that stays low in the first block holds at most
+    twice the terms it reached.
     """
 
     def __init__(self, fam: WeightFamily) -> None:
@@ -331,43 +340,67 @@ class Ledger:
         self.ends = [0.0]
         self.sums: list[float] = []
         self._total = self._comp = 0.0
-        self._cache: dict[int, list] = {}  # block -> [terms, prefixes or None], oldest first
+        # block -> [terms, prefixes or None, the last raw cumsum formed], oldest first
+        self._cache: dict[int, list] = {}
 
-    def _entry(self, j: int) -> list:
-        entry = self._cache.get(j)
+    def _entry(self, j: int, n: int) -> list:
+        """Block j's cache entry, its terms through at least w_n; j <= the frontier, n in block j.
+
+        A summed block is generated whole.  The frontier's new terms follow
+        the ones it holds, and a frontier grown whole is summed.
+        """
+        b, entry = self.block, self._cache.get(j)
+        have = 0 if entry is None else entry[0].size
+        if entry is not None and n - j * b <= have:
+            return entry
+        size = min(b, self._fam._cap - j * b)
+        frontier = j == len(self.sums)
+        grown = min(size, max(n - j * b, 2 * have)) if frontier else size
+        terms = self._fam._terms(j * b + have + 1, j * b + grown)
         if entry is None:
-            b = self.block
             if len(self._cache) * b >= _CACHED_TERMS:
                 del self._cache[next(iter(self._cache))]
-            entry = self._cache[j] = [self._fam._terms(j * b + 1, min(j * b + b, self._fam._cap)), None]
+            entry = self._cache[j] = [terms, None, 0.0]
+        else:
+            entry[0] = np.concatenate((entry[0], terms))
+        if frontier and grown == b:
+            x = float(np.add.reduce(entry[0]))
+            self.sums.append(x)
+            self._total, self._comp = neumaier_add(self._total, self._comp, x)
+            self.ends.append(self._total + self._comp)
         return entry
 
     def end(self, j: int) -> float:
         """W(jB), jB within the cap, once the ledger holds every block before it."""
         while len(self.ends) <= j:
-            x = float(np.add.reduce(self._entry(len(self.sums))[0]))
-            self.sums.append(x)
-            self._total, self._comp = neumaier_add(self._total, self._comp, x)
-            self.ends.append(self._total + self._comp)
+            self._entry(len(self.sums), len(self.ends) * self.block)
         return self.ends[j]
 
-    def prefixes(self, j: int) -> np.ndarray:
-        """Block j's prefixes, W(jB) first, formed once while the block is cached."""
-        entry = self._cache.get(j)
-        if entry is None or entry[1] is None:
-            whole = (j + 1) * self.block <= self._fam._cap
-            start = self.end(j)
-            if whole:
-                self.end(j + 1)
-            entry = self._entry(j)
-            p = np.empty(entry[0].size + 1)
-            p[0] = start
-            np.cumsum(entry[0], out=p[1:])
-            p[1:] += start
-            if whole:
-                p[-1] = self.ends[j + 1]
-            p.flags.writeable = False
-            entry[1] = p
+    def prefixes(self, j: int, n: int) -> np.ndarray:
+        """Block j's prefixes, W(jB) first, through at least W(min(n, block end)), read-only.
+
+        Each prefix is formed once while the block is cached: a longer read
+        forms the new ones after the old, the raw ``cumsum`` resumed from its
+        last value, and joins them in a new array.
+        """
+        start = self.end(j)
+        entry = self._entry(j, min(n, (j + 1) * self.block, self._fam._cap))
+        terms, p = entry[0], entry[1]
+        if p is None or p.size <= terms.size:
+            k = 0 if p is None else p.size - 1
+            q = np.empty(terms.size + 1)
+            q[: k + 1] = start if p is None else p
+            raw = q[k + 1 :]  # the raw cumsum of the new terms, resumed from the last formed
+            if raw.size:
+                raw[:] = terms[k:]
+                raw[0] += entry[2]  # 0.0 + w_1 = w_1 when k = 0, as cumsum begins
+                np.cumsum(raw, out=raw)
+                entry[2] = float(raw[-1])
+                raw += start
+            if j < len(self.sums):
+                q[-1] = self.ends[j + 1]
+            q.flags.writeable = False
+            entry[1] = q
         return entry[1]
 
     def piece(self, a: int, b: int) -> float:
@@ -376,7 +409,7 @@ class Ledger:
         if b - a + 1 == self.block and j < len(self.sums):
             return self.sums[j]
         entry = self._cache.get(j)
-        if entry is None:
+        if entry is None or b - j * self.block > entry[0].size:
             return float(np.add.reduce(self._fam._terms(a, b)))
         return float(np.add.reduce(entry[0][a - 1 - j * self.block : b - j * self.block]))
 
@@ -399,13 +432,15 @@ class Ledger:
     def prefix(self, n: int) -> float:
         """W(n), n within the cap: a kept block end, else an entry of n's block prefixes."""
         j, i = divmod(n, self.block)
-        return float(self.prefixes(j)[i]) if i else self.end(j)
+        return float(self.prefixes(j, n)[i]) if i else self.end(j)
 
     def weight(self, i: int) -> float:
         """w_i, i within the cap: from the cached block that holds it, else generated alone."""
         j, k = divmod(i - 1, self.block)
         entry = self._cache.get(j)
-        return float(entry[0][k] if entry is not None else self._fam._terms(i, i)[0])
+        if entry is not None and k < entry[0].size:
+            return float(entry[0][k])
+        return float(self._fam._terms(i, i)[0])
 
 
 class PowerWeights(WeightFamily):

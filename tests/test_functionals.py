@@ -406,7 +406,8 @@ def _float_scan_and_bound(f, fam):
     bounds = f.bounds()
     first = bounds[0][2]
     runs = [(start, end, float(v / first)) for start, end, v in bounds]
-    scan = np.concatenate([block for _, block in fx._scan_dense(runs, fam._prefixes, weights._ARRAY_BLOCK)])
+    blocks = fx._scan_dense(runs, lambda j: fam._prefixes(j, f.support), weights._ARRAY_BLOCK)
+    scan = np.concatenate([block for _, block in blocks])
     bound = fx._scan_error_bound(f.support, [u for _, _, u in runs], fam.prefix_sum(f.support))
     return first, scan, bound
 
@@ -558,7 +559,7 @@ def test_scan_slices_are_the_reference_slices(fam, f, block):
         mp.setattr(weights, "_ARRAY_BLOCK", block)
         ref = _reference_prefix(fam, m, block)
         ((_, want),) = fx._scan_dense(runs, _reader(ref, m), m)
-        got = list(fx._scan_dense(runs, fam._prefixes, block))
+        got = list(fx._scan_dense(runs, lambda j: fam._prefixes(j, m), block))
         assert fam.prefix_sum(m) == ref[-1]
     assert [lo for lo, _ in got] == list(range(1, m + 1, block))
     assert np.concatenate([scan for _, scan in got]).tobytes() == want.tobytes()
@@ -740,6 +741,44 @@ def test_scan_past_an_overflowing_run_value_sum():
     assert math.isfinite(b) and n == 200
 
 
+def test_scan_enters_the_overflow_state_only_past_its_threshold(monkeypatch):
+    # every window sum is at most v_1 m, and the scan's floats stay below
+    # 2**7 v_1 m: just below v_1 m = 2**1000 the scan runs outside numpy's
+    # overflow state and, under the suite's filter, warns nothing; four
+    # times the values cross the threshold, enter it, and scale B exactly;
+    # an exact scan, on values divided by the first, never enters it
+    v = math.nextafter(2.0**998, 0.0)
+    f = StepSequence(((1, v), (1, v / 2), (2, 1.0)))
+    assert v * f.support < 2.0**1000 < 4 * v * f.support
+    errstate, entered = np.errstate, []
+    monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+    b, n = functional_B(f, H)
+    assert (b, n) == _full_scan(f, H)
+    assert ratio(f, H).B == b
+    assert entered == []
+    assert functional_B(f.scaled(4), H) == (4 * b, n)
+    assert entered == [{"over": "ignore"}]
+    assert functional_B(HUGE, H, "rational") == (Fraction(10**400), 1)
+    assert entered == [{"over": "ignore"}]
+
+
+def test_float_read_keeps_a_run_list_of_floats(monkeypatch):
+    # values of type float are read as they stand: no copy through
+    # _float_runs; a Fraction or an np.float64 value is read as its float
+    floats = StepSequence(((2, 1.5), (3, 0.25)))
+    mixed = StepSequence(((2, Fraction(3, 2)), (3, np.float64(0.25))))
+    want = [(1, 2, 1.5), (3, 5, 0.25)]
+    assert [type(v) for *_, v in fx._read(mixed, H, "float")[1]] == [float, float]
+    assert fx._read(mixed, H, "float")[1] == want
+    want_ratio = ratio(mixed, H)
+    with monkeypatch.context() as mp:
+        mp.setattr(fx, "_float_runs", lambda bounds: pytest.fail("float values copied"))
+        assert fx._read(floats, H, "float")[1] == want
+        assert ratio(floats, H) == want_ratio
+        with pytest.raises(pytest.fail.Exception, match="copied"):
+            fx._read(mixed, H, "float")
+
+
 @pytest.mark.parametrize(
     "fam, d, scanned, blocks",
     [
@@ -833,7 +872,7 @@ def _kernel_scan(f, fam):
     # every window sum from the per-run kernel over the family ledger's
     # blocks, none passed over: the reference every route must reproduce
     runs = [(start, end, float(v)) for start, end, v in f.bounds()]
-    blocks = fx._scan_dense(runs, fam._prefixes, weights._ARRAY_BLOCK)
+    blocks = fx._scan_dense(runs, lambda j: fam._prefixes(j, f.support), weights._ARRAY_BLOCK)
     return runs, np.concatenate([scan for _, scan in blocks])
 
 
@@ -864,7 +903,7 @@ def test_gathered_scan_is_the_kernel_scan(fam, f):
     with np.errstate(over="ignore"):
         runs, want = _kernel_scan(f, fam)
         assert f.support <= fx._GATHER_SUPPORT and len(runs) * f.support <= fx._GATHER_WORK
-        got = fx._gathered_scan(runs, fam._prefixes(0)[: f.support + 1])
+        got = fx._gathered_scan(runs, fam._prefixes(0, f.support)[: f.support + 1])
         assert got.tobytes() == want.tobytes()
         value, n = functional_B(f, fam)
     assert (value.hex(), n) == _first_max(want)

@@ -390,19 +390,36 @@ def test_dp_skips_a_completion_that_overflows():
     assert res.selector.tolist() == [2, 3, 4, 5, 6, 7]
 
 
-def test_dp_memory_is_bounded_at_the_cap():
-    # j* = 3,012 of 4,096: the full backward table would take 94 MiB
-    b = np.tile([1.0, 0.5], norms.GARLING_DP_CAP // 2)
-    fam = PowerWeights(0.5)
+def _dp_peak(b, fam, p):
     tracemalloc.start()
     try:
-        res = garling_norm(b, fam, 2.0)
+        res = garling_norm(b, fam, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return res, peak
+
+
+def test_dp_memory_is_bounded_at_the_cap():
+    # j* = 3,012 of 4,096: the full backward table would take 94 MiB; in
+    # 1 MiB segments of 43 rows, the rows and 95 checkpoint rows of 3,013
+    # entries peak at 3.6 MiB (5.0 MiB in 4 MiB segments)
+    b = np.tile([1.0, 0.5], norms.GARLING_DP_CAP // 2)
+    res, peak = _dp_peak(b, PowerWeights(0.5), 2.0)
     assert res.selector.size == 3012
     assert res.value == 9.583764470514158
-    assert peak < 8 * 2**20
+    assert peak < 4 * 2**20
+
+
+def test_dp_memory_of_a_uniform_vector_at_the_cap():
+    # 4,096 seeded uniform(-3, 3) entries, the shape of the CLI's norm input:
+    # j* = 1,426, and 1 MiB segments of 91 rows beside 45 checkpoint rows
+    # peak at 1.9 MiB (4.5 MiB in 4 MiB segments)
+    b = np.random.default_rng(1).uniform(-3.0, 3.0, norms.GARLING_DP_CAP)
+    res, peak = _dp_peak(b, HarmonicWeights(), 2.0)
+    assert res.selector.size == 1426
+    assert res.value.hex() == "0x1.eec265b1e06e3p+2"
+    assert peak < 2.5 * 2**20
 
 
 def test_norm_result_serialization():

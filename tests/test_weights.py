@@ -500,23 +500,93 @@ def test_prefix_sum_is_the_stream_value(kind, threads, ns, block):
 
 def test_prefix_reads_resume_the_family_stream():
     # rising reads generate each weight once and a block end takes its kept
-    # value; a read inside a block the cache no longer holds generates that
-    # one block again, which later reads in it share; the cache holds at
-    # most _CACHED_TERMS terms, four blocks
+    # value; the frontier block is generated only as far as a read reaches
+    # (block 10 to its 5th term, block 21 to its 3rd), and grown whole when
+    # a later block end needs its sum; a read inside a block the cache no
+    # longer holds generates that one block again, which later reads in it
+    # share; the cache holds at most _CACHED_TERMS terms, four blocks
     fam = PowerWeights(0.5)
     block = weights._ARRAY_BLOCK
     count = _count_terms(fam)
     want = _reference_prefix(PowerWeights(0.5), 22 * block, block)
     reads = (
-        (10 * block + 5, 11), (20 * block, 20), (19 * block + 1, 20), (19 * block + 9, 20),
-        (10 * block + 5, 21), (5 * block, 21), (5 * block - 1, 22), (21 * block + 3, 24),
-        (20 * block + 7, 24), (5 * block - 2, 24), (18 * block + 1, 25), (5 * block - 3, 25),
-        (2 * block + 1, 26),
+        (10 * block + 5, 10 * block + 5), (20 * block, 20 * block), (19 * block + 1, 20 * block),
+        (19 * block + 9, 20 * block), (10 * block + 5, 21 * block), (5 * block, 21 * block),
+        (5 * block - 1, 22 * block), (21 * block + 3, 23 * block + 3),
+        (20 * block + 7, 23 * block + 3), (5 * block - 2, 23 * block + 3),
+        (18 * block + 1, 24 * block + 3), (5 * block - 3, 24 * block + 3),
+        (2 * block + 1, 25 * block + 3),
     )
-    for n, blocks in reads:
+    for n, terms in reads:
         assert fam.prefix_sum(n) == want[n]
-        assert count[0] == blocks * block
+        assert count[0] == terms
         assert len(fam._ledger._cache) * block <= weights._CACHED_TERMS
+
+
+def test_the_frontier_block_grows_as_far_as_reads_reach():
+    # reads inside the first block generate it only as far as they reach,
+    # at least doubling what it holds, each term once; a block end's read
+    # grows it whole and sums it, and the next block becomes the frontier
+    fam = PowerWeights(0.5)
+    block = weights._ARRAY_BLOCK
+    count = _count_terms(fam)
+    want = _reference_prefix(PowerWeights(0.5), block + 100, block)
+    reads = (
+        (5, 5, 5), (3, 5, 5), (200, 200, 200), (201, 400, 400), (1000, 1000, 1000),
+        (block, block, block), (block + 3, block + 3, 3), (block + 4, block + 6, 6),
+        (block + 100, block + 100, 100),
+    )
+    for n, terms, held in reads:
+        assert fam.prefix_sum(n) == want[n]
+        assert count[0] == terms
+        assert fam._ledger._cache[(n - 1) // block][0].size == held
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+@given(
+    reads=st.lists(
+        st.tuples(st.sampled_from(["prefix", "window", "array", "ratio"]), st.integers(0, 3 * 2**7)),
+        min_size=1,
+        max_size=30,
+    ),
+)
+@settings(max_examples=20, deadline=None)
+def test_reads_that_grow_the_frontier_are_the_reference(kind, reads):
+    # 2**7-entry blocks: prefix, window, prefix-array and ratio reads in any
+    # order grow the frontier block piece by piece, its raw cumsum resumed,
+    # and each equals the reference from fresh terms bit for bit; a window
+    # past the frontier's terms sums fresh ones
+    block = 2**7
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_ARRAY_BLOCK", block)
+        make = FAMILY_KINDS[kind]
+        want = _reference_prefix(make(), 3 * block, block)
+        fam = make()
+        for read, n in reads:
+            if read == "prefix":
+                assert fam.prefix_sum(n) == want[n]
+            elif read == "window":
+                assert fam.window_sum(1 + n // 3, n) == make().window_sum(1 + n // 3, n)
+            elif read == "array":
+                assert fam.prefix_array(n).tolist() == want[: n + 1].tolist()
+            else:
+                f = StepSequence(tuple((1 + i % 3, 1.0 / i) for i in range(1, 2 + n // 3)))
+                assert ratio(f, fam) == ratio(f, make())
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+def test_a_short_ratio_holds_a_few_hundred_terms(kind):
+    # a support of 200 reads W(0..200) and A's windows in the first block:
+    # the frontier holds its 200 terms and their prefixes, not the whole
+    # 2**16-term block and its 2**16 + 1 prefixes
+    fam = FAMILY_KINDS[kind]()
+    f = StepSequence(tuple((5, 1.0 / i) for i in range(1, 41)))
+    assert f.support == 200
+    rep = ratio(f, fam)
+    cache = fam._ledger._cache
+    assert sum(entry[0].size for entry in cache.values()) <= 512
+    assert sum(entry[1].size for entry in cache.values() if entry[1] is not None) <= 513
+    assert ratio(f, fam) == rep
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
@@ -553,10 +623,11 @@ def test_stream_reads_in_any_order_are_the_prefix_array(kind, m, reads, block):
             assert entries[0] == before
             assert fam.prefix_sum(x) == want[x]
         assert len(fam._ledger._cache) * block <= weights._CACHED_TERMS
-        # read whole on a fresh family, each block forms its prefixes once
+        # read whole on a fresh family, each block forms its prefixes once,
+        # the last, the frontier, only as far as W(m)
         entries[0] = 0
         assert FAMILY_KINDS[kind]().prefix_array(m).tolist() == want.tolist()
-        assert entries[0] == -(-m // block) * block
+        assert entries[0] == m
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
